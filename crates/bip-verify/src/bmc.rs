@@ -1,21 +1,22 @@
 //! SAT-based bounded model checking over the [`bip_core::sym`] encoding.
 //!
 //! The transition relation is unrolled **incrementally in one persistent
-//! [`satkit::Solver`]**: the clauses of frame `d → d+1` are added once and
-//! stay; the depth-`d` "invariant violated here" goal is guarded by a fresh
-//! per-depth **activation literal** passed to `solve_with` as an assumption.
-//! When the depth-`d` query comes back UNSAT the engine asserts the
-//! activation literal's negation (retiring the goal) and extends the
-//! unrolling by one frame — so conflict clauses learned at shallow depths
-//! keep pruning at deeper ones instead of being rediscovered per bound.
+//! [`satkit::Solver`]** by the crate's shared unroller: the clauses of frame
+//! `d → d+1` are added once and stay; the depth-`d` "invariant violated
+//! here" goal is guarded by a fresh per-depth **activation literal** passed
+//! to the solver as an assumption. When the depth-`d` query comes back UNSAT
+//! the engine asserts the activation literal's negation (retiring the goal)
+//! and the next goal extends the unrolling by one frame — so conflict
+//! clauses learned at shallow depths keep pruning at deeper ones instead of
+//! being rediscovered per bound.
 //!
 //! Verdicts are asymmetric by design:
 //!
 //! * [`BmcOutcome::Violation`] is **definitive**: the decoded trace is
 //!   replayed step-by-step through the concrete executor
 //!   ([`System::for_each_successor`]) before being reported, so a decode or
-//!   encode bug can surface only as [`BmcError::InvalidTrace`], never as a
-//!   false alarm.
+//!   encode bug can surface only as [`UnrollError::InvalidTrace`], never as
+//!   a false alarm.
 //! * [`BmcOutcome::NoViolationWithin`] carries an explicit completeness
 //!   caveat: it says nothing about states deeper than the bound.
 //!
@@ -50,9 +51,10 @@
 //! ```
 
 use crate::control::{Budget, CancelToken, StopReason, Wall};
-use bip_core::sym::{StepEncoder, StepVars, SymError, SymFrame};
+use crate::unroll::{Answer, UnrollError, Unroller};
+use bip_core::sym::StepEncoder;
 use bip_core::{State, StatePred, Step, System};
-use satkit::{CnfBuilder, Lit, RestartPolicy, SolveLimits, SolveResult};
+use satkit::{RestartPolicy, Solver};
 use std::time::Instant;
 
 /// Builder for a bounded model-checking run (mirrors
@@ -131,198 +133,69 @@ impl<'a> BmcConfig<'a> {
     ///
     /// # Errors
     ///
-    /// [`BmcError::Encode`] if the system cannot be encoded (unbounded
-    /// variable, enumeration budget); [`BmcError::InvalidTrace`] if a
+    /// [`UnrollError::Encode`] if the system cannot be encoded (unbounded
+    /// variable, enumeration budget); [`UnrollError::InvalidTrace`] if a
     /// satisfying model fails concrete replay (an encoder bug — never a
     /// property of the system).
-    pub fn check_invariant(&self, inv: &StatePred) -> Result<BmcReport, BmcError> {
+    pub fn check_invariant(&self, inv: &StatePred) -> Result<BmcReport, UnrollError> {
         let start = Instant::now();
-        let sys = self.sys;
-        let mut enc = StepEncoder::new(sys)
-            .map_err(BmcError::Encode)?
-            .enum_budget(self.enum_budget);
-        let mut b = CnfBuilder::new();
-        b.solver_mut().set_interrupt(Some(self.cancel.flag()));
-        b.solver_mut().set_restart_policy(self.restart_policy);
-
-        let mut frames: Vec<SymFrame> = vec![enc.new_frame(&mut b)];
-        enc.assert_initial(&mut b, &frames[0]);
-        let mut steps: Vec<StepVars> = Vec::new();
-        let mut stats: Vec<FrameStats> = Vec::new();
+        let enc = StepEncoder::new(self.sys)?.enum_budget(self.enum_budget);
+        let mut u = Unroller::new(
+            self.sys,
+            enc,
+            self.budget,
+            &self.cancel,
+            self.restart_policy,
+        )
+        .init_pinned();
+        let mut frames: Vec<FrameStats> = Vec::new();
+        let report = |outcome, frames, stop| BmcReport {
+            outcome,
+            frames,
+            stop,
+            elapsed: Wall(start.elapsed()),
+        };
+        // What an interrupted run may still claim: verdicts for the depths
+        // already decided are final, so `NoViolationWithin` shrinks to the
+        // deepest one — and to no claim at all if there is none.
+        let cleared = |frames: &[FrameStats]| match frames.last() {
+            Some(f) => BmcOutcome::NoViolationWithin(f.depth),
+            None => BmcOutcome::Undecided,
+        };
 
         for depth in 0..=self.bound {
-            // Budget check between queries: verdicts for depths < `depth`
-            // are already final, so an interrupted report stays sound —
-            // `NoViolationWithin` shrinks to the deepest cleared depth.
-            let interrupted = if self.cancel.is_cancelled() {
-                Some(StopReason::Cancelled)
-            } else if self
-                .budget
-                .deadline
-                .is_some_and(|due| Instant::now() >= due)
-            {
-                Some(StopReason::Deadline)
-            } else if self
-                .budget
-                .max_conflicts
-                .is_some_and(|m| b.solver_mut().conflicts() >= m)
-            {
-                Some(StopReason::SolverBudget)
-            } else {
-                None
-            };
-            if let Some(stop) = interrupted {
-                return Ok(BmcReport {
-                    outcome: BmcOutcome::NoViolationWithin(depth.saturating_sub(1)),
-                    frames: stats,
-                    stop,
-                    elapsed: Wall(start.elapsed()),
-                });
+            if let Some(stop) = u.interrupted(0) {
+                return Ok(report(cleared(&frames), frames, stop));
             }
-
             // Goal: the invariant is violated at this depth — guarded by a
             // fresh activation literal so it can be retired after the query.
-            let inv_lit = enc
-                .encode_pred(&mut b, &mut frames[depth], inv)
-                .map_err(BmcError::Encode)?;
-            let act = Lit::pos(b.solver_mut().new_var());
-            b.implies(act, !inv_lit);
-
-            // The conflict ceiling is cumulative across the persistent
-            // solver: each query gets whatever the earlier depths left.
-            let limits = match self.budget.max_conflicts {
-                Some(m) => {
-                    SolveLimits::unlimited().conflicts(m.saturating_sub(b.solver_mut().conflicts()))
+            let inv_lit = u.pred(depth, inv)?;
+            let act = u.guarded(!inv_lit);
+            match u.query(&[act], 0) {
+                Answer::Unknown(stop) => return Ok(report(cleared(&frames), frames, stop)),
+                Answer::Sat => {
+                    frames.push(FrameStats::snapshot(depth, u.solver()));
+                    let (trace, states) = u.witness(depth, inv)?;
+                    let outcome = BmcOutcome::Violation { trace, states };
+                    return Ok(report(outcome, frames, StopReason::Completed));
                 }
-                None => SolveLimits::unlimited(),
-            };
-            let verdict = b.solver_mut().solve_limited(&[act], limits);
-            if verdict == SolveResult::Unknown {
-                let stop = if self.cancel.is_cancelled() {
-                    StopReason::Cancelled
-                } else {
-                    StopReason::SolverBudget
-                };
-                return Ok(BmcReport {
-                    outcome: BmcOutcome::NoViolationWithin(depth.saturating_sub(1)),
-                    frames: stats,
-                    stop,
-                    elapsed: Wall(start.elapsed()),
-                });
-            }
-            let sat = verdict.is_sat();
-            {
-                let s = b.solver_mut();
-                let (tier_core, tier_mid, tier_local) = s.tier_sizes();
-                stats.push(FrameStats {
-                    depth,
-                    vars: s.num_vars(),
-                    clauses: s.num_clauses(),
-                    learnts: s.num_learnts(),
-                    conflicts: s.conflicts(),
-                    decisions: s.decisions(),
-                    propagations: s.propagations(),
-                    avg_lbd_milli: s.avg_lbd_milli(),
-                    tier_core,
-                    tier_mid,
-                    tier_local,
-                });
-            }
-
-            if sat {
-                let model = b.solver_mut().model();
-                let states: Vec<State> = frames
-                    .iter()
-                    .take(depth + 1)
-                    .map(|f| enc.decode_state(f, &model))
-                    .collect();
-                let mut trace = Vec::with_capacity(depth);
-                for sv in steps.iter().take(depth) {
-                    trace.push(enc.decode_step(sv, &model).ok_or_else(|| {
-                        BmcError::InvalidTrace(
-                            "model selects no action in an unrolled frame".into(),
-                        )
-                    })?);
+                Answer::Unsat { core_empty } => {
+                    frames.push(FrameStats::snapshot(depth, u.solver()));
+                    // The formula is UNSAT on its own, whatever is assumed:
+                    // no execution of length `depth` exists at all (every
+                    // run of the system halts earlier), so no deeper frame
+                    // is satisfiable either and the full bound is cleared
+                    // without unrolling further.
+                    if core_empty {
+                        break;
+                    }
+                    // Retire the goal permanently.
+                    u.assert_lit(!act);
                 }
-                replay(sys, inv, &states, &trace)?;
-                return Ok(BmcReport {
-                    outcome: BmcOutcome::Violation { trace, states },
-                    frames: stats,
-                    stop: StopReason::Completed,
-                    elapsed: Wall(start.elapsed()),
-                });
-            }
-
-            // The depth-d query failed under the single assumption `act`.
-            // If the solver's failed-assumption core is *empty*, the
-            // unrolled formula is UNSAT on its own: no execution of length
-            // `depth` exists at all (every run of the system halts
-            // earlier), so no deeper frame is satisfiable either and the
-            // full bound is cleared without unrolling further.
-            if b.solver_mut().failed_assumptions().is_empty() {
-                return Ok(BmcReport {
-                    outcome: BmcOutcome::NoViolationWithin(self.bound),
-                    frames: stats,
-                    stop: StopReason::Completed,
-                    elapsed: Wall(start.elapsed()),
-                });
-            }
-
-            // Retire the goal permanently and extend the unrolling.
-            b.assert_lit(!act);
-            if depth < self.bound {
-                let next = enc.new_frame(&mut b);
-                let prev = frames.last_mut().expect("at least frame 0");
-                let sv = enc
-                    .encode_step(&mut b, prev, &next)
-                    .map_err(BmcError::Encode)?;
-                steps.push(sv);
-                frames.push(next);
             }
         }
-
-        Ok(BmcReport {
-            outcome: BmcOutcome::NoViolationWithin(self.bound),
-            frames: stats,
-            stop: StopReason::Completed,
-            elapsed: Wall(start.elapsed()),
-        })
-    }
-}
-
-/// Why a BMC run failed (as opposed to returning a verdict).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BmcError {
-    /// The system could not be encoded to CNF (see [`SymError`]).
-    Encode(SymError),
-    /// A satisfying model did not replay on the concrete executor. This is
-    /// diagnostic of an encoder/decoder bug; it is never a system property.
-    InvalidTrace(String),
-}
-
-impl std::fmt::Display for BmcError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BmcError::Encode(e) => write!(f, "bmc: {e}"),
-            BmcError::InvalidTrace(msg) => {
-                write!(f, "bmc: counterexample failed concrete replay: {msg}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for BmcError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            BmcError::Encode(e) => Some(e),
-            BmcError::InvalidTrace(_) => None,
-        }
-    }
-}
-
-impl From<SymError> for BmcError {
-    fn from(e: SymError) -> BmcError {
-        BmcError::Encode(e)
+        let outcome = BmcOutcome::NoViolationWithin(self.bound);
+        Ok(report(outcome, frames, StopReason::Completed))
     }
 }
 
@@ -356,6 +229,25 @@ pub struct FrameStats {
     pub tier_local: usize,
 }
 
+impl FrameStats {
+    fn snapshot(depth: usize, s: &Solver) -> FrameStats {
+        let (tier_core, tier_mid, tier_local) = s.tier_sizes();
+        FrameStats {
+            depth,
+            vars: s.num_vars(),
+            clauses: s.num_clauses(),
+            learnts: s.num_learnts(),
+            conflicts: s.conflicts(),
+            decisions: s.decisions(),
+            propagations: s.propagations(),
+            avg_lbd_milli: s.avg_lbd_milli(),
+            tier_core,
+            tier_mid,
+            tier_local,
+        }
+    }
+}
+
 /// Verdict of a bounded model-checking run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BmcOutcome {
@@ -370,10 +262,14 @@ pub enum BmcOutcome {
         /// The states along the counterexample (`trace.len() + 1` entries).
         states: Vec<State>,
     },
-    /// No violation exists within the given depth. **Completeness caveat**:
-    /// this says nothing about deeper states — it is not a proof of the
-    /// invariant unless the bound exceeds the system's diameter.
+    /// No violation exists within the given depth: the solver refuted every
+    /// depth `0..=d`. **Completeness caveat**: this says nothing about
+    /// deeper states — it is not a proof of the invariant unless the bound
+    /// exceeds the system's diameter.
     NoViolationWithin(usize),
+    /// The run was interrupted before any depth was decided — not even the
+    /// initial state has been checked against the invariant.
+    Undecided,
 }
 
 /// Result of [`BmcConfig::check_invariant`].
@@ -391,8 +287,9 @@ pub struct BmcReport {
     /// covers the full configured bound; an interrupted stop
     /// ([`StopReason::SolverBudget`] / [`StopReason::Deadline`] /
     /// [`StopReason::Cancelled`]) means `NoViolationWithin` shrank to the
-    /// deepest depth actually cleared (vacuously 0 when `frames` is
-    /// empty) — the verdict is still sound, never wrong.
+    /// deepest depth actually cleared, or the outcome is
+    /// [`BmcOutcome::Undecided`] when `frames` is empty — the verdict is
+    /// still sound, never wrong.
     pub stop: StopReason,
     /// Wall-clock the run took (excluded from report equality).
     pub elapsed: Wall,
@@ -403,55 +300,9 @@ impl BmcReport {
     pub fn violation(&self) -> Option<(&[Step], &[State])> {
         match &self.outcome {
             BmcOutcome::Violation { trace, states } => Some((trace, states)),
-            BmcOutcome::NoViolationWithin(_) => None,
+            BmcOutcome::NoViolationWithin(_) | BmcOutcome::Undecided => None,
         }
     }
-}
-
-/// Validate a decoded counterexample against the concrete semantics: every
-/// `(state, step, state)` triple must be an actual transition enumerated by
-/// `for_each_successor`, and the final state must violate the invariant.
-/// Shared with [`crate::kind`], whose base case decodes identical traces.
-pub(crate) fn replay(
-    sys: &System,
-    inv: &StatePred,
-    states: &[State],
-    trace: &[Step],
-) -> Result<(), BmcError> {
-    if states.len() != trace.len() + 1 {
-        return Err(BmcError::InvalidTrace(format!(
-            "{} states for {} steps",
-            states.len(),
-            trace.len()
-        )));
-    }
-    if states[0] != sys.initial_state() {
-        return Err(BmcError::InvalidTrace(
-            "frame 0 does not decode to the initial state".into(),
-        ));
-    }
-    let mut es = sys.new_enabled_set();
-    let mut scratch = sys.new_succ_scratch();
-    for (i, step) in trace.iter().enumerate() {
-        let mut matched = false;
-        es.invalidate_all();
-        sys.for_each_successor(&states[i], &mut es, &mut scratch, |s, next| {
-            if !matched && next == &states[i + 1] && &s.to_step(sys) == step {
-                matched = true;
-            }
-        });
-        if !matched {
-            return Err(BmcError::InvalidTrace(format!(
-                "step {i} is not a concrete transition between the decoded states"
-            )));
-        }
-    }
-    if inv.eval(sys, states.last().expect("non-empty")) {
-        return Err(BmcError::InvalidTrace(
-            "final state does not violate the invariant".into(),
-        ));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -580,7 +431,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(
             err,
-            BmcError::Encode(SymError::UnboundedVar { .. })
+            UnrollError::Encode(bip_core::sym::SymError::UnboundedVar { .. })
         ));
         assert!(err.to_string().contains("no finite bound"));
     }
@@ -612,7 +463,7 @@ mod tests {
             .check_invariant(&all_has_left(3))
             .unwrap();
         assert_eq!(r.stop, StopReason::SolverBudget);
-        assert_eq!(r.outcome, BmcOutcome::NoViolationWithin(0));
+        assert_eq!(r.outcome, BmcOutcome::Undecided);
         assert!(r.frames.is_empty(), "no depth was decided");
     }
 
@@ -641,7 +492,29 @@ mod tests {
             .check_invariant(&all_has_left(3))
             .unwrap();
         assert_eq!(r.stop, StopReason::Cancelled);
-        assert_eq!(r.outcome, BmcOutcome::NoViolationWithin(0));
+        assert_eq!(r.outcome, BmcOutcome::Undecided);
+    }
+
+    #[test]
+    fn interrupted_before_depth_zero_claims_nothing_about_the_initial_state() {
+        // The initial state itself violates "n != 0": a run cancelled before
+        // its first query has not looked at it and must not clear depth 0.
+        let sys = counter_system(3);
+        let at_zero = StatePred::Not(Box::new(StatePred::Eq(GExpr::var(0, 0), GExpr::int(0))));
+        let token = CancelToken::new();
+        token.cancel();
+        let r = BmcConfig::new(&sys)
+            .bound(4)
+            .cancel(&token)
+            .check_invariant(&at_zero)
+            .unwrap();
+        assert_eq!(r.stop, StopReason::Cancelled);
+        assert!(
+            !matches!(r.outcome, BmcOutcome::NoViolationWithin(_)),
+            "unchecked initial state cleared: {:?}",
+            r.outcome
+        );
+        assert!(r.violation().is_none());
     }
 
     #[test]
@@ -654,7 +527,7 @@ mod tests {
             .check_invariant(&all_has_left(3))
             .unwrap();
         assert_eq!(r.stop, StopReason::Deadline);
-        assert_eq!(r.outcome, BmcOutcome::NoViolationWithin(0));
+        assert_eq!(r.outcome, BmcOutcome::Undecided);
     }
 
     #[test]

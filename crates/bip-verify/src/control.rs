@@ -14,6 +14,11 @@
 //! * [`StopReason`] — *why* a run ended, on every report, next to the
 //!   engine's existing `complete: bool`.
 //!
+//! Engines poll through two calls: [`Budget::interrupted`] (cancelled? past
+//! the deadline? — in that order, everywhere) at their consistency points,
+//! and [`Budget::solve_limits`] for the conflict allowance of each SAT call.
+//! None reads [`Budget::deadline`] or the clock itself.
+//!
 //! Check points are deliberately coarse: the explicit engines test the
 //! budget between BFS levels (where the level-synchronous design already
 //! yields a consistent snapshot — see `reach::ReachCheckpoint`), the
@@ -31,6 +36,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use satkit::SolveLimits;
 
 /// Resource ceilings for one verification run. `None` everywhere (the
 /// default) means run to completion.
@@ -97,6 +104,34 @@ impl Budget {
     #[must_use]
     pub fn is_unlimited(&self) -> bool {
         *self == Budget::default()
+    }
+
+    /// Why a run must stop *now*, whatever its accounting: `cancel` was
+    /// cancelled, or the deadline has passed. Cancellation is tested first —
+    /// the supervisor's explicit request outranks the clock. Also the reason
+    /// behind a SAT call that came back `Unknown`:
+    /// `interrupted(..).unwrap_or(StopReason::SolverBudget)`.
+    #[must_use]
+    pub fn interrupted(&self, cancel: &CancelToken) -> Option<StopReason> {
+        if cancel.is_cancelled() {
+            Some(StopReason::Cancelled)
+        } else if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            Some(StopReason::Deadline)
+        } else {
+            None
+        }
+    }
+
+    /// The conflict allowance of one SAT call: what [`Budget::max_conflicts`]
+    /// leaves after `spent`. Engines with a cumulative ceiling (`bmc`,
+    /// `kind`) pass the conflicts their persistent solvers have used so far;
+    /// engines with a per-solve ceiling (`dfinder`) pass 0.
+    #[must_use]
+    pub fn solve_limits(&self, spent: u64) -> SolveLimits {
+        match self.max_conflicts {
+            Some(m) => SolveLimits::unlimited().conflicts(m.saturating_sub(spent)),
+            None => SolveLimits::unlimited(),
+        }
     }
 
     /// The first tripped ceiling given the run's current accounting, or
@@ -259,6 +294,34 @@ mod tests {
         assert_eq!(b.exceeded(100, 1 << 21), Some(StopReason::MemoryBudget));
         let due = b.deadline(Instant::now() - Duration::from_millis(1));
         assert_eq!(due.exceeded(100, 1 << 21), Some(StopReason::Deadline));
+    }
+
+    #[test]
+    fn interrupted_tests_cancellation_before_the_deadline() {
+        let token = CancelToken::new();
+        assert_eq!(Budget::unlimited().interrupted(&token), None);
+        let late = Budget::unlimited().deadline(Instant::now() - Duration::from_millis(1));
+        assert_eq!(late.interrupted(&token), Some(StopReason::Deadline));
+        let far = Budget::unlimited().deadline_in(Duration::from_secs(3600));
+        assert_eq!(far.interrupted(&token), None);
+        token.cancel();
+        assert_eq!(far.interrupted(&token), Some(StopReason::Cancelled));
+        // Cancelled beats an expired deadline.
+        assert_eq!(late.interrupted(&token), Some(StopReason::Cancelled));
+    }
+
+    #[test]
+    fn solve_limits_is_what_the_ceiling_leaves() {
+        assert_eq!(
+            Budget::unlimited().solve_limits(7),
+            SolveLimits::unlimited()
+        );
+        let b = Budget::unlimited().conflicts(10);
+        assert_eq!(b.solve_limits(0).max_conflicts, Some(10));
+        assert_eq!(b.solve_limits(4).max_conflicts, Some(6));
+        // Overspent ceilings saturate at an empty allowance.
+        assert_eq!(b.solve_limits(10).max_conflicts, Some(0));
+        assert_eq!(b.solve_limits(11).max_conflicts, Some(0));
     }
 
     #[test]

@@ -52,7 +52,7 @@ use std::hash::Hasher;
 
 use crate::control::{Budget, CancelToken, StopReason, Wall};
 use bip_core::{PlaceSet, StatePred, System};
-use satkit::{CnfBuilder, Lit, RestartPolicy, SolveLimits, Var};
+use satkit::{CnfBuilder, Lit, RestartPolicy};
 
 /// A place of the abstraction: `(component, location)` as a dense index.
 pub type Place = usize;
@@ -468,12 +468,6 @@ pub fn linear_invariants(
     out
 }
 
-/// Crate-internal alias for [`encode_linear`] (used by the incremental
-/// verifier's facade).
-pub(crate) fn encode_linear_pub(b: &mut CnfBuilder, at: &[Lit], inv: &LinearInvariant) {
-    encode_linear(b, at, inv);
-}
-
 /// Encode a linear invariant over the `at` literals using the exactly-k
 /// totalizer: negatives are rewritten via `−x = (1−x) − 1`.
 fn encode_linear(b: &mut CnfBuilder, at: &[Lit], inv: &LinearInvariant) {
@@ -661,13 +655,13 @@ pub struct DFinderReport {
 /// and linear invariants; reusable for several queries.
 #[derive(Debug)]
 pub struct DFinder {
-    abs: Abstraction,
-    traps: Vec<PlaceSet>,
-    linear: Vec<LinearInvariant>,
-    budget: Budget,
-    cancel: CancelToken,
-    restart_policy: RestartPolicy,
-    build_stop: StopReason,
+    // `pub(crate)`: `incremental` keeps these current across additions.
+    pub(crate) abs: Abstraction,
+    pub(crate) traps: Vec<PlaceSet>,
+    pub(crate) linear: Vec<LinearInvariant>,
+    pub(crate) cfg: DFinderConfig,
+    /// Why the most recent trap (re-)enumeration stopped.
+    pub(crate) build_stop: StopReason,
     build_elapsed: std::time::Duration,
 }
 
@@ -700,9 +694,7 @@ impl DFinder {
             abs,
             traps,
             linear,
-            budget: cfg.budget,
-            cancel: cfg.cancel.clone(),
-            restart_policy: cfg.restart_policy,
+            cfg: cfg.clone(),
             build_stop,
             build_elapsed: start.elapsed(),
         }
@@ -723,7 +715,8 @@ impl DFinder {
         &self.abs
     }
 
-    /// Run the deadlock-freedom check: is `CI ∧ II ∧ DIS` satisfiable?
+    /// Run the deadlock-freedom check: is `CI ∧ II ∧ DIS` satisfiable? The
+    /// one DIS check in the crate — [`crate::incremental`] asks it too.
     pub fn check_deadlock_freedom(&self) -> DFinderReport {
         let (mut builder, at) = self.encode_ci_ii();
         // DIS: every interaction disabled.
@@ -751,36 +744,25 @@ impl DFinder {
             builder.assert_lit(disabled);
         }
         let start = Instant::now();
+        let (budget, cancel) = (&self.cfg.budget, &self.cfg.cancel);
         let solver = builder.solver_mut();
-        solver.set_interrupt(Some(self.cancel.flag()));
-        let pre = if self.cancel.is_cancelled() {
-            Some(StopReason::Cancelled)
-        } else if self
-            .budget
-            .deadline
-            .is_some_and(|due| Instant::now() >= due)
-        {
-            Some(StopReason::Deadline)
-        } else {
-            None
-        };
-        let verdict = match pre {
+        solver.set_interrupt(Some(cancel.flag()));
+        let verdict = match budget.interrupted(cancel) {
             Some(stop) => Verdict::Unknown(stop),
             None => {
-                let sat = solver.solve_limited(&[], solve_limits(&self.budget));
+                // `max_conflicts` is a per-solve allowance here (see
+                // [`DFinderConfig::budget`]): nothing counts as spent.
+                let sat = solver.solve_limited(&[], budget.solve_limits(0));
                 if sat.is_unknown() {
-                    Verdict::Unknown(if self.cancel.is_cancelled() {
-                        StopReason::Cancelled
-                    } else {
-                        StopReason::SolverBudget
-                    })
+                    let stop = budget.interrupted(cancel);
+                    Verdict::Unknown(stop.unwrap_or(StopReason::SolverBudget))
                 } else if sat.is_unsat() {
                     Verdict::DeadlockFree
                 } else {
                     // Read back one candidate location vector.
                     let mut locs = vec![0u32; self.abs.place_base.len()];
                     for p in 0..self.abs.num_places {
-                        if solver.value(lit_var(at[p])) == Some(true) {
+                        if solver.value(at[p].var()) == Some(true) {
                             locs[self.abs.component_of(p)] = self.abs.location_of(p);
                         }
                     }
@@ -788,10 +770,6 @@ impl DFinder {
                 }
             }
         };
-        let conflicts = solver.conflicts();
-        let decisions = solver.decisions();
-        let propagations = solver.propagations();
-        let avg_lbd_milli = solver.avg_lbd_milli();
         let stop = match &verdict {
             Verdict::Unknown(stop) => *stop,
             _ => self.build_stop,
@@ -802,10 +780,10 @@ impl DFinder {
             linear_invariants: self.linear.len(),
             abstract_transitions: self.abs.transitions.len(),
             places: self.abs.num_places,
-            sat_conflicts: conflicts,
-            sat_decisions: decisions,
-            sat_propagations: propagations,
-            avg_lbd_milli,
+            sat_conflicts: solver.conflicts(),
+            sat_decisions: solver.decisions(),
+            sat_propagations: solver.propagations(),
+            avg_lbd_milli: solver.avg_lbd_milli(),
             stop,
             wall: Wall(self.build_elapsed + start.elapsed()),
         }
@@ -828,7 +806,7 @@ impl DFinder {
     /// literals.
     fn encode_ci_ii(&self) -> (CnfBuilder, Vec<Lit>) {
         let mut b = CnfBuilder::new();
-        b.solver_mut().set_restart_policy(self.restart_policy);
+        b.solver_mut().set_restart_policy(self.cfg.restart_policy);
         let at: Vec<Lit> = (0..self.abs.num_places)
             .map(|_| Lit::pos(b.fresh()))
             .collect();
@@ -858,19 +836,6 @@ impl DFinder {
             encode_linear(&mut b, &at, inv);
         }
         (b, at)
-    }
-}
-
-fn lit_var(l: Lit) -> Var {
-    l.var()
-}
-
-/// Per-solve [`SolveLimits`] from a budget (see [`DFinderConfig::budget`]:
-/// `max_conflicts` is a per-call allowance here).
-pub(crate) fn solve_limits(budget: &Budget) -> SolveLimits {
-    match budget.max_conflicts {
-        Some(m) => SolveLimits::unlimited().conflicts(m),
-        None => SolveLimits::unlimited(),
     }
 }
 
@@ -1084,10 +1049,9 @@ fn enumerate_seed(
     // budget-cut seed yields the same traps on every thread count).
     solver.set_interrupt(Some(cfg.cancel.flag()));
     solver.set_restart_policy(cfg.restart_policy);
-    let limits = solve_limits(&cfg.budget);
+    let limits = cfg.budget.solve_limits(0);
     while out.len() < cap && !cancel.load(Ordering::Acquire) {
-        if cfg.cancel.is_cancelled() || cfg.budget.deadline.is_some_and(|due| Instant::now() >= due)
-        {
+        if cfg.budget.interrupted(&cfg.cancel).is_some() {
             break;
         }
         let v = solver.solve_limited(&[], limits);
@@ -1162,16 +1126,10 @@ pub(crate) fn enumerate_traps_inner(
 ) -> (Vec<PlaceSet>, StopReason) {
     let solver_cut = AtomicBool::new(false);
     let traps = enumerate_traps_impl(abs, known, cfg, &solver_cut);
-    let stop = if cfg.cancel.is_cancelled() {
-        StopReason::Cancelled
-    } else if cfg.budget.deadline.is_some_and(|due| Instant::now() >= due) {
-        StopReason::Deadline
-    } else if solver_cut.load(Ordering::Acquire) {
-        StopReason::SolverBudget
-    } else {
-        StopReason::Completed
-    };
-    (traps, stop)
+    let cut = solver_cut.load(Ordering::Acquire);
+    let interrupted = cfg.budget.interrupted(&cfg.cancel);
+    let stop = interrupted.or(cut.then_some(StopReason::SolverBudget));
+    (traps, stop.unwrap_or(StopReason::Completed))
 }
 
 fn enumerate_traps_impl(
@@ -1204,9 +1162,7 @@ fn enumerate_traps_impl(
         for (i, &p) in seeds.iter().enumerate() {
             // The merge horizon honors the deadline and cancellation: no
             // new seed starts once either has tripped.
-            if cfg.cancel.is_cancelled()
-                || cfg.budget.deadline.is_some_and(|due| Instant::now() >= due)
-            {
+            if cfg.budget.interrupted(&cfg.cancel).is_some() {
                 break;
             }
             let traps = enumerate_seed(abs, p, known, cap - found, &never, cfg, solver_cut);
@@ -1239,8 +1195,7 @@ fn enumerate_traps_impl(
                         let mut local = Vec::new();
                         loop {
                             if done_ref.load(Ordering::Acquire)
-                                || cfg.cancel.is_cancelled()
-                                || cfg.budget.deadline.is_some_and(|due| Instant::now() >= due)
+                                || cfg.budget.interrupted(&cfg.cancel).is_some()
                             {
                                 break local;
                             }

@@ -121,11 +121,9 @@ where
             // Budget trip: the extraction is a plain BFS with no
             // checkpointing, so a trip just truncates it — the caller's
             // report carries the reason and refuses to certify.
-            let trip = if cancel.is_cancelled() {
-                Some(StopReason::Cancelled)
-            } else {
-                budget.exceeded(index.len(), 0)
-            };
+            let trip = budget
+                .interrupted(cancel)
+                .or_else(|| budget.exceeded(index.len(), 0));
             if let Some(reason) = trip {
                 complete = false;
                 stop = reason;
@@ -285,11 +283,9 @@ where
     let mut counterexample = None;
     let mut product_stop = StopReason::Completed;
     'bfs: while let Some((cs, as_, trace)) = queue.pop_front() {
-        let trip = if cancel.is_cancelled() {
-            Some(StopReason::Cancelled)
-        } else {
-            budget.exceeded(seen.len(), 0)
-        };
+        let trip = budget
+            .interrupted(cancel)
+            .or_else(|| budget.exceeded(seen.len(), 0));
         if let Some(reason) = trip {
             product_stop = reason;
             break 'bfs;

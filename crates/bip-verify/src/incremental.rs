@@ -42,16 +42,13 @@
 //! assert!(inc.check_deadlock_freedom().verdict.is_deadlock_free());
 //! ```
 
-use std::time::Instant;
-
 use bip_core::FxHashSet;
 
 use bip_core::{Connector, FaultSpec, ModelError, PlaceSet, StatePred, System, SystemBuilder};
 
-use crate::control::{StopReason, Wall};
+use crate::control::StopReason;
 use crate::dfinder::{
     enumerate_traps_inner, linear_invariants, Abstraction, DFinder, DFinderConfig, DFinderReport,
-    LinearInvariant,
 };
 use crate::kind::{KindConfig, Verdict as ProofVerdict};
 use crate::reach::{check_invariant_with, InvariantReport, ReachConfig};
@@ -71,13 +68,9 @@ pub struct IncrementStats {
 #[derive(Debug)]
 pub struct IncrementalVerifier {
     sys: System,
-    abs: Abstraction,
-    traps: Vec<PlaceSet>,
-    linear: Vec<LinearInvariant>,
-    cfg: DFinderConfig,
-    /// Stop reason of the most recent trap (re-)enumeration: `Completed`
-    /// unless the config's budget/deadline/cancellation truncated it.
-    last_stop: StopReason,
+    /// The compositional verifier of `sys`, its invariants kept current by
+    /// [`Self::add_interaction`] instead of being recomputed.
+    df: DFinder,
 }
 
 impl IncrementalVerifier {
@@ -95,21 +88,8 @@ impl IncrementalVerifier {
     /// `cfg.threads` workers, and like [`DFinder::with_config`] the results
     /// never depend on the thread count.
     pub fn with_config(sys: System, cfg: DFinderConfig) -> IncrementalVerifier {
-        let abs = Abstraction::new(&sys);
-        let (traps, last_stop) = enumerate_traps_inner(&abs, &[], &cfg);
-        let linear = linear_invariants(
-            &abs,
-            DFinder::DEFAULT_MAX_COEFF,
-            DFinder::DEFAULT_MAX_SUPPORT,
-        );
-        IncrementalVerifier {
-            sys,
-            abs,
-            traps,
-            linear,
-            cfg,
-            last_stop,
-        }
+        let df = DFinder::with_config(&sys, &cfg);
+        IncrementalVerifier { sys, df }
     }
 
     /// The current system.
@@ -119,7 +99,7 @@ impl IncrementalVerifier {
 
     /// Current trap invariants.
     pub fn traps(&self) -> &[PlaceSet] {
-        &self.traps
+        self.df.traps()
     }
 
     /// Add a connector, preserving invariants where the sufficient condition
@@ -143,7 +123,7 @@ impl IncrementalVerifier {
         let new_sys = sb.build()?;
         let new_abs = Abstraction::new(&new_sys);
         debug_assert_eq!(
-            new_abs.num_places, self.abs.num_places,
+            new_abs.num_places, self.df.abs.num_places,
             "adding a connector never adds places"
         );
 
@@ -151,7 +131,8 @@ impl IncrementalVerifier {
         // existing trap. (Old transitions are a prefix of the new transition
         // list only structurally; we simply check all traps against the new
         // abstraction's transitions that were not present before.)
-        let old: FxHashSet<&(PlaceSet, PlaceSet)> = self.abs.packed_transitions().iter().collect();
+        let old: FxHashSet<&(PlaceSet, PlaceSet)> =
+            self.df.abs.packed_transitions().iter().collect();
         let added: Vec<&(PlaceSet, PlaceSet)> = new_abs
             .packed_transitions()
             .iter()
@@ -160,7 +141,7 @@ impl IncrementalVerifier {
 
         let mut kept = Vec::new();
         let mut dropped = 0usize;
-        for trap in &self.traps {
+        for trap in &self.df.traps {
             let ok = added
                 .iter()
                 .all(|(pre, post)| !pre.intersects(trap) || post.intersects(trap));
@@ -177,15 +158,15 @@ impl IncrementalVerifier {
         // carries the config's `Budget` and cancel token along, so a
         // re-verification honors the *original* resource ceilings — the
         // deadline is absolute, not a fresh allowance per increment.
-        let remaining = self.cfg.max_traps.saturating_sub(kept.len());
+        let remaining = self.df.cfg.max_traps.saturating_sub(kept.len());
         let mut added_traps = 0usize;
-        self.last_stop = StopReason::Completed;
+        self.df.build_stop = StopReason::Completed;
         if remaining > 0 {
-            let cfg = self.cfg.clone().max_traps(remaining);
+            let cfg = self.df.cfg.clone().max_traps(remaining);
             let (fresh, stop) = enumerate_traps_inner(&new_abs, &kept, &cfg);
             added_traps = fresh.len();
             kept.extend(fresh);
-            self.last_stop = stop;
+            self.df.build_stop = stop;
         }
 
         let reused = kept.len() - added_traps;
@@ -193,7 +174,7 @@ impl IncrementalVerifier {
         // the added transition effects; violated ones are dropped and the
         // (cheap) null-space computation refreshes the set. The abstraction
         // is 1-safe, so membership is multiplicity.
-        let still_valid = self.linear.iter().all(|inv| {
+        let still_valid = self.df.linear.iter().all(|inv| {
             added.iter().all(|(pre, post)| {
                 let delta: i64 = inv
                     .coeffs
@@ -204,15 +185,15 @@ impl IncrementalVerifier {
             })
         });
         if !still_valid {
-            self.linear = linear_invariants(
+            self.df.linear = linear_invariants(
                 &new_abs,
                 DFinder::DEFAULT_MAX_COEFF,
                 DFinder::DEFAULT_MAX_SUPPORT,
             );
         }
         self.sys = new_sys;
-        self.abs = new_abs;
-        self.traps = kept;
+        self.df.abs = new_abs;
+        self.df.traps = kept;
         Ok(IncrementStats {
             traps_reused: reused,
             traps_dropped: dropped,
@@ -252,8 +233,8 @@ impl IncrementalVerifier {
     ) -> InvariantOutcome {
         let proof = KindConfig::new(sys)
             .max_k(max_k)
-            .budget(self.cfg.budget)
-            .cancel(&self.cfg.cancel)
+            .budget(self.df.cfg.budget)
+            .cancel(&self.df.cfg.cancel)
             .prove(inv);
         match proof {
             Ok(report)
@@ -266,9 +247,9 @@ impl IncrementalVerifier {
             }
             _ => {
                 let cfg = ReachConfig::bounded(explicit_bound)
-                    .threads(self.cfg.threads)
-                    .budget(self.cfg.budget)
-                    .cancel(&self.cfg.cancel);
+                    .threads(self.df.cfg.threads)
+                    .budget(self.df.cfg.budget)
+                    .cancel(&self.df.cfg.cancel);
                 InvariantOutcome::Explicit(check_invariant_with(sys, inv, &cfg))
             }
         }
@@ -327,30 +308,18 @@ impl IncrementalVerifier {
     ) -> Result<crate::reach::DeadlockReport, ModelError> {
         let faulty = self.inject_faults(spec)?;
         let cfg = ReachConfig::bounded(explicit_bound)
-            .threads(self.cfg.threads)
-            .budget(self.cfg.budget)
-            .cancel(&self.cfg.cancel);
+            .threads(self.df.cfg.threads)
+            .budget(self.df.cfg.budget)
+            .cancel(&self.df.cfg.cancel);
         Ok(crate::reach::find_deadlock_with(&faulty, &cfg))
     }
 
-    /// Run the deadlock-freedom check with the current invariants.
-    ///
-    /// Honors the config's [`crate::control::Budget`] and
-    /// [`crate::control::CancelToken`] exactly like
-    /// [`DFinder::check_deadlock_freedom`]: a conflict-budgeted or
-    /// interrupted DIS query yields [`crate::dfinder::Verdict::Unknown`],
-    /// never a wrong verdict, and a truncated trap enumeration surfaces as
-    /// the report's `stop` even when the verdict is decisive.
+    /// Run the deadlock-freedom check with the current invariants — it *is*
+    /// [`DFinder::check_deadlock_freedom`], asked of the verifier this one
+    /// maintains. A truncated trap re-enumeration surfaces as the report's
+    /// `stop` even when the verdict is decisive.
     pub fn check_deadlock_freedom(&self) -> DFinderReport {
-        // Delegate to a DFinder sharing our invariants.
-        let df = DFinderFacade {
-            abs: &self.abs,
-            traps: &self.traps,
-            linear: &self.linear,
-            cfg: &self.cfg,
-            build_stop: self.last_stop,
-        };
-        df.check()
+        self.df.check_deadlock_freedom()
     }
 }
 
@@ -390,121 +359,6 @@ impl InvariantOutcome {
     /// interrupted search, exhausted induction depth).
     pub fn is_inconclusive(&self) -> bool {
         !self.is_proved() && !self.found_violation()
-    }
-}
-
-/// Internal: run the DIS check against externally-supplied invariants.
-struct DFinderFacade<'a> {
-    abs: &'a Abstraction,
-    traps: &'a [PlaceSet],
-    linear: &'a [LinearInvariant],
-    cfg: &'a DFinderConfig,
-    build_stop: StopReason,
-}
-
-impl DFinderFacade<'_> {
-    fn check(&self) -> DFinderReport {
-        use satkit::{CnfBuilder, Lit};
-        let mut b = CnfBuilder::new();
-        let at: Vec<Lit> = (0..self.abs.num_places)
-            .map(|_| Lit::pos(b.fresh()))
-            .collect();
-        let ncomp = self.abs.place_base.len();
-        for c in 0..ncomp {
-            let lo = self.abs.place_base[c];
-            let hi = if c + 1 < ncomp {
-                self.abs.place_base[c + 1]
-            } else {
-                self.abs.num_places
-            };
-            b.exactly_one((lo..hi).map(|p| at[p]));
-        }
-        for (p, reach) in self.abs.reachable.iter().enumerate() {
-            if !reach {
-                b.assert_lit(!at[p]);
-            }
-        }
-        for trap in self.traps {
-            b.clause(trap.iter().map(|p| at[p]));
-        }
-        for inv in self.linear {
-            crate::dfinder::encode_linear_pub(&mut b, &at, inv);
-        }
-        for inter in &self.abs.interactions {
-            if inter.maybe_disabled {
-                continue;
-            }
-            let mut blocked = Vec::new();
-            for offering in &inter.offered_at {
-                if offering.is_empty() {
-                    blocked.clear();
-                    break;
-                }
-                let conj: Vec<Lit> = offering.iter().map(|&p| !at[p]).collect();
-                blocked.push(b.and(conj));
-            }
-            if blocked.is_empty() {
-                continue;
-            }
-            let d = b.or(blocked);
-            b.assert_lit(d);
-        }
-        let start = Instant::now();
-        let solver = b.solver_mut();
-        solver.set_interrupt(Some(self.cfg.cancel.flag()));
-        solver.set_restart_policy(self.cfg.restart_policy);
-        let pre = if self.cfg.cancel.is_cancelled() {
-            Some(StopReason::Cancelled)
-        } else if self
-            .cfg
-            .budget
-            .deadline
-            .is_some_and(|due| Instant::now() >= due)
-        {
-            Some(StopReason::Deadline)
-        } else {
-            None
-        };
-        let verdict = match pre {
-            Some(stop) => crate::dfinder::Verdict::Unknown(stop),
-            None => {
-                let sat = solver.solve_limited(&[], crate::dfinder::solve_limits(&self.cfg.budget));
-                if sat.is_unknown() {
-                    crate::dfinder::Verdict::Unknown(if self.cfg.cancel.is_cancelled() {
-                        StopReason::Cancelled
-                    } else {
-                        StopReason::SolverBudget
-                    })
-                } else if sat.is_unsat() {
-                    crate::dfinder::Verdict::DeadlockFree
-                } else {
-                    let mut locs = vec![0u32; self.abs.place_base.len()];
-                    for p in 0..self.abs.num_places {
-                        if solver.value(at[p].var()) == Some(true) {
-                            locs[self.abs.component_of(p)] = self.abs.location_of(p);
-                        }
-                    }
-                    crate::dfinder::Verdict::PotentialDeadlock(vec![locs])
-                }
-            }
-        };
-        let stop = match &verdict {
-            crate::dfinder::Verdict::Unknown(stop) => *stop,
-            _ => self.build_stop,
-        };
-        DFinderReport {
-            verdict,
-            traps: self.traps.len(),
-            linear_invariants: self.linear.len(),
-            abstract_transitions: self.abs.transitions.len(),
-            places: self.abs.num_places,
-            sat_conflicts: solver.conflicts(),
-            sat_decisions: solver.decisions(),
-            sat_propagations: solver.propagations(),
-            avg_lbd_milli: solver.avg_lbd_milli(),
-            stop,
-            wall: Wall(start.elapsed()),
-        }
     }
 }
 

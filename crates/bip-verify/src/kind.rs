@@ -4,13 +4,14 @@
 //! Where [`crate::bmc`] only refutes (every `NoViolationWithin(k)` is a
 //! bounded verdict), this engine can answer **"safe, period"**. It runs two
 //! persistent [`satkit::Solver`]s in lock-step, one per side of the
-//! induction:
+//! induction — two instances of the crate's shared unroller:
 //!
-//! * the **base** solver is exactly BMC's incremental unrolling — frame 0
-//!   pinned to the initial state, frames chained by the transition relation,
-//!   the depth-`k` "invariant violated here" goal guarded by a per-depth
-//!   activation literal and retired after each UNSAT answer;
-//! * the **step** solver unrolls the same relation over *arbitrary* frames
+//! * the **base** side is BMC's incremental unrolling, by construction —
+//!   frame 0 pinned to the initial state, the depth-`k` "invariant violated
+//!   here" goal guarded by an activation literal and retired after each
+//!   UNSAT answer; a proof closed at `k` leaves the base solver with the
+//!   counters of a BMC run at bound `k`;
+//! * the **step** side unrolls the same relation over *arbitrary* frames
 //!   (no initial-state constraint). A per-frame assumption literal `p_i`
 //!   asserts the invariant at frame `i`; the iteration-`k` query asks for a
 //!   model where the invariant holds on frames `0..=k` but fails at `k+1`,
@@ -46,11 +47,11 @@
 //!   are search-dependent, and using them (as BMC's empty-core early exit
 //!   does) would break bit-reproducibility across policies.
 
-use crate::bmc::{replay, BmcError};
 use crate::control::{Budget, CancelToken, StopReason, Wall};
-use bip_core::sym::{StepEncoder, StepVars, SymError, SymFrame};
+use crate::unroll::{Answer, UnrollError, Unroller};
+use bip_core::sym::StepEncoder;
 use bip_core::{State, StatePred, Step, System};
-use satkit::{CnfBuilder, Lit, RestartPolicy, SolveLimits, SolveResult};
+use satkit::{Lit, RestartPolicy};
 use std::time::Instant;
 
 /// Builder for a k-induction proof run (mirrors [`crate::bmc::BmcConfig`]).
@@ -121,271 +122,112 @@ impl<'a> KindConfig<'a> {
         self
     }
 
-    /// Total conflicts spent so far across the two persistent solvers.
-    fn spent(base: &mut CnfBuilder, step: &mut CnfBuilder) -> u64 {
-        base.solver_mut().conflicts() + step.solver_mut().conflicts()
-    }
-
     /// Prove that `inv` holds on every reachable state, refute it with a
     /// concrete trace, or give up within the configured resources.
     ///
     /// # Errors
     ///
-    /// [`KindError::Encode`] if the system cannot be encoded (unbounded
-    /// variable, enumeration budget); [`KindError::InvalidTrace`] if a base
-    /// model fails concrete replay (an encoder bug — never a property of
-    /// the system).
-    pub fn prove(&self, inv: &StatePred) -> Result<ProofReport, KindError> {
+    /// [`UnrollError::Encode`] if the system cannot be encoded (unbounded
+    /// variable, enumeration budget); [`UnrollError::InvalidTrace`] if a
+    /// base model fails concrete replay (an encoder bug — never a property
+    /// of the system).
+    pub fn prove(&self, inv: &StatePred) -> Result<ProofReport, UnrollError> {
         let start = Instant::now();
-        let sys = self.sys;
-        let mut enc = StepEncoder::new(sys)
-            .map_err(KindError::Encode)?
-            .enum_budget(self.enum_budget);
+        let enc = StepEncoder::new(self.sys)?.enum_budget(self.enum_budget);
         // The step side drives its own solver: fork the encoder so neither
         // side's cached literals leak into the other's variable space.
-        let mut senc = enc.fork();
-
-        let mut bb = CnfBuilder::new();
-        bb.solver_mut().set_interrupt(Some(self.cancel.flag()));
-        bb.solver_mut().set_restart_policy(self.restart_policy);
-        let mut bframes: Vec<SymFrame> = vec![enc.new_frame(&mut bb)];
-        enc.assert_initial(&mut bb, &bframes[0]);
-        let mut bsteps: Vec<StepVars> = Vec::new();
-
-        let mut sb = CnfBuilder::new();
-        sb.solver_mut().set_interrupt(Some(self.cancel.flag()));
-        sb.solver_mut().set_restart_policy(self.restart_policy);
+        let senc = enc.fork();
+        let unroller = |enc| {
+            Unroller::new(
+                self.sys,
+                enc,
+                self.budget,
+                &self.cancel,
+                self.restart_policy,
+            )
+        };
+        let mut base = unroller(enc).init_pinned();
         // Step frames are *not* pinned to the initial state: they quantify
         // over arbitrary in-domain states.
-        let mut sframes: Vec<SymFrame> = vec![senc.new_frame(&mut sb)];
+        let mut step = unroller(senc).simple_path();
+        let (verdict, core_frames) = self.induct(&mut base, &mut step, inv)?;
+        Ok(ProofReport {
+            stop: match verdict {
+                Verdict::Unknown(stop) => stop,
+                _ => StopReason::Completed,
+            },
+            verdict,
+            stats: KindStats::collect(&mut base, &mut step, core_frames),
+            elapsed: Wall(start.elapsed()),
+        })
+    }
+
+    /// The induction loop: the verdict, and with it the number of frame
+    /// assumptions in the closing query's core ([`KindStats::core_frames`]).
+    fn induct(
+        &self,
+        base: &mut Unroller,
+        step: &mut Unroller,
+        inv: &StatePred,
+    ) -> Result<(Verdict, usize), UnrollError> {
         // `p_lits[i]` assumes the invariant at step frame `i`.
         let mut p_lits: Vec<Lit> = Vec::new();
-
-        let report = |verdict: Verdict,
-                      stop: StopReason,
-                      core_frames: usize,
-                      bb: &mut CnfBuilder,
-                      sb: &mut CnfBuilder| {
-            let stats = KindStats::collect(bb, sb, core_frames);
-            ProofReport {
-                verdict,
-                stop,
-                stats,
-                elapsed: Wall(start.elapsed()),
-            }
-        };
-
         for k in 0..=self.max_k {
-            // Resource check between queries: any verdict already computed
-            // is final, so stopping here is always sound.
-            let interrupted = if self.cancel.is_cancelled() {
-                Some(StopReason::Cancelled)
-            } else if self
-                .budget
-                .deadline
-                .is_some_and(|due| Instant::now() >= due)
-            {
-                Some(StopReason::Deadline)
-            } else if self
-                .budget
-                .max_conflicts
-                .is_some_and(|m| Self::spent(&mut bb, &mut sb) >= m)
-            {
-                Some(StopReason::SolverBudget)
-            } else {
-                None
-            };
-            if let Some(stop) = interrupted {
-                return Ok(report(Verdict::Unknown(stop), stop, 0, &mut bb, &mut sb));
+            // Resource check between queries; the conflict ceiling is
+            // cumulative over both solvers.
+            if let Some(stop) = base.interrupted(step.solver().conflicts()) {
+                return Ok((Verdict::Unknown(stop), 0));
             }
 
             // ---- base case: no reachable violation at depth k ----------
-            let inv_lit = enc
-                .encode_pred(&mut bb, &mut bframes[k], inv)
-                .map_err(KindError::Encode)?;
-            let act = Lit::pos(bb.solver_mut().new_var());
-            bb.implies(act, !inv_lit);
-            let limits = self.limits(&mut bb, &mut sb);
-            let verdict = bb.solver_mut().solve_limited(&[act], limits);
-            match verdict {
-                SolveResult::Unknown => {
-                    let stop = self.unknown_reason();
-                    return Ok(report(Verdict::Unknown(stop), stop, 0, &mut bb, &mut sb));
+            let inv_lit = base.pred(k, inv)?;
+            let act = base.guarded(!inv_lit);
+            match base.query(&[act], step.solver().conflicts()) {
+                Answer::Unknown(stop) => return Ok((Verdict::Unknown(stop), 0)),
+                Answer::Sat => {
+                    let (trace, states) = base.witness(k, inv)?;
+                    return Ok((Verdict::Violated { trace, states }, 0));
                 }
-                SolveResult::Sat => {
-                    let model = bb.solver_mut().model();
-                    let states: Vec<State> = bframes
-                        .iter()
-                        .take(k + 1)
-                        .map(|f| enc.decode_state(f, &model))
-                        .collect();
-                    let mut trace = Vec::with_capacity(k);
-                    for sv in bsteps.iter().take(k) {
-                        trace.push(enc.decode_step(sv, &model).ok_or_else(|| {
-                            KindError::InvalidTrace(
-                                "model selects no action in an unrolled frame".into(),
-                            )
-                        })?);
-                    }
-                    replay(sys, inv, &states, &trace).map_err(KindError::from_bmc)?;
-                    return Ok(report(
-                        Verdict::Violated { trace, states },
-                        StopReason::Completed,
-                        0,
-                        &mut bb,
-                        &mut sb,
-                    ));
-                }
-                SolveResult::Unsat => {
-                    // Retire the goal. Unlike BMC, do NOT inspect the failed
-                    // assumptions for an empty-core early exit: core
-                    // emptiness is search-dependent, and the step side below
-                    // proves terminating systems deterministically anyway
-                    // (no (k+2)-state simple path exists ⇒ step UNSAT).
-                    bb.assert_lit(!act);
-                    if k < self.max_k {
-                        let next = enc.new_frame(&mut bb);
-                        let prev = bframes.last_mut().expect("at least frame 0");
-                        let sv = enc
-                            .encode_step(&mut bb, prev, &next)
-                            .map_err(KindError::Encode)?;
-                        bsteps.push(sv);
-                        bframes.push(next);
-                    }
-                }
+                // Retire the goal. Unlike BMC, do NOT act on an empty
+                // failed-assumption core: core emptiness is
+                // search-dependent, and the step side below proves
+                // terminating systems deterministically anyway (no
+                // (k+2)-state simple path exists ⇒ step UNSAT).
+                Answer::Unsat { .. } => base.assert_lit(!act),
             }
 
             // ---- inductive step: inv on frames 0..=k, ¬inv at k + 1 ----
-            // Extend the step unrolling to frame k + 1, pairwise-distinct
-            // from every earlier frame (simple-path constraints).
-            {
-                let next = senc.new_frame(&mut sb);
-                let prev = sframes.last_mut().expect("at least frame 0");
-                senc.encode_step(&mut sb, prev, &next)
-                    .map_err(KindError::Encode)?;
-                for earlier in &sframes {
-                    senc.assert_frames_distinct(&mut sb, earlier, &next);
-                }
-                sframes.push(next);
-            }
+            // Frame k + 1 (pairwise-distinct from every earlier frame) is
+            // addressed *before* the hypothesis on frame k is encoded: the
+            // step relation out of frame k caches literals the predicate
+            // encoding then reuses, and the solver must see that order.
+            step.extend_to(k + 1)?;
             // Assumption literal for "inv holds at frame k".
-            let inv_k = senc
-                .encode_pred(&mut sb, &mut sframes[k], inv)
-                .map_err(KindError::Encode)?;
-            let p = Lit::pos(sb.solver_mut().new_var());
-            sb.implies(p, inv_k);
-            p_lits.push(p);
+            let inv_k = step.pred(k, inv)?;
+            p_lits.push(step.guarded(inv_k));
             // Goal: inv fails at frame k + 1, guarded for later retirement.
-            let inv_next = senc
-                .encode_pred(&mut sb, &mut sframes[k + 1], inv)
-                .map_err(KindError::Encode)?;
-            let act_s = Lit::pos(sb.solver_mut().new_var());
-            sb.implies(act_s, !inv_next);
+            let inv_next = step.pred(k + 1, inv)?;
+            let act_s = step.guarded(!inv_next);
 
             let mut assumptions = p_lits.clone();
             assumptions.push(act_s);
-            let limits = self.limits(&mut bb, &mut sb);
-            let verdict = sb.solver_mut().solve_limited(&assumptions, limits);
-            match verdict {
-                SolveResult::Unknown => {
-                    let stop = self.unknown_reason();
-                    return Ok(report(Verdict::Unknown(stop), stop, 0, &mut bb, &mut sb));
-                }
-                SolveResult::Unsat => {
+            match step.query(&assumptions, base.solver().conflicts()) {
+                Answer::Unknown(stop) => return Ok((Verdict::Unknown(stop), 0)),
+                Answer::Unsat { .. } => {
                     // Base cleared depths 0..=k and no simple path carries
                     // the invariant over k + 1 frames into a violation:
                     // proved. The core is a diagnostic only (see module
                     // docs) — count how many frame assumptions it used.
-                    let core = sb.solver_mut().failed_assumptions().to_vec();
+                    let core = step.solver().failed_assumptions();
                     let core_frames = core.iter().filter(|l| p_lits.contains(l)).count();
-                    return Ok(report(
-                        Verdict::Proved { k },
-                        StopReason::Completed,
-                        core_frames,
-                        &mut bb,
-                        &mut sb,
-                    ));
+                    return Ok((Verdict::Proved { k }, core_frames));
                 }
-                SolveResult::Sat => {
-                    // A counterexample-to-induction exists at this depth;
-                    // retire the goal and deepen.
-                    sb.assert_lit(!act_s);
-                }
+                // A counterexample-to-induction exists at this depth;
+                // retire the goal and deepen.
+                Answer::Sat => step.assert_lit(!act_s),
             }
         }
-
-        Ok(report(
-            Verdict::Unknown(StopReason::BoundExhausted),
-            StopReason::BoundExhausted,
-            0,
-            &mut bb,
-            &mut sb,
-        ))
-    }
-
-    /// Per-query conflict allowance: whatever the cumulative ceiling leaves
-    /// after both solvers' spending so far.
-    fn limits(&self, base: &mut CnfBuilder, step: &mut CnfBuilder) -> SolveLimits {
-        match self.budget.max_conflicts {
-            Some(m) => {
-                SolveLimits::unlimited().conflicts(m.saturating_sub(Self::spent(base, step)))
-            }
-            None => SolveLimits::unlimited(),
-        }
-    }
-
-    /// Why a query came back unknown.
-    fn unknown_reason(&self) -> StopReason {
-        if self.cancel.is_cancelled() {
-            StopReason::Cancelled
-        } else {
-            StopReason::SolverBudget
-        }
-    }
-}
-
-/// Why a k-induction run failed (as opposed to returning a verdict).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum KindError {
-    /// The system could not be encoded to CNF (see [`SymError`]).
-    Encode(SymError),
-    /// A base-case model did not replay on the concrete executor. This is
-    /// diagnostic of an encoder/decoder bug; it is never a system property.
-    InvalidTrace(String),
-}
-
-impl KindError {
-    fn from_bmc(e: BmcError) -> KindError {
-        match e {
-            BmcError::Encode(x) => KindError::Encode(x),
-            BmcError::InvalidTrace(m) => KindError::InvalidTrace(m),
-        }
-    }
-}
-
-impl std::fmt::Display for KindError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            KindError::Encode(e) => write!(f, "kind: {e}"),
-            KindError::InvalidTrace(msg) => {
-                write!(f, "kind: counterexample failed concrete replay: {msg}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for KindError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            KindError::Encode(e) => Some(e),
-            KindError::InvalidTrace(_) => None,
-        }
-    }
-}
-
-impl From<SymError> for KindError {
-    fn from(e: SymError) -> KindError {
-        KindError::Encode(e)
+        Ok((Verdict::Unknown(StopReason::BoundExhausted), 0))
     }
 }
 
@@ -453,18 +295,14 @@ pub struct KindStats {
 }
 
 impl KindStats {
-    fn collect(base: &mut CnfBuilder, step: &mut CnfBuilder, core_frames: usize) -> KindStats {
-        let b = base.solver_mut();
-        let (base_conflicts, base_decisions, base_propagations) =
-            (b.conflicts(), b.decisions(), b.propagations());
-        let (base_vars, base_clauses) = (b.num_vars(), b.num_clauses());
-        let s = step.solver_mut();
+    fn collect(base: &mut Unroller, step: &mut Unroller, core_frames: usize) -> KindStats {
+        let (b, s) = (base.solver(), step.solver());
         KindStats {
-            base_conflicts,
-            base_decisions,
-            base_propagations,
-            base_vars,
-            base_clauses,
+            base_conflicts: b.conflicts(),
+            base_decisions: b.decisions(),
+            base_propagations: b.propagations(),
+            base_vars: b.num_vars(),
+            base_clauses: b.num_clauses(),
             step_conflicts: s.conflicts(),
             step_decisions: s.decisions(),
             step_propagations: s.propagations(),
@@ -523,40 +361,32 @@ impl ProofReport {
 ///
 /// # Errors
 ///
-/// [`KindError::Encode`] if the system cannot be encoded.
+/// [`UnrollError::Encode`] if the system cannot be encoded.
 pub fn certify_step(
     sys: &System,
     inv: &StatePred,
     k: usize,
     enum_budget: u64,
-) -> Result<bool, KindError> {
-    let mut enc = StepEncoder::new(sys)
-        .map_err(KindError::Encode)?
-        .enum_budget(enum_budget);
-    let mut b = CnfBuilder::new();
-    let mut frames: Vec<SymFrame> = vec![enc.new_frame(&mut b)];
-    for _ in 0..=k {
-        let next = enc.new_frame(&mut b);
-        let prev = frames.last_mut().expect("at least frame 0");
-        enc.encode_step(&mut b, prev, &next)
-            .map_err(KindError::Encode)?;
-        for earlier in &frames {
-            enc.assert_frames_distinct(&mut b, earlier, &next);
-        }
-        frames.push(next);
+) -> Result<bool, UnrollError> {
+    let enc = StepEncoder::new(sys)?.enum_budget(enum_budget);
+    // Its own encoder, solver, token and (unlimited) budget: nothing the
+    // prover holds can reach this check.
+    let mut u = Unroller::new(
+        sys,
+        enc,
+        Budget::unlimited(),
+        &CancelToken::new(),
+        RestartPolicy::default(),
+    )
+    .simple_path();
+    // Every frame before any predicate: the sequence this check has always
+    // fed its solver (on-demand `pred` alone would interleave them).
+    u.extend_to(k + 1)?;
+    for i in 0..=k + 1 {
+        let holds = u.pred(i, inv)?;
+        u.assert_lit(if i <= k { holds } else { !holds });
     }
-    for frame in frames.iter_mut().take(k + 1) {
-        let l = enc
-            .encode_pred(&mut b, frame, inv)
-            .map_err(KindError::Encode)?;
-        b.assert_lit(l);
-    }
-    let last = frames.len() - 1;
-    let l = enc
-        .encode_pred(&mut b, &mut frames[last], inv)
-        .map_err(KindError::Encode)?;
-    b.assert_lit(!l);
-    Ok(b.solver_mut().solve().is_unsat())
+    Ok(matches!(u.query(&[], 0), Answer::Unsat { .. }))
 }
 
 #[cfg(test)]
@@ -704,7 +534,7 @@ mod tests {
         let err = KindConfig::new(&sys).prove(&StatePred::True).unwrap_err();
         assert!(matches!(
             err,
-            KindError::Encode(SymError::UnboundedVar { .. })
+            UnrollError::Encode(bip_core::sym::SymError::UnboundedVar { .. })
         ));
         assert!(err.to_string().contains("no finite bound"));
     }

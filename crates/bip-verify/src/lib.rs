@@ -26,10 +26,12 @@
 //!   concrete executor before being reported. Complements [`reach`] when the
 //!   reachable set outgrows RAM but the bug sits at moderate depth.
 //! * [`kind`] — **unbounded safety proofs by k-induction**: a base-case
-//!   solver (BMC's unrolling) and an inductive-step solver (arbitrary
-//!   pairwise-distinct frames) run in lock-step; the first engine in the
-//!   stack that can answer "safe, period" rather than "safe up to depth k".
-//!   Proofs are independently re-checkable via [`kind::certify_step`].
+//!   solver and an inductive-step solver (arbitrary pairwise-distinct
+//!   frames) run in lock-step; the first engine in the stack that can
+//!   answer "safe, period" rather than "safe up to depth k". Proofs are
+//!   independently re-checkable via [`kind::certify_step`]. [`bmc`], both
+//!   sides of [`kind`] and the certificate check run on one private
+//!   unroller and fail with the one [`UnrollError`].
 //! * [`equiv`] — **refinement/equivalence checking** modulo an observation
 //!   criterion: weak trace inclusion plus deadlock-freedom preservation,
 //!   exactly the `≥` relation of §5.5.3 used to certify source-to-source
@@ -77,13 +79,14 @@ pub mod equiv;
 pub mod incremental;
 pub mod kind;
 pub mod reach;
+mod unroll;
 
-pub use bmc::{BmcConfig, BmcError, BmcOutcome, BmcReport};
+pub use bmc::{BmcConfig, BmcOutcome, BmcReport};
 pub use control::{Budget, CancelToken, StopReason, Wall};
 pub use dfinder::{DFinder, DFinderConfig, DFinderReport, Verdict};
 pub use equiv::{refines, refines_with, weak_trace_equivalent, RefinementReport};
 pub use incremental::{IncrementalVerifier, InvariantOutcome};
-pub use kind::{certify_step, KindConfig, KindError, KindStats, ProofReport};
+pub use kind::{certify_step, KindConfig, KindStats, ProofReport};
 // `dfinder::Verdict` already owns the unqualified name; the proof verdict is
 // re-exported under an unambiguous alias (or use `kind::Verdict` directly).
 pub use kind::Verdict as ProofVerdict;
@@ -92,3 +95,4 @@ pub use reach::{
     explore_with, find_deadlock, find_deadlock_resume, find_deadlock_with, CodecMode,
     DeadlockReport, InvariantReport, ReachCheckpoint, ReachConfig, ReachReport, Reduction,
 };
+pub use unroll::UnrollError;

@@ -1164,11 +1164,10 @@ fn run(
         // bit-identically (see `ReachCheckpoint`).
         let bytes = shard_bytes(&shards);
         peak_bytes = peak_bytes.max(bytes);
-        let trip = if cfg.cancel.is_cancelled() {
-            Some(StopReason::Cancelled)
-        } else {
-            cfg.budget.exceeded(stored, bytes)
-        };
+        let trip = cfg
+            .budget
+            .interrupted(&cfg.cancel)
+            .or_else(|| cfg.budget.exceeded(stored, bytes));
         if let Some(stop) = trip {
             let elapsed = base_elapsed + start.elapsed();
             return EngineOut {

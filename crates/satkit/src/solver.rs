@@ -1399,6 +1399,15 @@ impl Solver {
         Ok(())
     }
 
+    /// Does the current assignment satisfy every clause the solver holds —
+    /// original and learnt — and every one of `assumptions`? The check a
+    /// `Sat` answer must pass on its way out (debug builds): unit clauses
+    /// live on the root trail and need no look, everything else is here.
+    fn model_holds(&self, assumptions: &[Lit]) -> bool {
+        let holds = |l: &Lit| self.lit_value(*l) == Value::True;
+        self.clauses.iter().all(|c| c.lits.iter().any(holds)) && assumptions.iter().all(holds)
+    }
+
     /// Solve the formula. Returns [`SolveResult::Sat`] or
     /// [`SolveResult::Unsat`] (or [`SolveResult::Unknown`] if an interrupt
     /// flag installed via [`Solver::set_interrupt`] trips mid-search).
@@ -1558,7 +1567,13 @@ impl Solver {
                     continue;
                 }
                 match self.pick_branch_var() {
-                    None => return SolveResult::Sat,
+                    None => {
+                        debug_assert!(
+                            self.model_holds(assumptions),
+                            "Sat answer whose model falsifies a held clause or an assumption"
+                        );
+                        return SolveResult::Sat;
+                    }
                     Some(v) => {
                         self.decisions += 1;
                         self.trail_lim.push(self.trail.len());
@@ -1593,6 +1608,17 @@ mod tests {
     fn empty_formula_is_sat() {
         let mut s = Solver::new();
         assert!(s.solve().is_sat());
+    }
+
+    #[test]
+    fn model_check_rejects_a_falsified_clause_or_assumption() {
+        let mut s = solver_with(2, &[&[1, 2]]);
+        assert!(s.solve_with(&[lit(-1)]).is_sat());
+        assert!(s.model_holds(&[lit(-1)]));
+        assert!(!s.model_holds(&[lit(1)]), "x1 is false in the model");
+        // Corrupt the model: x2 is what satisfies the clause.
+        s.assigns[1] = Value::False;
+        assert!(!s.model_holds(&[]));
     }
 
     #[test]

@@ -18,13 +18,13 @@
 //!   reports a violation whose trace has exactly `ℓ` steps (BMC scans depths
 //!   in order, so it must find the shortest witness);
 //! * declined systems decline *loudly* — when the width analysis cannot
-//!   bound a variable the BMC returns `BmcError::Encode(UnboundedVar)`, never
-//!   a silently-truncated verdict.
+//!   bound a variable the BMC returns `UnrollError::Encode(UnboundedVar)`,
+//!   never a silently-truncated verdict.
 
 use bip_core::{dining_philosophers, StatePred};
-use bip_verify::bmc::{BmcConfig, BmcError, BmcOutcome};
+use bip_verify::bmc::{BmcConfig, BmcOutcome};
 use bip_verify::reach::{check_invariant_with, ReachConfig, Reduction};
-use bip_verify::BmcReport;
+use bip_verify::{BmcReport, UnrollError};
 use proptest::prelude::*;
 
 mod common;
@@ -84,7 +84,7 @@ fn check_agreement(seed: u64) -> Result<(), String> {
         // The encoder may decline (unbounded variable / support too large);
         // that must be a typed decline, and then there is nothing to compare.
         match e {
-            BmcError::Encode(_) => return Ok(()),
+            UnrollError::Encode(_) => return Ok(()),
             other => return Err(format!("seed {seed}: unexpected BMC error {other}")),
         }
     }
@@ -133,10 +133,10 @@ fn check_agreement(seed: u64) -> Result<(), String> {
                             ));
                         }
                     }
-                    BmcOutcome::NoViolationWithin(k) => {
+                    other => {
                         return Err(format!(
-                            "seed {seed}: BMC claims no violation within {k} but BFS finds one \
-                             at depth {depth}"
+                            "seed {seed}: BMC answers {other:?} but BFS finds a violation at \
+                             depth {depth}"
                         ));
                     }
                 }
@@ -230,5 +230,45 @@ fn philosophers_conservative_adjacent_mutex_holds() {
     assert!(
         vars.windows(2).all(|w| w[1] > w[0]),
         "one solver, monotone vars: {vars:?}"
+    );
+}
+
+/// Golden solver counts, captured at the commit before BMC moved onto the
+/// shared unroller: satkit is deterministic, so per-depth `(depth, vars,
+/// clauses, conflicts, decisions, propagations)` move only if the solver
+/// sees a different variable or clause sequence — which a refactor of the
+/// unrolling must never cause. Two-phase phil-5, all-`hasL` reached at
+/// depth 5.
+#[test]
+fn two_phase_phil5_per_depth_solver_counts_are_pinned() {
+    let n = 5usize;
+    let sys = dining_philosophers(n, true).unwrap();
+    let inv = StatePred::And((0..n).map(|i| StatePred::at_loc(i, 1)).collect()).not();
+    let r = bmc_at(&sys, &inv, 8);
+    assert_eq!(r.violation().map(|(trace, _)| trace.len()), Some(5));
+    let got: Vec<_> = r
+        .frames
+        .iter()
+        .map(|f| {
+            (
+                f.depth,
+                f.vars,
+                f.clauses,
+                f.conflicts,
+                f.decisions,
+                f.propagations,
+            )
+        })
+        .collect();
+    assert_eq!(
+        got,
+        [
+            (0, 22, 5, 0, 0, 22),
+            (1, 145, 93, 1, 0, 126),
+            (2, 267, 557, 3, 1, 334),
+            (3, 389, 1032, 16, 18, 1820),
+            (4, 511, 1580, 106, 253, 12591),
+            (5, 633, 2052, 115, 292, 13970),
+        ]
     );
 }

@@ -3,7 +3,7 @@
 
 use bip_core::dining_philosophers;
 use bip_verify::reach::explore;
-use bip_verify::DFinder;
+use bip_verify::{DFinder, DFinderConfig, IncrementalVerifier};
 
 #[test]
 fn verdicts_agree_with_exact_checker_across_family() {
@@ -78,5 +78,23 @@ fn gas_station_benchmark() {
         assert!(exact.complete);
         assert!(exact.deadlocks.is_empty());
         assert!(df.verdict.is_deadlock_free(), "k={k}: {df:?}");
+    }
+}
+
+/// One DIS check under both front ends: an `IncrementalVerifier` that has
+/// added nothing holds the same invariants as a from-scratch `DFinder`, so
+/// the whole report — verdict, traps, conflicts, decisions, propagations,
+/// average LBD — must be equal, not just the verdict.
+#[test]
+fn incremental_and_scratch_reports_are_identical() {
+    for sys in [
+        dining_philosophers(6, false).unwrap(),
+        bench::gas_station(8),
+    ] {
+        let cfg = DFinderConfig::new();
+        let scratch = DFinder::with_config(&sys, &cfg).check_deadlock_freedom();
+        let incremental = IncrementalVerifier::with_config(sys, cfg).check_deadlock_freedom();
+        assert_eq!(incremental, scratch);
+        assert!(scratch.verdict.is_deadlock_free());
     }
 }

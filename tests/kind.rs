@@ -23,8 +23,9 @@
 use bip_core::{dining_philosophers, StatePred, System};
 use bip_verify::bmc::{BmcConfig, BmcOutcome};
 use bip_verify::control::Budget;
-use bip_verify::kind::{certify_step, KindConfig, KindError, Verdict};
+use bip_verify::kind::{certify_step, KindConfig, Verdict};
 use bip_verify::reach::{check_invariant_with, ReachConfig};
+use bip_verify::UnrollError;
 use proptest::prelude::*;
 use satkit::RestartPolicy;
 
@@ -97,7 +98,7 @@ fn check_agreement(seed: u64) -> Result<(), String> {
         Ok(r) => r,
         // The encoder may decline (unbounded variable / support too large);
         // that must be a typed decline, and then there is nothing to compare.
-        Err(KindError::Encode(_)) => return Ok(()),
+        Err(UnrollError::Encode(_)) => return Ok(()),
         Err(other) => return Err(format!("seed {seed}: unexpected kind error {other}")),
     };
 
@@ -346,4 +347,79 @@ fn guard_bounded_counter_at_limit_100_proves() {
     let (trace, states) = r.violation().expect("n reaches 51");
     assert_eq!(trace.len(), 51);
     independent_replay(&sys, &false_inv, trace, states).unwrap();
+}
+
+/// Golden solver counts, captured at the commit before k-induction moved
+/// onto the shared unroller (see the BMC twin in `tests/bmc.rs`):
+/// conservative phil-5 adjacent mutex closes at k = 3. The base side's
+/// `vars`/`clauses` are the parent's at `max_k(3)`: the parent encoded one
+/// more base frame than the proof used whenever `max_k` left room for it.
+#[test]
+fn conservative_phil5_proof_solver_counts_are_pinned() {
+    let sys = dining_philosophers(5, false).unwrap();
+    let r = KindConfig::new(&sys)
+        .max_k(MAX_K)
+        .prove(&adjacent_mutex(5))
+        .unwrap();
+    assert_eq!(r.verdict, Verdict::Proved { k: 3 });
+    let s = &r.stats;
+    assert_eq!(
+        (
+            s.base_conflicts,
+            s.base_decisions,
+            s.base_propagations,
+            s.base_vars,
+            s.base_clauses
+        ),
+        (60, 82, 3913, 279, 739)
+    );
+    assert_eq!(
+        (
+            s.step_conflicts,
+            s.step_decisions,
+            s.step_propagations,
+            s.step_vars,
+            s.step_clauses
+        ),
+        (213, 499, 19738, 487, 1702)
+    );
+    assert_eq!(s.core_frames, 4);
+}
+
+/// The base side of a proof closed at `k` *is* a BMC run at bound `k`: same
+/// unroller, same goals, and no frame encoded beyond the last one queried.
+/// On the token ring (mutex is 1-inductive, `Proved { k: 0 }`) that means
+/// the base solver never saw a step relation.
+#[test]
+fn base_side_of_a_closed_proof_is_bmc_at_the_closing_depth() {
+    let ring_mutex = StatePred::And(
+        (0..4)
+            .flat_map(|i| (i + 1..4).map(move |j| (i, j)))
+            .map(|(i, j)| StatePred::at_loc(i, 1).and(StatePred::at_loc(j, 1)).not())
+            .collect(),
+    );
+    let workloads = [
+        (bench::counter_ring(4, 100), ring_mutex, 0usize),
+        (dining_philosophers(5, false).unwrap(), adjacent_mutex(5), 3),
+    ];
+    for (sys, inv, closes_at) in &workloads {
+        let r = KindConfig::new(sys).max_k(MAX_K).prove(inv).unwrap();
+        assert_eq!(r.verdict, Verdict::Proved { k: *closes_at });
+        let bmc = BmcConfig::new(sys)
+            .bound(*closes_at)
+            .check_invariant(inv)
+            .unwrap();
+        assert_eq!(bmc.outcome, BmcOutcome::NoViolationWithin(*closes_at));
+        let last = bmc.frames.last().unwrap();
+        assert_eq!(
+            (
+                r.stats.base_vars,
+                r.stats.base_clauses,
+                r.stats.base_conflicts,
+                r.stats.base_decisions
+            ),
+            (last.vars, last.clauses, last.conflicts, last.decisions),
+            "k = {closes_at}"
+        );
+    }
 }
