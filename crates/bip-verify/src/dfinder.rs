@@ -218,6 +218,14 @@ impl Abstraction {
         &self.packed
     }
 
+    /// The trap-enumeration seeds, ascending: the places that can be a
+    /// trap's minimum at all (the locally reachable ones).
+    pub(crate) fn seeds(&self) -> Vec<Place> {
+        (0..self.num_places)
+            .filter(|&p| self.reachable[p])
+            .collect()
+    }
+
     /// An empty [`PlaceSet`] over this abstraction's places.
     pub fn place_set(&self) -> PlaceSet {
         PlaceSet::new(self.num_places)
@@ -308,9 +316,22 @@ impl LinearInvariant {
             .map(|&(p, a)| if marked(p) { a } else { 0 })
             .sum()
     }
+
+    /// Does firing the abstract transition `pre → post` leave the left-hand
+    /// side unchanged? (The abstraction is 1-safe, so membership is
+    /// multiplicity.)
+    fn conserved_by(&self, pre: &PlaceSet, post: &PlaceSet) -> bool {
+        let delta: i128 = self
+            .coeffs
+            .iter()
+            .map(|&(p, a)| i128::from(a) * (post.contains(p) as i128 - pre.contains(p) as i128))
+            .sum();
+        delta == 0
+    }
 }
 
-/// Exact rational for Gaussian elimination.
+/// Exact rational for the elimination. Every operation is checked: `None`
+/// means an `i128` overflowed, and the caller drops the whole linear set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Rat {
     n: i128,
@@ -319,35 +340,41 @@ struct Rat {
 
 impl Rat {
     const ZERO: Rat = Rat { n: 0, d: 1 };
+    const ONE: Rat = Rat { n: 1, d: 1 };
 
-    fn new(n: i128, d: i128) -> Rat {
+    fn new(n: i128, d: i128) -> Option<Rat> {
         debug_assert!(d != 0);
-        let g = gcd(n.unsigned_abs(), d.unsigned_abs()) as i128;
-        let s = if d < 0 { -1 } else { 1 };
-        Rat {
-            n: s * n / g,
-            d: s * d / g,
+        let g = i128::try_from(gcd(n.unsigned_abs(), d.unsigned_abs())).ok()?;
+        let (n, d) = (n / g, d / g);
+        if d < 0 {
+            Some(Rat {
+                n: n.checked_neg()?,
+                d: d.checked_neg()?,
+            })
+        } else {
+            Some(Rat { n, d })
         }
-    }
-
-    fn from_int(n: i128) -> Rat {
-        Rat { n, d: 1 }
     }
 
     fn is_zero(self) -> bool {
         self.n == 0
     }
 
-    fn sub(self, o: Rat) -> Rat {
-        Rat::new(self.n * o.d - o.n * self.d, self.d * o.d)
+    fn sub(self, o: Rat) -> Option<Rat> {
+        let n = self
+            .n
+            .checked_mul(o.d)?
+            .checked_sub(o.n.checked_mul(self.d)?)?;
+        Rat::new(n, self.d.checked_mul(o.d)?)
     }
 
-    fn mul(self, o: Rat) -> Rat {
-        Rat::new(self.n * o.n, self.d * o.d)
+    fn mul(self, o: Rat) -> Option<Rat> {
+        Rat::new(self.n.checked_mul(o.n)?, self.d.checked_mul(o.d)?)
     }
 
-    fn div(self, o: Rat) -> Rat {
-        Rat::new(self.n * o.d, self.d * o.n)
+    /// `self / o` for `o ≠ 0`.
+    fn div(self, o: Rat) -> Option<Rat> {
+        Rat::new(self.n.checked_mul(o.d)?, self.d.checked_mul(o.n)?)
     }
 }
 
@@ -359,113 +386,237 @@ fn gcd(a: u128, b: u128) -> u128 {
     }
 }
 
-fn lcm(a: i128, b: i128) -> i128 {
-    (a / gcd(a.unsigned_abs(), b.unsigned_abs()) as i128) * b
+fn lcm(a: i128, b: i128) -> Option<i128> {
+    (a / i128::try_from(gcd(a.unsigned_abs(), b.unsigned_abs())).ok()?).checked_mul(b)
+}
+
+/// A sparse matrix row: the non-zero entries, ascending by column.
+type Row = Vec<(Place, Rat)>;
+
+/// `row − f · piv`, merging the two sorted entry lists.
+fn sub_scaled(row: &[(Place, Rat)], f: Rat, piv: &[(Place, Rat)]) -> Option<Row> {
+    let mut out = Vec::with_capacity(row.len() + piv.len());
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let entry = match (row.get(i), piv.get(j)) {
+            (None, None) => break,
+            (Some(&(p, x)), Some(&(q, y))) if p == q => {
+                i += 1;
+                j += 1;
+                (p, x.sub(f.mul(y)?)?)
+            }
+            (Some(&(p, x)), Some(&(q, _))) if p < q => {
+                i += 1;
+                (p, x)
+            }
+            (Some(&(p, x)), None) => {
+                i += 1;
+                (p, x)
+            }
+            (_, Some(&(q, y))) => {
+                j += 1;
+                (q, Rat::ZERO.sub(f.mul(y)?)?)
+            }
+        };
+        if !entry.1.is_zero() {
+            out.push(entry);
+        }
+    }
+    Some(out)
+}
+
+/// The reduced row-echelon form of the abstract transitions' effect rows
+/// (`post − pre` over the places), exact and sparse, grown one row at a
+/// time.
+///
+/// The RREF of a row space is unique, so the matrix — and every invariant
+/// read off it — depends only on the *set* of rows inserted, never on their
+/// order or on how many insertions built it: a [`DFinder`] that inserted a
+/// net's transitions in one go and an [`crate::incremental`] verifier that
+/// received them addition by addition hold the same `Rref`.
+///
+/// Arithmetic is checked `i128` rationals. An overflow poisons the form:
+/// from then on [`Rref::invariants`] returns the empty set, which is sound
+/// (fewer invariants only weaken `LI`), where a half-reduced matrix could
+/// emit a vector that is no invariant at all.
+#[derive(Debug, Clone)]
+pub(crate) struct Rref {
+    /// Pivot rows: each starts with a 1 in its pivot column and is zero in
+    /// every other row's pivot column.
+    rows: Vec<Row>,
+    /// Per column, the index in `rows` of the row it is the pivot of.
+    pivot_row: Vec<Option<usize>>,
+    overflowed: bool,
+}
+
+impl Rref {
+    /// The form of no rows over `ncols` columns.
+    fn new(ncols: usize) -> Rref {
+        Rref {
+            rows: Vec::new(),
+            pivot_row: vec![None; ncols],
+            overflowed: false,
+        }
+    }
+
+    /// The form of every abstract transition of `abs`.
+    fn of(abs: &Abstraction) -> Rref {
+        let mut rref = Rref::new(abs.num_places);
+        for (pre, post) in &abs.packed {
+            rref.insert_effect(pre, post);
+        }
+        rref
+    }
+
+    /// Insert the effect row of one abstract transition: `−1` on the places
+    /// it only consumes, `+1` on those it only produces.
+    pub(crate) fn insert_effect(&mut self, pre: &PlaceSet, post: &PlaceSet) {
+        let consumed = pre.iter().filter(|&p| !post.contains(p));
+        let produced = post.iter().filter(|&q| !pre.contains(q));
+        let mut row: Row = consumed
+            .map(|p| (p, Rat { n: -1, d: 1 }))
+            .chain(produced.map(|q| (q, Rat::ONE)))
+            .collect();
+        row.sort_unstable_by_key(|&(p, _)| p);
+        self.insert(row);
+    }
+
+    fn insert(&mut self, row: Row) {
+        if !self.overflowed && self.try_insert(row).is_none() {
+            self.overflowed = true;
+        }
+    }
+
+    /// Reduce `row` by the pivot rows; if something is left, normalise it,
+    /// clear its pivot column from the other rows and adopt it. `None` on
+    /// overflow, leaving `self` half-updated (the caller poisons it).
+    fn try_insert(&mut self, mut row: Row) -> Option<()> {
+        // One pass suffices: a pivot row is zero in every other pivot
+        // column, so subtracting it never refills one already cleared.
+        while let Some((r, f)) = row
+            .iter()
+            .find_map(|&(c, f)| self.pivot_row[c].map(|r| (r, f)))
+        {
+            row = sub_scaled(&row, f, &self.rows[r])?;
+        }
+        let Some(&(pivot, lead)) = row.first() else {
+            return Some(()); // linearly dependent on the rows already in
+        };
+        for entry in &mut row {
+            entry.1 = entry.1.div(lead)?;
+        }
+        for other in &mut self.rows {
+            if let Ok(k) = other.binary_search_by_key(&pivot, |&(c, _)| c) {
+                *other = sub_scaled(other, other[k].1, &row)?;
+            }
+        }
+        self.pivot_row[pivot] = Some(self.rows.len());
+        self.rows.push(row);
+        Some(())
+    }
+
+    /// The null-space basis read off the free columns, in ascending
+    /// free-column order: for free column `f`, `y[f] = 1` and
+    /// `y[pivot of row i] = −rows[i][f]`. Vectors are scaled to primitive
+    /// integers; only those with every |coefficient| ≤ `max_coeff` and
+    /// support ≤ `max_support` are kept. `abs` supplies the initial marking
+    /// the conserved values are taken on, and must be the abstraction whose
+    /// every transition has been inserted.
+    pub(crate) fn invariants(
+        &self,
+        abs: &Abstraction,
+        max_coeff: i64,
+        max_support: usize,
+    ) -> Vec<LinearInvariant> {
+        let out = self
+            .null_space(abs, max_coeff, max_support)
+            .unwrap_or_default();
+        debug_assert!(
+            out.iter().all(|inv| abs
+                .packed
+                .iter()
+                .all(|(pre, post)| inv.conserved_by(pre, post))),
+            "an emitted vector is not orthogonal to every effect row"
+        );
+        out
+    }
+
+    /// `None` if the form is poisoned or the scaling overflows.
+    fn null_space(
+        &self,
+        abs: &Abstraction,
+        max_coeff: i64,
+        max_support: usize,
+    ) -> Option<Vec<LinearInvariant>> {
+        if self.overflowed {
+            return None;
+        }
+        let ncols = self.pivot_row.len();
+        // Transpose the free part: per free column, its vector's entries on
+        // the pivot columns.
+        let mut vectors: Vec<Row> = vec![Vec::new(); ncols];
+        for row in &self.rows {
+            let pivot = row[0].0;
+            for &(free, v) in &row[1..] {
+                vectors[free].push((pivot, Rat::ZERO.sub(v)?));
+            }
+        }
+        let initial = PlaceSet::from_places(ncols, abs.initial.iter().copied());
+        let bound = u128::try_from(max_coeff).unwrap_or(0);
+        let mut out = Vec::new();
+        for (free, mut y) in vectors.into_iter().enumerate() {
+            if self.pivot_row[free].is_some() || y.len() >= max_support {
+                continue;
+            }
+            y.push((free, Rat::ONE));
+            y.sort_unstable_by_key(|&(p, _)| p);
+            // Scale to the primitive integer vector.
+            let denom = y.iter().try_fold(1i128, |acc, &(_, v)| lcm(acc, v.d))?;
+            let ints = y
+                .iter()
+                .map(|&(p, v)| Some((p, v.n.checked_mul(denom / v.d)?)))
+                .collect::<Option<Vec<(Place, i128)>>>()?;
+            let g = ints
+                .iter()
+                .fold(0, |acc, &(_, v)| gcd(acc, v.unsigned_abs()));
+            if ints.iter().any(|&(_, v)| v.unsigned_abs() / g > bound) {
+                continue;
+            }
+            // |v| / g ≤ bound ≤ i64::MAX from here on: the casts are exact.
+            let g = g as i128;
+            let coeffs: Vec<(Place, i64)> =
+                ints.iter().map(|&(p, v)| (p, (v / g) as i64)).collect();
+            let value: i128 = coeffs
+                .iter()
+                .filter(|&&(p, _)| initial.contains(p))
+                .map(|&(_, a)| i128::from(a))
+                .sum();
+            let Ok(value) = i64::try_from(value) else {
+                continue;
+            };
+            out.push(LinearInvariant { coeffs, value });
+        }
+        Some(out)
+    }
 }
 
 /// Compute linear invariants from the left null space of the incidence
 /// matrix. Vectors are scaled to primitive integers; only invariants with
 /// all |coefficients| ≤ `max_coeff` and support ≤ `max_support` are kept
 /// (larger ones are too expensive to encode propositionally).
+///
+/// The elimination is sparse and exact. Inserting a transition's effect
+/// row (two non-zeros per participant) merges it with each pivot row it
+/// meets and with each row holding its new pivot column, so the cost
+/// follows the **non-zeros** of the rows touched, plus one binary search
+/// per pivot row — not `transitions × places`. If the exact arithmetic
+/// would overflow `i128` the result is the empty set: sound, only weaker.
 pub fn linear_invariants(
     abs: &Abstraction,
     max_coeff: i64,
     max_support: usize,
 ) -> Vec<LinearInvariant> {
-    // Deduplicate transitions and build effect rows.
-    let mut rows: Vec<Vec<Rat>> = Vec::new();
-    let mut seen = FxHashSet::default();
-    for (pre, post) in &abs.transitions {
-        let key = (pre.clone(), post.clone());
-        if !seen.insert(key) {
-            continue;
-        }
-        let mut row = vec![Rat::ZERO; abs.num_places];
-        for &p in pre {
-            row[p] = row[p].sub(Rat::from_int(1));
-        }
-        for &q in post {
-            row[q] = row[q].sub(Rat::from_int(-1));
-        }
-        if row.iter().any(|r| !r.is_zero()) {
-            rows.push(row);
-        }
-    }
-    // Gaussian elimination to row echelon form; record pivot columns.
-    let ncols = abs.num_places;
-    let mut pivot_col_of_row = Vec::new();
-    let mut r = 0usize;
-    for c in 0..ncols {
-        // Find a pivot.
-        let Some(pr) = (r..rows.len()).find(|&i| !rows[i][c].is_zero()) else {
-            continue;
-        };
-        rows.swap(r, pr);
-        let piv = rows[r][c];
-        for x in rows[r].iter_mut() {
-            *x = x.div(piv);
-        }
-        let pivot_row = rows[r].clone();
-        for (i, row) in rows.iter_mut().enumerate() {
-            if i != r && !row[c].is_zero() {
-                let f = row[c];
-                for (x, pv) in row.iter_mut().zip(&pivot_row) {
-                    *x = x.sub(f.mul(*pv));
-                }
-            }
-        }
-        pivot_col_of_row.push(c);
-        r += 1;
-        if r == rows.len() {
-            break;
-        }
-    }
-    let pivot_cols: FxHashSet<usize> = pivot_col_of_row.iter().copied().collect();
-    let initial: FxHashSet<Place> = abs.initial.iter().copied().collect();
-    // Each free column yields a null-space basis vector.
-    let mut out = Vec::new();
-    for free in 0..ncols {
-        if pivot_cols.contains(&free) {
-            continue;
-        }
-        // y[free] = 1; y[pivot c of row i] = -rows[i][free].
-        let mut y = vec![Rat::ZERO; ncols];
-        y[free] = Rat::from_int(1);
-        for (i, &pc) in pivot_col_of_row.iter().enumerate() {
-            y[pc] = Rat::ZERO.sub(rows[i][free]);
-        }
-        // Scale to primitive integer vector.
-        let mut denom: i128 = 1;
-        for v in &y {
-            if !v.is_zero() {
-                denom = lcm(denom, v.d);
-            }
-        }
-        let ints: Vec<i128> = y.iter().map(|v| v.n * (denom / v.d)).collect();
-        let g = ints
-            .iter()
-            .filter(|&&v| v != 0)
-            .fold(0u128, |acc, &v| gcd(acc, v.unsigned_abs()))
-            .max(1) as i128;
-        let coeffs: Vec<(Place, i64)> = ints
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| v != 0)
-            .map(|(p, &v)| (p, (v / g) as i64))
-            .collect();
-        if coeffs.is_empty()
-            || coeffs.len() > max_support
-            || coeffs.iter().any(|&(_, a)| a.abs() > max_coeff)
-        {
-            continue;
-        }
-        let value: i64 = coeffs
-            .iter()
-            .map(|&(p, a)| if initial.contains(&p) { a } else { 0 })
-            .sum();
-        out.push(LinearInvariant { coeffs, value });
-    }
-    out
+    Rref::of(abs).invariants(abs, max_coeff, max_support)
 }
 
 /// Encode a linear invariant over the `at` literals using the exactly-k
@@ -659,6 +810,9 @@ pub struct DFinder {
     pub(crate) abs: Abstraction,
     pub(crate) traps: Vec<PlaceSet>,
     pub(crate) linear: Vec<LinearInvariant>,
+    /// The reduced effect matrix `linear` is read off; additions insert
+    /// their new rows here instead of eliminating afresh.
+    pub(crate) rref: Rref,
     pub(crate) cfg: DFinderConfig,
     /// Why the most recent trap (re-)enumeration stopped.
     pub(crate) build_stop: StopReason,
@@ -688,12 +842,14 @@ impl DFinder {
     pub fn with_config(sys: &System, cfg: &DFinderConfig) -> DFinder {
         let start = Instant::now();
         let abs = Abstraction::new(sys);
-        let (traps, build_stop) = enumerate_traps_inner(&abs, &[], cfg);
-        let linear = linear_invariants(&abs, Self::DEFAULT_MAX_COEFF, Self::DEFAULT_MAX_SUPPORT);
+        let (traps, build_stop) = enumerate_traps_inner(&abs, &[], &abs.seeds(), cfg);
+        let rref = Rref::of(&abs);
+        let linear = rref.invariants(&abs, Self::DEFAULT_MAX_COEFF, Self::DEFAULT_MAX_SUPPORT);
         DFinder {
             abs,
             traps,
             linear,
+            rref,
             cfg: cfg.clone(),
             build_stop,
             build_elapsed: start.elapsed(),
@@ -713,6 +869,15 @@ impl DFinder {
     /// The abstraction.
     pub fn abstraction(&self) -> &Abstraction {
         &self.abs
+    }
+
+    /// Did the last trap (re-)enumeration stop before every seed subspace
+    /// was exhausted — cut by a budget, deadline or cancellation, or with
+    /// the trap list at its cap? Only an untruncated list *covers* the net:
+    /// every initially-marked trap with minimum `s` contains a listed trap
+    /// with minimum `s`.
+    pub(crate) fn enumeration_truncated(&self) -> bool {
+        self.build_stop != StopReason::Completed || self.traps.len() >= self.cfg.max_traps
     }
 
     /// Run the deadlock-freedom check: is `CI ∧ II ∧ DIS` satisfiable? The
@@ -998,7 +1163,10 @@ impl TrapStore {
 /// Build the trap CNF for one seed place: trap condition per (packed)
 /// transition, initial marking, reachability pruning, the min-place
 /// partition constraints (`s[seed]`, `¬s[q]` for `q < seed`), and blocking
-/// clauses for every already-known trap.
+/// clauses for the already-known traps *of this seed* — those whose minimum
+/// place it is. (A known trap with a smaller minimum cannot recur here, and
+/// one with a larger minimum belongs to that seed's subspace: a from-scratch
+/// enumeration never sees it either.)
 fn seed_cnf(abs: &Abstraction, seed: Place, known: &[PlaceSet]) -> (CnfBuilder, Vec<Lit>) {
     let mut b = CnfBuilder::new();
     let s: Vec<Lit> = (0..abs.num_places).map(|_| Lit::pos(b.fresh())).collect();
@@ -1019,14 +1187,15 @@ fn seed_cnf(abs: &Abstraction, seed: Place, known: &[PlaceSet]) -> (CnfBuilder, 
         b.assert_lit(!below);
     }
     b.assert_lit(s[seed]);
-    for t in known {
+    for t in known.iter().filter(|t| t.min() == Some(seed)) {
         b.clause(t.iter().map(|p| !s[p]));
     }
     (b, s)
 }
 
 /// Enumerate (approximately minimal) initially-marked traps whose minimum
-/// place is `seed`, blocking supersets of found traps and of `known`.
+/// place is `seed`, blocking supersets of found traps and of the `known`
+/// traps of this seed.
 ///
 /// `cancel` aborts between SAT iterations: the parallel driver raises it
 /// once the completed seed prefix has filled the trap budget, at which
@@ -1102,30 +1271,22 @@ pub fn enumerate_traps(abs: &Abstraction, max_traps: usize) -> Vec<PlaceSet> {
 /// docs](self) for the seed partition and the determinism argument. The
 /// result is identical for every `cfg.threads` value.
 pub fn enumerate_traps_with(abs: &Abstraction, cfg: &DFinderConfig) -> Vec<PlaceSet> {
-    enumerate_traps_blocking_with(abs, &[], cfg)
+    enumerate_traps_inner(abs, &[], &abs.seeds(), cfg).0
 }
 
-/// [`enumerate_traps_with`] with extra blocking: no returned trap is a
-/// superset of any `known` set (the incremental verifier re-enumerates
-/// around its preserved invariants this way).
-pub fn enumerate_traps_blocking_with(
-    abs: &Abstraction,
-    known: &[PlaceSet],
-    cfg: &DFinderConfig,
-) -> Vec<PlaceSet> {
-    enumerate_traps_inner(abs, known, cfg).0
-}
-
-/// Core enumeration: traps plus why it stopped ([`StopReason::Completed`]
-/// unless a budget/deadline/cancellation truncated the sweep). Truncation
-/// is sound — a shorter trap list only weakens II.
+/// Core enumeration over the subspaces of `seeds` (ascending), each blocking
+/// the `known` traps it owns: traps plus why it stopped
+/// ([`StopReason::Completed`] unless a budget/deadline/cancellation
+/// truncated the sweep). Truncation is sound — a shorter trap list only
+/// weakens II.
 pub(crate) fn enumerate_traps_inner(
     abs: &Abstraction,
     known: &[PlaceSet],
+    seeds: &[Place],
     cfg: &DFinderConfig,
 ) -> (Vec<PlaceSet>, StopReason) {
     let solver_cut = AtomicBool::new(false);
-    let traps = enumerate_traps_impl(abs, known, cfg, &solver_cut);
+    let traps = enumerate_traps_impl(abs, known, seeds, cfg, &solver_cut);
     let cut = solver_cut.load(Ordering::Acquire);
     let interrupted = cfg.budget.interrupted(&cfg.cancel);
     let stop = interrupted.or(cut.then_some(StopReason::SolverBudget));
@@ -1135,17 +1296,13 @@ pub(crate) fn enumerate_traps_inner(
 fn enumerate_traps_impl(
     abs: &Abstraction,
     known: &[PlaceSet],
+    seeds: &[Place],
     cfg: &DFinderConfig,
     solver_cut: &AtomicBool,
 ) -> Vec<PlaceSet> {
-    if cfg.max_traps == 0 {
-        return Vec::new();
-    }
-    // Seeds: places that can be a trap's minimum at all. The per-seed
-    // subspaces partition the initially-marked traps, so workers never
-    // contend and never duplicate.
-    let seeds: Vec<Place> = (0..abs.num_places).filter(|&p| abs.reachable[p]).collect();
-    if seeds.is_empty() {
+    // The per-seed subspaces partition the initially-marked traps, so
+    // workers never contend and never duplicate.
+    if cfg.max_traps == 0 || seeds.is_empty() {
         return Vec::new();
     }
     let threads = cfg.threads.max(1).min(seeds.len());
@@ -1183,7 +1340,6 @@ fn enumerate_traps_impl(
         let next = AtomicUsize::new(0);
         let done = std::sync::atomic::AtomicBool::new(false);
         let counts: Vec<AtomicUsize> = seeds.iter().map(|_| AtomicUsize::new(usize::MAX)).collect();
-        let seeds_ref = &seeds;
         let counts_ref = &counts;
         let done_ref = &done;
         let mut all = Vec::with_capacity(seeds.len());
@@ -1200,17 +1356,11 @@ fn enumerate_traps_impl(
                                 break local;
                             }
                             let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= seeds_ref.len() {
+                            if i >= seeds.len() {
                                 break local;
                             }
                             let traps = enumerate_seed(
-                                abs,
-                                seeds_ref[i],
-                                known,
-                                cap,
-                                done_ref,
-                                cfg,
-                                solver_cut,
+                                abs, seeds[i], known, cap, done_ref, cfg, solver_cut,
                             );
                             if done_ref.load(Ordering::Acquire) {
                                 // Aborted mid-seed: this seed is beyond the
@@ -1325,6 +1475,82 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A four-place abstraction with no transitions at all: whatever rows a
+    /// test feeds an [`Rref`] by hand, no effect row contradicts them.
+    fn four_idle_places() -> Abstraction {
+        let atom = AtomBuilder::new("idle")
+            .location("l0")
+            .location("l1")
+            .location("l2")
+            .location("l3")
+            .initial("l3")
+            .build()
+            .unwrap();
+        let mut sb = SystemBuilder::new();
+        sb.add_instance("a", &atom);
+        let abs = Abstraction::new(&sb.build().unwrap());
+        assert_eq!((abs.num_places, abs.packed.len()), (4, 0));
+        abs
+    }
+
+    #[test]
+    fn overflow_drops_the_whole_linear_set() {
+        let abs = four_idle_places();
+        let int = |n: i128| Rat { n, d: 1 };
+        let unfiltered = |rref: &Rref| rref.invariants(&abs, i64::MAX, usize::MAX);
+        // The shape with small entries: rank 3, place 3 free and conserved.
+        let mut small = Rref::new(4);
+        small.insert(vec![(0, int(2)), (2, int(1))]);
+        small.insert(vec![(1, int(3)), (2, int(1))]);
+        small.insert(vec![(0, int(1)), (1, int(1))]);
+        let e3 = LinearInvariant {
+            coeffs: vec![(3, 1)],
+            value: 1,
+        };
+        assert_eq!(unfiltered(&small), vec![e3]);
+
+        // The same shape with coprime 2^100 and 3^60 as leading entries.
+        let mut big = Rref::new(4);
+        big.insert(vec![(0, int(1 << 100)), (2, int(1))]);
+        big.insert(vec![(1, int(3i128.pow(60))), (2, int(1))]);
+        // Reading place 2's vector needs the common denominator 2^100 · 3^60
+        // > i128::MAX: the whole set goes, place 3's harmless vector too.
+        assert!(!big.overflowed);
+        assert!(unfiltered(&big).is_empty());
+        // Reducing the third row needs that denominator inside the matrix:
+        // the form is poisoned, and stays so whatever arrives later.
+        big.insert(vec![(0, int(1)), (1, int(1))]);
+        assert!(big.overflowed);
+        big.insert(vec![(3, int(1))]);
+        assert!(unfiltered(&big).is_empty());
+    }
+
+    #[test]
+    fn checked_rationals_refuse_to_wrap() {
+        let max = Rat { n: i128::MAX, d: 1 };
+        assert_eq!(max.mul(Rat { n: 2, d: 1 }), None);
+        assert_eq!(max.sub(Rat { n: -1, d: 1 }), None);
+        assert_eq!(Rat::ONE.div(Rat { n: 1, d: i128::MAX }), Some(max));
+        assert_eq!(Rat { n: 1, d: i128::MAX }.div(max), None);
+        assert_eq!(Rat::new(i128::MIN, -1), None);
+        assert_eq!(lcm(i128::MAX, 2), None);
+    }
+
+    /// The assertion behind every emitted set: a form that has not seen all
+    /// of the net's transitions spans too small a row space, so its null
+    /// space holds vectors some transition does not conserve.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not orthogonal to every effect row")]
+    fn invariants_of_a_partial_form_trip_the_orthogonality_assertion() {
+        let sys = dining_philosophers(2, false).unwrap();
+        let abs = Abstraction::new(&sys);
+        let mut rref = Rref::new(abs.num_places);
+        let (pre, post) = &abs.packed[0];
+        rref.insert_effect(pre, post);
+        let _ = rref.invariants(&abs, i64::MAX, usize::MAX);
     }
 
     #[test]

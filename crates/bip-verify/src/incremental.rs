@@ -8,14 +8,29 @@
 //! satisfied, D-Finder generates new invariants by reusing invariants of the
 //! constituent components."
 //!
-//! Here: adding a connector only *adds* abstract transitions. An existing
-//! trap is preserved iff the new transitions respect the trap condition on
-//! it (the sufficient condition, one word-wise [`bip_core::PlaceSet`]
-//! intersection test per added transition per trap). Broken traps are
-//! dropped and replaced by a bounded re-enumeration that blocks the
-//! still-valid traps — so verification effort scales with the *change*,
-//! not the system, and the residual re-enumeration runs on the parallel
-//! seed-partitioned engine of [`crate::dfinder`].
+//! Here: adding a connector only *adds* abstract transitions, and the
+//! verifier's effort follows the added transitions, not the system:
+//!
+//! * **Traps.** An existing trap is preserved iff the new transitions
+//!   respect the trap condition on it (the sufficient condition, one
+//!   word-wise [`bip_core::PlaceSet`] intersection test per added transition
+//!   per trap). Broken traps are dropped, and only the seed subspaces that
+//!   *lost* a trap are re-enumerated (on the parallel seed-partitioned
+//!   engine of [`crate::dfinder`], each blocking the traps it kept). Adding
+//!   transitions only removes traps, so while the previous enumeration ran
+//!   to completion under the cap, every trap of the grown net with minimum
+//!   `s` still contains a listed trap of seed `s` — unless one of seed
+//!   `s`'s traps was dropped. A seed that lost nothing would answer UNSAT at
+//!   once and is skipped. After a truncated enumeration (trap cap reached,
+//!   or a budget, deadline or cancellation stop) the cover no longer holds
+//!   and the next addition sweeps every seed.
+//! * **Linear invariants.** The verifier keeps the reduced row-echelon form
+//!   of the effect matrix and inserts only the added transitions' rows; the
+//!   RREF of a row space is unique, so the invariants read off it equal a
+//!   from-scratch [`DFinder`]'s by construction.
+//!
+//! What is rebuilt per addition is the [`System`] and its place/interaction
+//! abstraction — linear in the model, no solving.
 //!
 //! ```
 //! use bip_core::{dining_philosophers, SystemBuilder};
@@ -48,7 +63,7 @@ use bip_core::{Connector, FaultSpec, ModelError, PlaceSet, StatePred, System, Sy
 
 use crate::control::StopReason;
 use crate::dfinder::{
-    enumerate_traps_inner, linear_invariants, Abstraction, DFinder, DFinderConfig, DFinderReport,
+    enumerate_traps_inner, Abstraction, DFinder, DFinderConfig, DFinderReport, LinearInvariant,
 };
 use crate::kind::{KindConfig, Verdict as ProofVerdict};
 use crate::reach::{check_invariant_with, InvariantReport, ReachConfig};
@@ -62,6 +77,12 @@ pub struct IncrementStats {
     pub traps_dropped: usize,
     /// New traps found by the bounded re-enumeration.
     pub traps_added: usize,
+    /// Seed subspaces handed to the re-enumeration: the seeds that lost a
+    /// trap (so at most `traps_dropped`), or every reachable place when the
+    /// previous enumeration was truncated. A budget, deadline or
+    /// cancellation can stop the sweep before it reaches them all — the
+    /// next [`DFinderReport::stop`] says so.
+    pub seeds_swept: usize,
 }
 
 /// A verifier that maintains trap invariants across interaction additions.
@@ -102,6 +123,12 @@ impl IncrementalVerifier {
         self.df.traps()
     }
 
+    /// Current linear invariants — equal to those of a from-scratch
+    /// [`DFinder`] on [`Self::system`].
+    pub fn linear(&self) -> &[LinearInvariant] {
+        self.df.linear()
+    }
+
     /// Add a connector, preserving invariants where the sufficient condition
     /// allows, and recomputing only the rest.
     ///
@@ -139,8 +166,12 @@ impl IncrementalVerifier {
             .filter(|t| !old.contains(*t))
             .collect();
 
+        // Only an untruncated trap list covers the net seed by seed (see
+        // the module docs); read that off before the list changes.
+        let covered = !self.df.enumeration_truncated();
         let mut kept = Vec::new();
         let mut dropped = 0usize;
+        let mut lost = new_abs.place_set();
         for trap in &self.df.traps {
             let ok = added
                 .iter()
@@ -149,48 +180,44 @@ impl IncrementalVerifier {
                 kept.push(trap.clone());
             } else {
                 dropped += 1;
+                lost.insert(trap.min().expect("a trap holds its seed"));
             }
         }
 
-        // Bounded re-enumeration for replacements, blocking kept traps (and
-        // running on the configured worker count — the effort scales with
-        // the *change*, and what effort remains parallelizes). The clone
-        // carries the config's `Budget` and cancel token along, so a
-        // re-verification honors the *original* resource ceilings — the
-        // deadline is absolute, not a fresh allowance per increment.
+        // Bounded re-enumeration for replacements, over the seeds that lost
+        // a trap, each blocking the traps it kept (and running on the
+        // configured worker count). The clone carries the config's `Budget`
+        // and cancel token along, so a re-verification honors the
+        // *original* resource ceilings — the deadline is absolute, not a
+        // fresh allowance per increment.
         let remaining = self.df.cfg.max_traps.saturating_sub(kept.len());
         let mut added_traps = 0usize;
+        let mut seeds_swept = 0usize;
         self.df.build_stop = StopReason::Completed;
         if remaining > 0 {
+            let mut seeds = new_abs.seeds();
+            if covered {
+                seeds.retain(|&s| lost.contains(s));
+            }
             let cfg = self.df.cfg.clone().max_traps(remaining);
-            let (fresh, stop) = enumerate_traps_inner(&new_abs, &kept, &cfg);
+            let (fresh, stop) = enumerate_traps_inner(&new_abs, &kept, &seeds, &cfg);
+            seeds_swept = seeds.len();
             added_traps = fresh.len();
             kept.extend(fresh);
             self.df.build_stop = stop;
         }
 
         let reused = kept.len() - added_traps;
-        // Linear invariants: the sufficient condition is orthogonality to
-        // the added transition effects; violated ones are dropped and the
-        // (cheap) null-space computation refreshes the set. The abstraction
-        // is 1-safe, so membership is multiplicity.
-        let still_valid = self.df.linear.iter().all(|inv| {
-            added.iter().all(|(pre, post)| {
-                let delta: i64 = inv
-                    .coeffs
-                    .iter()
-                    .map(|&(p, a)| a * (post.contains(p) as i64 - pre.contains(p) as i64))
-                    .sum();
-                delta == 0
-            })
-        });
-        if !still_valid {
-            self.df.linear = linear_invariants(
-                &new_abs,
-                DFinder::DEFAULT_MAX_COEFF,
-                DFinder::DEFAULT_MAX_SUPPORT,
-            );
+        // Linear invariants: the reduced effect matrix absorbs the added
+        // rows and the invariants are read off it again.
+        for (pre, post) in added {
+            self.df.rref.insert_effect(pre, post);
         }
+        self.df.linear = self.df.rref.invariants(
+            &new_abs,
+            DFinder::DEFAULT_MAX_COEFF,
+            DFinder::DEFAULT_MAX_SUPPORT,
+        );
         self.sys = new_sys;
         self.df.abs = new_abs;
         self.df.traps = kept;
@@ -198,6 +225,7 @@ impl IncrementalVerifier {
             traps_reused: reused,
             traps_dropped: dropped,
             traps_added: added_traps,
+            seeds_swept,
         })
     }
 
@@ -367,21 +395,24 @@ mod tests {
     use super::*;
     use bip_core::ConnectorBuilder;
 
+    /// `full` keeping only the connectors `keep` accepts.
+    fn restricted(full: &System, keep: impl Fn(&Connector) -> bool) -> System {
+        let mut sb = SystemBuilder::new();
+        for c in 0..full.num_components() {
+            sb.add_instance(full.instance_name(c).to_string(), full.atom_type(c));
+        }
+        for conn in full.connectors().iter().filter(|c| keep(c)) {
+            sb.add_connector(conn.clone());
+        }
+        sb.build().unwrap()
+    }
+
     /// Philosophers built one interaction at a time.
     fn base_philosophers(n: usize) -> System {
         // Start with all release connectors; eat connectors arrive
         // incrementally in the tests.
         let full = bip_core::builder::dining_philosophers(n, false).unwrap();
-        let mut sb = SystemBuilder::new();
-        for c in 0..full.num_components() {
-            sb.add_instance(full.instance_name(c).to_string(), full.atom_type(c));
-        }
-        for conn in full.connectors() {
-            if conn.name.starts_with("rel") {
-                sb.add_connector(conn.clone());
-            }
-        }
-        sb.build().unwrap()
+        restricted(&full, |c| c.name.starts_with("rel"))
     }
 
     #[test]
@@ -410,17 +441,99 @@ mod tests {
         let mut inc = IncrementalVerifier::new(base_philosophers(n));
         let mut total_reused = 0usize;
         let mut total_added = 0usize;
+        let mut total_swept = 0usize;
+        let seeds = inc.df.abs.seeds().len();
         for conn in full.connectors() {
             if conn.name.starts_with("eat") {
+                let covered = !inc.df.enumeration_truncated();
                 let st = inc.add_interaction(conn.clone()).unwrap();
+                if covered {
+                    assert!(st.seeds_swept <= st.traps_dropped, "{st:?}");
+                } else if st.traps_dropped > 0 {
+                    // A list at the cap is swept in full again as soon as a
+                    // dropped trap makes room.
+                    assert_eq!(st.seeds_swept, seeds, "{st:?}");
+                }
                 total_reused += st.traps_reused;
                 total_added += st.traps_added;
+                total_swept += st.seeds_swept;
             }
         }
         assert!(
             total_reused > 0,
             "the sufficient condition should preserve some invariants (reused={total_reused}, added={total_added})"
         );
+        assert!(
+            total_swept < n * seeds,
+            "some addition should re-enumerate fewer seeds than a full sweep ({total_swept} of {n}×{seeds})"
+        );
+    }
+
+    /// Grow `full` from the connectors `in_base` keeps to the whole system,
+    /// one connector at a time, on two verifiers: one as shipped, one whose
+    /// previous enumeration is declared truncated before every addition, so
+    /// that it sweeps every seed. Skipped seeds would have answered UNSAT
+    /// at once: trap lists (order included) and counts must be equal at
+    /// every step.
+    fn assert_filtered_sweep_equals_full_sweep(
+        full: &System,
+        in_base: impl Fn(&Connector) -> bool,
+    ) {
+        let base = restricted(full, &in_base);
+        let cfg = DFinderConfig::new().max_traps(512);
+        let mut filtered = IncrementalVerifier::with_config(base.clone(), cfg.clone());
+        let mut full_sweep = IncrementalVerifier::with_config(base, cfg);
+        let seeds = filtered.df.abs.seeds().len();
+        let mut skipped = 0usize;
+        for conn in full.connectors().iter().filter(|c| !in_base(c)) {
+            assert!(
+                !filtered.df.enumeration_truncated(),
+                "the chain must stay under the cap to exercise the filter"
+            );
+            full_sweep.df.build_stop = StopReason::SolverBudget;
+            let f = filtered.add_interaction(conn.clone()).unwrap();
+            let a = full_sweep.add_interaction(conn.clone()).unwrap();
+            assert_eq!(filtered.traps(), full_sweep.traps(), "after {}", conn.name);
+            assert_eq!(a.seeds_swept, seeds, "after {}", conn.name);
+            assert!(
+                f.seeds_swept <= f.traps_dropped,
+                "after {}: {f:?}",
+                conn.name
+            );
+            assert_eq!(
+                IncrementStats {
+                    seeds_swept: a.seeds_swept,
+                    ..f
+                },
+                a,
+                "after {}",
+                conn.name
+            );
+            skipped += seeds - f.seeds_swept;
+        }
+        assert!(skipped > 0, "no addition skipped a seed");
+        assert_eq!(
+            filtered.check_deadlock_freedom(),
+            full_sweep.check_deadlock_freedom()
+        );
+    }
+
+    #[test]
+    fn filtered_sweep_equals_full_sweep_along_the_chains() {
+        // Replacements found at one step are kept, blocked, and sometimes
+        // dropped again at a later one: several additions per chain.
+        for two_phase in [false, true] {
+            let phil = bip_core::builder::dining_philosophers(5, two_phase).unwrap();
+            assert_filtered_sweep_equals_full_sweep(&phil, |c| c.name.starts_with("rel"));
+            assert_filtered_sweep_equals_full_sweep(&phil, |_| false);
+        }
+        // The station with its last two customers' six connectors held back.
+        let held_back = [
+            "prepay4", "start4", "finish4", "prepay5", "start5", "finish5",
+        ];
+        assert_filtered_sweep_equals_full_sweep(&bench::gas_station(6), |c| {
+            !held_back.contains(&c.name.as_str())
+        });
     }
 
     #[test]
@@ -473,15 +586,51 @@ mod tests {
         );
         token.cancel();
         // Additions still succeed structurally — only the re-enumeration is
-        // cut short, and the final report surfaces that.
-        for conn in full.connectors() {
-            if conn.name.starts_with("eat") {
-                inc.add_interaction(conn.clone()).unwrap();
+        // cut short, and the final report surfaces that. The first addition
+        // follows the complete from-scratch enumeration and schedules only
+        // the seeds that lost a trap; every later one follows a cancelled
+        // sweep, whose list covers nothing, and schedules them all.
+        let seeds = inc.df.abs.seeds().len();
+        for (i, conn) in full
+            .connectors()
+            .iter()
+            .filter(|c| c.name.starts_with("eat"))
+            .enumerate()
+        {
+            let st = inc.add_interaction(conn.clone()).unwrap();
+            assert_eq!(st.traps_added, 0);
+            if i == 0 {
+                assert!(0 < st.seeds_swept && st.seeds_swept <= st.traps_dropped);
+            } else {
+                assert_eq!(st.seeds_swept, seeds);
             }
         }
         let report = inc.check_deadlock_freedom();
         assert_eq!(report.stop, StopReason::Cancelled);
         assert!(report.verdict.is_unknown());
+    }
+
+    #[test]
+    fn capped_enumeration_makes_the_next_addition_sweep_every_seed() {
+        use crate::control::Budget;
+        // Philosophers with the last connector held back, enumerated under
+        // a ceiling that cuts the from-scratch sweep short.
+        let full = bip_core::builder::dining_philosophers(4, false).unwrap();
+        let last = full.connectors().last().unwrap();
+        let base = restricted(&full, |c| c.name != last.name);
+        let conflict_capped = DFinderConfig::new().budget(Budget::unlimited().conflicts(1));
+        let trap_capped = DFinderConfig::new().max_traps(4);
+        for (cfg, stop) in [
+            (conflict_capped, StopReason::SolverBudget),
+            (trap_capped, StopReason::Completed),
+        ] {
+            let mut inc = IncrementalVerifier::with_config(base.clone(), cfg);
+            assert_eq!(inc.df.build_stop, stop);
+            assert!(inc.df.enumeration_truncated());
+            let st = inc.add_interaction(last.clone()).unwrap();
+            assert!(st.traps_dropped > 0, "room under the trap cap: {st:?}");
+            assert_eq!(st.seeds_swept, inc.df.abs.seeds().len());
+        }
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Shared generators for the workspace integration tests.
 #![allow(dead_code)] // each test binary uses a subset
 
+use std::collections::HashSet;
+
 use bip_core::{AtomBuilder, ConnectorBuilder, Expr, SystemBuilder};
+use bip_verify::dfinder::{Abstraction, LinearInvariant, Place};
 
 /// How a generated variable behaves across transitions.
 #[derive(Debug, Clone, Copy)]
@@ -182,4 +185,164 @@ pub fn random_system(seed: u64) -> bip_core::System {
         }
     }
     sys
+}
+
+/// Exact rational for the dense oracle's elimination.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Rat {
+    n: i128,
+    d: i128, // > 0
+}
+
+impl Rat {
+    const ZERO: Rat = Rat { n: 0, d: 1 };
+
+    fn new(n: i128, d: i128) -> Rat {
+        debug_assert!(d != 0);
+        let g = gcd(n.unsigned_abs(), d.unsigned_abs()) as i128;
+        let s = if d < 0 { -1 } else { 1 };
+        Rat {
+            n: s * n / g,
+            d: s * d / g,
+        }
+    }
+
+    fn from_int(n: i128) -> Rat {
+        Rat { n, d: 1 }
+    }
+
+    fn is_zero(self) -> bool {
+        self.n == 0
+    }
+
+    fn sub(self, o: Rat) -> Rat {
+        Rat::new(self.n * o.d - o.n * self.d, self.d * o.d)
+    }
+
+    fn mul(self, o: Rat) -> Rat {
+        Rat::new(self.n * o.n, self.d * o.d)
+    }
+
+    fn div(self, o: Rat) -> Rat {
+        Rat::new(self.n * o.d, self.d * o.n)
+    }
+}
+
+fn gcd(a: u128, b: u128) -> u128 {
+    if b == 0 {
+        a.max(1)
+    } else {
+        gcd(b, a % b)
+    }
+}
+
+fn lcm(a: i128, b: i128) -> i128 {
+    (a / gcd(a.unsigned_abs(), b.unsigned_abs()) as i128) * b
+}
+
+/// The dense Gaussian elimination `bip_verify::dfinder::linear_invariants`
+/// ran before it became a sparse incremental RREF, kept verbatim as the
+/// oracle the kernel is compared against: every effect row as a full
+/// `num_places`-wide vector of rationals, leftmost-pivot elimination, the
+/// null-space vectors read off the free columns. Unchecked arithmetic — fine
+/// on the small-coefficient systems the tests feed it.
+pub fn dense_linear_invariants(
+    abs: &Abstraction,
+    max_coeff: i64,
+    max_support: usize,
+) -> Vec<LinearInvariant> {
+    // Deduplicate transitions and build effect rows.
+    let mut rows: Vec<Vec<Rat>> = Vec::new();
+    let mut seen = HashSet::new();
+    for (pre, post) in &abs.transitions {
+        let key = (pre.clone(), post.clone());
+        if !seen.insert(key) {
+            continue;
+        }
+        let mut row = vec![Rat::ZERO; abs.num_places];
+        for &p in pre {
+            row[p] = row[p].sub(Rat::from_int(1));
+        }
+        for &q in post {
+            row[q] = row[q].sub(Rat::from_int(-1));
+        }
+        if row.iter().any(|r| !r.is_zero()) {
+            rows.push(row);
+        }
+    }
+    // Gaussian elimination to row echelon form; record pivot columns.
+    let ncols = abs.num_places;
+    let mut pivot_col_of_row = Vec::new();
+    let mut r = 0usize;
+    for c in 0..ncols {
+        // Find a pivot.
+        let Some(pr) = (r..rows.len()).find(|&i| !rows[i][c].is_zero()) else {
+            continue;
+        };
+        rows.swap(r, pr);
+        let piv = rows[r][c];
+        for x in rows[r].iter_mut() {
+            *x = x.div(piv);
+        }
+        let pivot_row = rows[r].clone();
+        for (i, row) in rows.iter_mut().enumerate() {
+            if i != r && !row[c].is_zero() {
+                let f = row[c];
+                for (x, pv) in row.iter_mut().zip(&pivot_row) {
+                    *x = x.sub(f.mul(*pv));
+                }
+            }
+        }
+        pivot_col_of_row.push(c);
+        r += 1;
+        if r == rows.len() {
+            break;
+        }
+    }
+    let pivot_cols: HashSet<usize> = pivot_col_of_row.iter().copied().collect();
+    let initial: HashSet<Place> = abs.initial.iter().copied().collect();
+    // Each free column yields a null-space basis vector.
+    let mut out = Vec::new();
+    for free in 0..ncols {
+        if pivot_cols.contains(&free) {
+            continue;
+        }
+        // y[free] = 1; y[pivot c of row i] = -rows[i][free].
+        let mut y = vec![Rat::ZERO; ncols];
+        y[free] = Rat::from_int(1);
+        for (i, &pc) in pivot_col_of_row.iter().enumerate() {
+            y[pc] = Rat::ZERO.sub(rows[i][free]);
+        }
+        // Scale to primitive integer vector.
+        let mut denom: i128 = 1;
+        for v in &y {
+            if !v.is_zero() {
+                denom = lcm(denom, v.d);
+            }
+        }
+        let ints: Vec<i128> = y.iter().map(|v| v.n * (denom / v.d)).collect();
+        let g = ints
+            .iter()
+            .filter(|&&v| v != 0)
+            .fold(0u128, |acc, &v| gcd(acc, v.unsigned_abs()))
+            .max(1) as i128;
+        let coeffs: Vec<(Place, i64)> = ints
+            .iter()
+            .enumerate()
+            .filter(|(_, &v)| v != 0)
+            .map(|(p, &v)| (p, (v / g) as i64))
+            .collect();
+        if coeffs.is_empty()
+            || coeffs.len() > max_support
+            || coeffs.iter().any(|&(_, a)| a.abs() > max_coeff)
+        {
+            continue;
+        }
+        let value: i64 = coeffs
+            .iter()
+            .map(|&(p, a)| if initial.contains(&p) { a } else { 0 })
+            .sum();
+        out.push(LinearInvariant { coeffs, value });
+    }
+    out
 }
