@@ -23,7 +23,8 @@
 //! decisions, propagations, throughput, average glue, and tier sizes; the
 //! schema is documented in `crates/bench/README.md`.
 
-use bip_core::{AtomBuilder, ConnectorBuilder, Expr, GExpr, StatePred, System, SystemBuilder};
+use bench::{planted, planted_invariant};
+use bip_core::{StatePred, System};
 use bip_verify::bmc::{BmcConfig, BmcOutcome, BmcReport};
 use bip_verify::{Budget, StopReason};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -36,43 +37,6 @@ const TOGGLES: usize = 12;
 /// Fail-fast ceiling on cumulative conflicts per run (far above healthy
 /// need; tripping it fails the `Completed` asserts instead of hanging CI).
 const CONFLICT_CEILING: u64 = 2_000_000;
-
-/// Same planted construction as e14: one guarded counter (bug at `depth`)
-/// plus independent two-location toggles on singleton connectors.
-fn planted(depth: i64, toggles: usize) -> System {
-    let counter = AtomBuilder::new("counter")
-        .location("run")
-        .initial("run")
-        .var("n", 0)
-        .internal_transition(
-            "run",
-            Expr::var(0).lt(Expr::int(depth)),
-            vec![("n", Expr::var(0).add(Expr::int(1)))],
-            "run",
-        )
-        .build()
-        .unwrap();
-    let toggle = AtomBuilder::new("toggle")
-        .port("t")
-        .location("a")
-        .location("b")
-        .initial("a")
-        .transition("a", "t", "b")
-        .transition("b", "t", "a")
-        .build()
-        .unwrap();
-    let mut sb = SystemBuilder::new();
-    sb.add_instance("cnt", &counter);
-    for i in 0..toggles {
-        let c = sb.add_instance(format!("tgl{i}"), &toggle);
-        sb.add_connector(ConnectorBuilder::singleton(format!("flip{i}"), c, "t"));
-    }
-    sb.build().unwrap()
-}
-
-fn planted_invariant(depth: i64) -> StatePred {
-    StatePred::Eq(GExpr::var(0, 0), GExpr::int(depth)).not()
-}
 
 fn policy_name(p: RestartPolicy) -> &'static str {
     match p {

@@ -24,7 +24,7 @@
 //! about its neighbour's fork), so the prover must strengthen through
 //! simple-path-constrained depths before the step side closes.
 
-use bench::counter_ring;
+use bench::{adjacent_mutex, counter_ring, ring_token_mutex};
 use bip_core::{dining_philosophers, StatePred, System};
 use bip_verify::bmc::{BmcConfig, BmcOutcome};
 use bip_verify::kind::{certify_step, KindConfig, ProofReport, Verdict};
@@ -43,34 +43,6 @@ const BMC_BOUND: usize = 60;
 /// above what a healthy run needs, so a blowup truncates (`SolverBudget`)
 /// and the `Proved` assertions fail cleanly instead of hanging CI.
 const CONFLICT_CEILING: u64 = 500_000;
-
-/// "At most one node holds the token" (`hold` is location 1).
-fn ring_mutex(n: usize) -> StatePred {
-    let mut pairs = Vec::new();
-    for i in 0..n {
-        for j in i + 1..n {
-            pairs.push(StatePred::Not(Box::new(StatePred::And(vec![
-                StatePred::AtLoc(i, 1),
-                StatePred::AtLoc(j, 1),
-            ]))));
-        }
-    }
-    StatePred::And(pairs)
-}
-
-/// "Adjacent philosophers never eat together" (`eating` is location 1).
-fn adjacent_mutex(n: usize) -> StatePred {
-    StatePred::And(
-        (0..n)
-            .map(|i| {
-                StatePred::Not(Box::new(StatePred::And(vec![
-                    StatePred::AtLoc(i, 1),
-                    StatePred::AtLoc((i + 1) % n, 1),
-                ])))
-            })
-            .collect(),
-    )
-}
 
 /// A k-induction run capped at [`CONFLICT_CEILING`], asserted `Proved` and
 /// certified by a fresh solver.
@@ -108,7 +80,7 @@ fn prove_and_certify(
 
 fn bench_ring() {
     let sys = counter_ring(RING_N, RING_LIMIT);
-    let inv = ring_mutex(RING_N);
+    let inv = ring_token_mutex(RING_N);
 
     // Explicit search drowns: budget exhausted, nothing proved.
     let t = std::time::Instant::now();
@@ -158,6 +130,27 @@ fn bench_ring() {
     );
 }
 
+/// The same ring with counters guard-bounded at 10⁶: a guard domain no
+/// enumeration budget covers (one Tseitin case per value was declined with
+/// `SupportTooLarge`), encoded as a 20-gate comparator and one add-constant
+/// circuit per node. Still `Proved`, still certified.
+fn bench_wide_ring() {
+    const WIDE_LIMIT: i64 = 1_000_000;
+    let sys = counter_ring(RING_N, WIDE_LIMIT);
+    let inv = ring_token_mutex(RING_N);
+    let (report, k) = prove_and_certify(&sys, &inv, 16, &format!("ring-{RING_N}x{WIDE_LIMIT}"));
+    println!(
+        "BENCH {{\"bench\":\"e17\",\"system\":\"ring-{RING_N}x{WIDE_LIMIT}\",\"k\":{k},\"conflicts\":{},\"base_conflicts\":{},\"step_conflicts\":{},\"core_frames\":{},\"step_clauses\":{},\"wall_ms\":{},\"stop\":\"{:?}\"}}",
+        report.stats.base_conflicts + report.stats.step_conflicts,
+        report.stats.base_conflicts,
+        report.stats.step_conflicts,
+        report.stats.core_frames,
+        report.stats.step_clauses,
+        report.elapsed.millis(),
+        report.stop,
+    );
+}
+
 fn bench_philosophers() {
     for n in [3usize, 4] {
         let sys = dining_philosophers(n, false).unwrap();
@@ -187,6 +180,7 @@ fn table() {
          stay bounded; k-induction answers \"safe, period\")\n"
     );
     bench_ring();
+    bench_wide_ring();
     bench_philosophers();
     println!();
 }
@@ -196,7 +190,7 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e17");
     g.sample_size(10);
     let sys = counter_ring(RING_N, RING_LIMIT);
-    let inv = ring_mutex(RING_N);
+    let inv = ring_token_mutex(RING_N);
     g.bench_with_input(BenchmarkId::new("kind_ring", RING_N), &sys, |b, sys| {
         b.iter(|| {
             KindConfig::new(sys)

@@ -175,6 +175,77 @@ pub fn counter_ring(n: usize, k: i64) -> System {
     token_ring(n, Expr::var(0).lt(Expr::int(k)))
 }
 
+/// The planted-bug family (E14/E16): one counter stepping `n := n + 1`
+/// while `n < limit` (internal transitions, so the bug at `n == d` sits
+/// exactly `d` steps deep) beside `toggles` independent two-location
+/// components on singleton connectors, which pad every frame's breadth.
+/// The counter is component 0, so [`planted_invariant`] addresses it.
+pub fn planted(limit: i64, toggles: usize) -> System {
+    use bip_core::{AtomBuilder, ConnectorBuilder, Expr, SystemBuilder};
+    let counter = AtomBuilder::new("counter")
+        .location("run")
+        .initial("run")
+        .var("n", 0)
+        .internal_transition(
+            "run",
+            Expr::var(0).lt(Expr::int(limit)),
+            vec![("n", Expr::var(0).add(Expr::int(1)))],
+            "run",
+        )
+        .build()
+        .unwrap();
+    let toggle = AtomBuilder::new("toggle")
+        .port("t")
+        .location("a")
+        .location("b")
+        .initial("a")
+        .transition("a", "t", "b")
+        .transition("b", "t", "a")
+        .build()
+        .unwrap();
+    let mut sb = SystemBuilder::new();
+    sb.add_instance("cnt", &counter);
+    for i in 0..toggles {
+        let c = sb.add_instance(format!("tgl{i}"), &toggle);
+        sb.add_connector(ConnectorBuilder::singleton(format!("flip{i}"), c, "t"));
+    }
+    sb.build().unwrap()
+}
+
+/// The planted invariant: the counter of [`planted`] never reaches `depth`.
+pub fn planted_invariant(depth: i64) -> bip_core::StatePred {
+    use bip_core::{GExpr, StatePred};
+    StatePred::Eq(GExpr::var(0, 0), GExpr::int(depth)).not()
+}
+
+/// "At most one node of a token ring holds the token" (`hold` is location
+/// 1 of every [`counter_ring`] / [`unbounded_ring`] node).
+pub fn ring_token_mutex(n: usize) -> bip_core::StatePred {
+    use bip_core::StatePred;
+    let mut pairs = Vec::new();
+    for i in 0..n {
+        for j in i + 1..n {
+            pairs.push(StatePred::at_loc(i, 1).and(StatePred::at_loc(j, 1)).not());
+        }
+    }
+    StatePred::And(pairs)
+}
+
+/// "Adjacent philosophers never eat together" (`eating` is location 1 of
+/// every philosopher of [`bip_core::dining_philosophers`]).
+pub fn adjacent_mutex(n: usize) -> bip_core::StatePred {
+    use bip_core::StatePred;
+    StatePred::And(
+        (0..n)
+            .map(|i| {
+                StatePred::at_loc(i, 1)
+                    .and(StatePred::at_loc((i + 1) % n, 1))
+                    .not()
+            })
+            .collect(),
+    )
+}
+
 /// The crash-recovery philosophers family (E18): the deadlock-free
 /// conservative dining philosophers run through [`bip_core::fault::inject`]
 /// with every philosopher crashable.

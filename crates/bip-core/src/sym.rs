@@ -13,20 +13,83 @@
 //!   `ceil(log2(hi - lo + 1))` bits (constants cost **zero** bits). A
 //!   variable the analysis cannot bound makes [`StepEncoder::new`] *decline*
 //!   with [`SymError::UnboundedVar`] — the encoder never silently truncates.
-//! * **Expressions** — guards, connector guards, transfers and updates are
-//!   encoded by *exact enumeration*: the (interval-bounded) support of an
-//!   expression is enumerated, each assignment gets a Tseitin indicator
-//!   literal, and the concrete [`Expr::eval`] computes the case's value, so
-//!   symbolic and concrete semantics agree by construction (including
-//!   wrapping arithmetic, `x/0 = 0`, and `x%0 = x`). Supports whose domain
-//!   product exceeds the configured budget are declined with
-//!   [`SymError::SupportTooLarge`].
+//! * **Expressions** — guards, connector guards, transfers, updates and
+//!   state-predicate comparisons are compiled *structurally* where they are
+//!   in the linear fragment below and by *exact enumeration* everywhere
+//!   else; both are exact, and which one runs is decided by the shape of the
+//!   expression and the width of its support, never by an option.
 //! * **Interactions** — one selector literal per (connector, feasible mask)
 //!   pair and per internal transition; selectors imply enabledness (offered
 //!   ports + connector guard), imply the absence of priority vetoes
 //!   (mirroring `dominated_compiled`: guarded rules and maximal progress),
 //!   and exactly one selector fires per frame. Components untouched by the
 //!   fired action keep their location and variables (frame condition).
+//!
+//! # The linear fragment
+//!
+//! Every data expression the repository's models, [`crate::fault::inject`]
+//! and the random-system generators write is `var ⋈ const`, `var ± const`
+//! or an identity transfer. On the offset binary code those have O(width)
+//! circuits, so a guard over 10⁶ values costs 20 gates, not 10⁶ cases:
+//!
+//! | shape | encoding | cost |
+//! |---|---|---|
+//! | **term**: `Const`, `Var` / `Param` / `GExpr::Var`, `term + c`, `c + term`, `term − c` | the leaf's *own bits* under a shifted `[lo, hi]` | 0 clauses |
+//! | **atom**: `term ⋈ c`, `c ⋈ term` for `<` `≤` `>` `≥` | `unsigned(bits) ≤ m`, possibly negated | ≤ 1 gate per bit |
+//! | **atom**: `term = c`, `term ≠ c` | one AND over the code's bits | 1 gate |
+//! | `And` / `Or` / `Not` / constants over atoms (guards), `StatePred::{Eq, Le}` of a `GExpr` term against a constant | gates over the atoms' literals, constants folded | 1 gate per operator |
+//! | **assignment** of a term (update, transfer pass-through, unchanged variable) | one add-constant ripple circuit on the offset difference | ≤ 2 gates + 2 clauses per bit |
+//! | a transfer whose right-hand side is a term | the term itself becomes the mid-state value | 0 clauses |
+//!
+//! Why each is exact:
+//!
+//! * **Same-bits shift.** A variable is `lo + code`; `var + c` is then
+//!   `(lo + c) + code` — the same code under a shifted interval. `eval`
+//!   wraps at every node, which agrees with the summed offset modulo 2⁶⁴,
+//!   so the shift is exact whenever the summed offset and the shifted
+//!   interval stay inside `i64` (`checked_add`); when they do not, the
+//!   expression is enumerated and wrapping stays exact the slow way.
+//! * **The `≤ m` chain.** `term ≤ c` is `code ≤ m` with `m = c − lo`.
+//!   Scanning from the least significant bit, `le` means "the bits so far
+//!   are ≤ `m`'s": at a 1-bit of `m` a 0-bit of the code decides (`¬x ∨ le`),
+//!   at a 0-bit it is required (`¬x ∧ le`). `<`, `>`, `≥` are `≤` at `c − 1`
+//!   and negations. A `c` outside `[lo, hi]` folds to a constant because
+//!   the frame's domain clauses already keep `code ≤ hi − lo`.
+//! * **Add-constant assignment.** Forcing `target = src` under `conds` means
+//!   `target.code = src.code + e` with `e = src.lo − target.lo` (for `e < 0`,
+//!   `src.code = target.code + |e|`), as *integers*: a ripple adder with one
+//!   constant operand, each sum bit tied to the other side's bit and every
+//!   sum bit beyond the other side's width required to be 0. That pins the
+//!   target uniquely, has no solution exactly when the value is below
+//!   `target.lo`, and a value above `target.hi` is a code the target's own
+//!   domain clauses reject — so an out-of-range value forbids `conds`, the
+//!   rule the case split states directly. With `e = 0` every sum bit folds
+//!   to the source bit and the circuit *is* the plain two-clause bit copy.
+//!
+//! **The one-bit rule.** A support variable of at most one bit (domain ≤ 2)
+//! keeps the case split: two cases *are* its truth table, so there is
+//! nothing to save, and there is something to lose. The crash-recovery
+//! proof (`crashphil24-recovery` in `perf/`) is search-chaotic — 1 358 step
+//! conflicts, 2 100–2 905 under declaration shuffles — and giving its
+//! one-bit fault counter `active` the circuits instead (equivalent
+//! formula, a few gates and subsumed clauses more per update) measured
+//! 4 345 conflicts on that query and took `kind_proof` from 1.64 s to
+//! 4.54 s and from 7.1 to 18.5 MB peak heap. With the rule that formula is
+//! bit-identical to the case-split one.
+//!
+//! **Everything else is enumerated**: `Mul`, `Div`, `Rem`, `Min`, `Max`,
+//! `Neg`, `Ite`, `var ⋈ var`, `c − var`, a bare variable used as a truth
+//! value, and updates or transfers that are not terms. The (interval-
+//! bounded) support of such a sub-expression is enumerated, each assignment
+//! gets a Tseitin indicator literal, and the concrete [`Expr::eval`]
+//! computes the case's value, so symbolic and concrete semantics agree by
+//! construction (including wrapping arithmetic, `x/0 = 0`, and `x%0 = x`).
+//! A support whose domain product exceeds [`StepEncoder::enum_budget`] is
+//! declined with [`SymError::SupportTooLarge`], whose context names the
+//! operator that forced the enumeration.
+//! [`StepEncoder::enumerated_cases`] counts the cases emitted, so a silent
+//! fallback is visible as a number. Enumeration is also the reference the
+//! unit tests compare the circuits against.
 //!
 //! # Example
 //!
@@ -72,7 +135,7 @@ use satkit::{CnfBuilder, Lit};
 
 use crate::atom::{PortId, TransitionId};
 use crate::connector::ConnId;
-use crate::data::{Expr, Value};
+use crate::data::{BinOp, Expr, UnOp, Value};
 use crate::exec::mask_endpoints;
 use crate::hash::FxHashMap;
 use crate::predicate::{GExpr, StatePred};
@@ -157,6 +220,145 @@ impl Bv {
     fn domain(&self) -> u128 {
         (self.hi as i128 - self.lo as i128 + 1) as u128
     }
+
+    /// The literals that hold exactly when the vector's value is the
+    /// in-range `v`: each bit in the polarity `v`'s code gives it.
+    fn code_lits(&self, v: i64) -> impl Iterator<Item = Lit> + '_ {
+        debug_assert!((self.lo..=self.hi).contains(&v));
+        let code = (v as i128 - self.lo as i128) as u128;
+        self.bits
+            .iter()
+            .enumerate()
+            .map(move |(j, &bit)| if code >> j & 1 == 1 { bit } else { !bit })
+    }
+}
+
+/// A literal or a known truth value: what the structural circuits compute
+/// with, so that a constant operand folds away instead of costing a gate.
+#[derive(Debug, Clone, Copy)]
+enum Sig {
+    Const(bool),
+    Lit(Lit),
+}
+
+impl std::ops::Not for Sig {
+    type Output = Sig;
+
+    fn not(self) -> Sig {
+        match self {
+            Sig::Const(v) => Sig::Const(!v),
+            Sig::Lit(l) => Sig::Lit(!l),
+        }
+    }
+}
+
+fn sig_and(b: &mut CnfBuilder, x: Sig, y: Sig) -> Sig {
+    match (x, y) {
+        (Sig::Const(false), _) | (_, Sig::Const(false)) => Sig::Const(false),
+        (Sig::Const(true), s) | (s, Sig::Const(true)) => s,
+        (Sig::Lit(p), Sig::Lit(q)) => Sig::Lit(b.and([p, q])),
+    }
+}
+
+fn sig_or(b: &mut CnfBuilder, x: Sig, y: Sig) -> Sig {
+    !sig_and(b, !x, !y)
+}
+
+fn sig_xor(b: &mut CnfBuilder, x: Sig, y: Sig) -> Sig {
+    match (x, y) {
+        (Sig::Const(v), s) | (s, Sig::Const(v)) => {
+            if v {
+                !s
+            } else {
+                s
+            }
+        }
+        (Sig::Lit(p), Sig::Lit(q)) => Sig::Lit(b.xor(p, q)),
+    }
+}
+
+/// A term of the linear fragment, `leaf + offset` (no leaf: a constant) —
+/// the only value shape the structural encoder has circuits for.
+#[derive(Debug, Clone, Copy)]
+struct Linear {
+    leaf: Option<Key>,
+    offset: i64,
+}
+
+impl Linear {
+    fn constant(offset: i64) -> Linear {
+        Linear { leaf: None, offset }
+    }
+
+    fn leaf(key: Key) -> Linear {
+        Linear {
+            leaf: Some(key),
+            offset: 0,
+        }
+    }
+
+    /// `self + rhs`, while at most one side has a leaf. The offsets add
+    /// *checked*: `eval` wraps at every node, which agrees with the summed
+    /// offset modulo 2⁶⁴, so the term is exact as long as the sum itself
+    /// (and, in [`StepEncoder::term_bv`], the shifted interval) stays in
+    /// `i64`; anything else is left to enumeration.
+    fn plus(self, rhs: Linear) -> Option<Linear> {
+        let leaf = match (self.leaf, rhs.leaf) {
+            (Some(_), Some(_)) => return None,
+            (l, None) | (None, l) => l,
+        };
+        Some(Linear {
+            leaf,
+            offset: self.offset.checked_add(rhs.offset)?,
+        })
+    }
+
+    /// `self − rhs` for a constant `rhs`.
+    fn minus(self, rhs: Linear) -> Option<Linear> {
+        if rhs.leaf.is_some() {
+            return None;
+        }
+        Some(Linear {
+            leaf: self.leaf,
+            offset: self.offset.checked_sub(rhs.offset)?,
+        })
+    }
+}
+
+/// `e` as a linear term, if it is one.
+fn linear_expr(e: &Expr) -> Option<Linear> {
+    match e {
+        Expr::Const(c) => Some(Linear::constant(*c)),
+        Expr::Var(i) => Some(Linear::leaf(Key::Local(*i))),
+        Expr::Param(k, v) => Some(Linear::leaf(Key::Param(*k, *v))),
+        Expr::Binary(BinOp::Add, x, y) => linear_expr(x)?.plus(linear_expr(y)?),
+        Expr::Binary(BinOp::Sub, x, y) => linear_expr(x)?.minus(linear_expr(y)?),
+        _ => None,
+    }
+}
+
+/// `g` as a linear term, if it is one.
+fn linear_gexpr(sys: &System, g: &GExpr) -> Option<Linear> {
+    match g {
+        GExpr::Const(c) => Some(Linear::constant(*c)),
+        GExpr::Var(comp, v) => Some(Linear::leaf(Key::Global(sys.global_var(*comp, *v)))),
+        GExpr::Add(x, y) => linear_gexpr(sys, x)?.plus(linear_gexpr(sys, y)?),
+        GExpr::Sub(x, y) => linear_gexpr(sys, x)?.minus(linear_gexpr(sys, y)?),
+        GExpr::Mul(..) => None,
+    }
+}
+
+/// Where the support variables of the expression being encoded live.
+#[derive(Clone, Copy)]
+enum Scope<'s> {
+    /// A local expression of component `.0`: `Var(i)` is its pre-state slot,
+    /// unless `.1` holds a transferred (mid-state) value for it.
+    Local(CompId, Option<&'s FxHashMap<u32, Bv>>),
+    /// An expression of connector `.0`: `Param(k, v)` is variable `v` of
+    /// endpoint `k`'s component.
+    Conn(usize),
+    /// A [`GExpr`]: flat store slots.
+    Global,
 }
 
 /// Bits needed to represent `0..domain` values.
@@ -168,7 +370,7 @@ fn width_for(domain: u128) -> usize {
     }
 }
 
-/// A support variable of an expression being enumerated.
+/// A support variable of an expression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Key {
     /// `Expr::Var(i)` — local variable of the component being encoded.
@@ -253,6 +455,8 @@ pub struct StepEncoder<'a> {
     /// Lazily created literal that is constrained true (shared by all
     /// constant-valued gates).
     const_true: Option<Lit>,
+    /// Indicator cases emitted so far (see [`StepEncoder::enumerated_cases`]).
+    enumerated: u64,
 }
 
 impl<'a> StepEncoder<'a> {
@@ -283,15 +487,27 @@ impl<'a> StepEncoder<'a> {
             ranges,
             budget: DEFAULT_ENUM_BUDGET,
             const_true: None,
+            enumerated: 0,
         })
     }
 
     /// Replace the support-enumeration budget (default
-    /// [`DEFAULT_ENUM_BUDGET`]).
+    /// [`DEFAULT_ENUM_BUDGET`]). It bounds only what is enumerated: shapes
+    /// of the linear fragment (see the module docs) cost O(width) whatever
+    /// their domain.
     #[must_use]
     pub fn enum_budget(mut self, budget: u64) -> StepEncoder<'a> {
         self.budget = budget.max(1);
         self
+    }
+
+    /// Indicator cases the case-split encoder has emitted through this
+    /// encoder so far — 0 while every guard, update, transfer and comparison
+    /// met was in the linear fragment. The observable face of the dispatch:
+    /// a silent fallback shows as a count, not as a slow run.
+    #[must_use]
+    pub fn enumerated_cases(&self) -> u64 {
+        self.enumerated
     }
 
     /// The proven `[lo, hi]` interval of flat store slot `flat`.
@@ -345,22 +561,16 @@ impl<'a> StepEncoder<'a> {
         }
     }
 
-    /// Literal meaning `bv == v` (exact; constant false if out of range).
+    fn sig_lit(&mut self, b: &mut CnfBuilder, s: Sig) -> Lit {
+        match s {
+            Sig::Const(v) => self.lit_const(b, v),
+            Sig::Lit(l) => l,
+        }
+    }
+
     fn eq_lit(&mut self, b: &mut CnfBuilder, bv: &Bv, v: i64) -> Lit {
-        if v < bv.lo || v > bv.hi {
-            return self.lit_const(b, false);
-        }
-        if bv.bits.is_empty() {
-            return self.lit_const(b, true);
-        }
-        let code = (v as i128 - bv.lo as i128) as u128;
-        let ls: Vec<Lit> = bv
-            .bits
-            .iter()
-            .enumerate()
-            .map(|(j, &bit)| if code >> j & 1 == 1 { bit } else { !bit })
-            .collect();
-        self.and_lits(b, ls)
+        let s = eq_sig(b, bv, v);
+        self.sig_lit(b, s)
     }
 
     // ---- frames --------------------------------------------------------
@@ -393,12 +603,16 @@ impl<'a> StepEncoder<'a> {
 
     /// Pin `frame` to the system's initial state (unit clauses).
     pub fn assert_initial(&self, b: &mut CnfBuilder, frame: &SymFrame) {
-        let init = self.sys.initial_state();
+        self.assert_state(b, frame, &self.sys.initial_state());
+    }
+
+    /// Pin `frame` to `st` (unit clauses).
+    fn assert_state(&self, b: &mut CnfBuilder, frame: &SymFrame, st: &State) {
         for (c, bv) in frame.locs.iter().enumerate() {
-            assert_bv_value(b, bv, i64::from(init.locs[c]));
+            assert_bv_value(b, bv, i64::from(st.locs[c]));
         }
         for (i, bv) in frame.vars.iter().enumerate() {
-            assert_bv_value(b, bv, init.vars[i]);
+            assert_bv_value(b, bv, st.vars[i]);
         }
     }
 
@@ -428,6 +642,7 @@ impl<'a> StepEncoder<'a> {
             ranges: self.ranges.clone(),
             budget: self.budget,
             const_true: None,
+            enumerated: 0,
         }
     }
 
@@ -470,8 +685,8 @@ impl<'a> StepEncoder<'a> {
     fn enumerate<F: Fn(&BTreeMap<Key, i64>) -> i64>(
         &mut self,
         b: &mut CnfBuilder,
-        items: &[(Key, Bv)],
-        ctx: &str,
+        items: &[(Key, &Bv)],
+        ctx: &dyn Fn() -> String,
         eval: F,
     ) -> Result<Cases, SymError> {
         let mut combos: u128 = 1;
@@ -480,7 +695,7 @@ impl<'a> StepEncoder<'a> {
         }
         if combos > u128::from(self.budget) {
             return Err(SymError::SupportTooLarge {
-                context: ctx.to_string(),
+                context: ctx(),
                 combinations: combos,
                 budget: self.budget,
             });
@@ -539,6 +754,7 @@ impl<'a> StepEncoder<'a> {
                 i += 1;
             }
         }
+        self.enumerated += cases.len() as u64;
         Ok(Cases::Split(cases))
     }
 
@@ -552,9 +768,7 @@ impl<'a> StepEncoder<'a> {
                 let hi = cs.iter().map(|&(_, v)| v).max().expect("non-empty");
                 let bv = alloc_bv_unconstrained(b, lo, hi);
                 for &(ind, v) in cs {
-                    let code = (v as i128 - lo as i128) as u128;
-                    for (j, &bit) in bv.bits.iter().enumerate() {
-                        let l = if code >> j & 1 == 1 { bit } else { !bit };
+                    for l in bv.code_lits(v) {
                         b.implies(ind, l);
                     }
                 }
@@ -563,10 +777,10 @@ impl<'a> StepEncoder<'a> {
         }
     }
 
-    /// Turn enumerated cases into a truth literal (`value != 0`).
-    fn cases_to_pred(&mut self, b: &mut CnfBuilder, cases: &Cases) -> Lit {
+    /// Turn enumerated cases into a truth value (`value != 0`).
+    fn cases_to_pred(&mut self, b: &mut CnfBuilder, cases: &Cases) -> Sig {
         match cases {
-            Cases::Const(v) => self.lit_const(b, *v != 0),
+            Cases::Const(v) => Sig::Const(*v != 0),
             Cases::Split(cs) => {
                 let trues: Vec<Lit> = cs
                     .iter()
@@ -574,170 +788,147 @@ impl<'a> StepEncoder<'a> {
                     .map(|&(l, _)| l)
                     .collect();
                 if trues.len() == cs.len() {
-                    self.lit_const(b, true)
+                    Sig::Const(true)
                 } else {
-                    self.or_lits(b, trues)
+                    Sig::Lit(self.or_lits(b, trues))
                 }
             }
         }
     }
 
-    /// Under `conds` (all true), force `target == v`. Values outside the
-    /// target's proven domain forbid `conds` instead — sound because the
-    /// interval analysis guarantees in-domain results exactly when the
-    /// guard/selector conditions implied by `conds` hold.
-    fn assign_value(&mut self, b: &mut CnfBuilder, conds: &[Lit], v: i64, target: &Bv) {
-        if v < target.lo || v > target.hi {
-            b.clause(conds.iter().map(|&c| !c));
-            return;
-        }
-        let code = (v as i128 - target.lo as i128) as u128;
-        for (j, &bit) in target.bits.iter().enumerate() {
-            let l = if code >> j & 1 == 1 { bit } else { !bit };
-            let mut cl: Vec<Lit> = conds.iter().map(|&c| !c).collect();
-            cl.push(l);
-            b.clause(cl);
-        }
-    }
+    // ---- environments and the structural compiler -----------------------
 
-    /// Under `conds`, force `target` to take the enumerated value.
-    fn assign_cases(&mut self, b: &mut CnfBuilder, conds: &[Lit], cases: &Cases, target: &Bv) {
-        match cases {
-            Cases::Const(v) => self.assign_value(b, conds, *v, target),
-            Cases::Split(cs) => {
-                for &(ind, v) in cs {
-                    let mut c2 = conds.to_vec();
-                    c2.push(ind);
-                    self.assign_value(b, &c2, v, target);
-                }
+    /// The bit-vector `key` denotes in `scope` over `frame`.
+    fn key_bv<'f>(&self, frame: &'f SymFrame, scope: Scope<'f>, key: Key) -> &'f Bv {
+        let sys = self.sys;
+        match (scope, key) {
+            (Scope::Local(comp, overrides), Key::Local(i)) => overrides
+                .and_then(|o| o.get(&i))
+                .unwrap_or(&frame.vars[sys.global_var(comp, i)]),
+            (Scope::Conn(ci), Key::Param(k, v)) => {
+                let (comp, _, _) = sys.resolved[ci][k as usize];
+                &frame.vars[sys.global_var(comp, v)]
             }
+            (Scope::Global, Key::Global(flat)) => &frame.vars[flat],
+            _ => unreachable!("{key:?} is not a support variable of this scope"),
         }
     }
 
-    /// Under `conds`, force `target == src` for two bit-vectors.
-    fn assign_bv(
-        &mut self,
+    /// The bit-vector of a linear term: the leaf's *own bits* under a
+    /// shifted interval — zero clauses. `None` sends the caller to the case
+    /// split: when the shifted interval leaves `i64` (wrapping must stay
+    /// exact), and when the leaf is at most one bit wide — the case split of
+    /// a one-bit variable *is* its truth table, and the formulas the search
+    /// was tuned on keep their shape (module docs, "the one-bit rule").
+    fn term_bv(&self, frame: &SymFrame, scope: Scope<'_>, t: Linear) -> Option<Bv> {
+        let Some(key) = t.leaf else {
+            return Some(Bv::constant(t.offset));
+        };
+        let bv = self.key_bv(frame, scope, key);
+        if bv.bits.len() <= 1 {
+            return None;
+        }
+        Some(Bv {
+            lo: bv.lo.checked_add(t.offset)?,
+            hi: bv.hi.checked_add(t.offset)?,
+            bits: bv.bits.clone(),
+        })
+    }
+
+    /// `x ⋈ y` with a term on one side and a constant on the other, as a
+    /// comparator on the term's code. `None` outside the fragment.
+    fn atom(
+        &self,
         b: &mut CnfBuilder,
-        conds: &[Lit],
-        src: &Bv,
-        target: &Bv,
-        ctx: &str,
-    ) -> Result<(), SymError> {
-        if src.bits.is_empty() {
-            self.assign_value(b, conds, src.lo, target);
-            return Ok(());
-        }
-        if src.lo == target.lo && src.bits.len() <= target.bits.len() {
-            // Same offset: copy bit-by-bit, zero the high bits.
-            for (j, &tbit) in target.bits.iter().enumerate() {
-                if let Some(&sbit) = src.bits.get(j) {
-                    let mut cl: Vec<Lit> = conds.iter().map(|&c| !c).collect();
-                    cl.push(!sbit);
-                    cl.push(tbit);
-                    b.clause(cl);
-                    let mut cl: Vec<Lit> = conds.iter().map(|&c| !c).collect();
-                    cl.push(sbit);
-                    cl.push(!tbit);
-                    b.clause(cl);
-                } else {
-                    let mut cl: Vec<Lit> = conds.iter().map(|&c| !c).collect();
-                    cl.push(!tbit);
-                    b.clause(cl);
-                }
-            }
-            return Ok(());
-        }
-        // Different offsets: enumerate the source values.
-        if src.domain() > u128::from(self.budget) {
-            return Err(SymError::SupportTooLarge {
-                context: ctx.to_string(),
-                combinations: src.domain(),
-                budget: self.budget,
-            });
-        }
-        for v in src.lo..=src.hi {
-            let ind = self.eq_lit(b, src, v);
-            let mut c2 = conds.to_vec();
-            c2.push(ind);
-            self.assign_value(b, &c2, v, target);
-        }
-        Ok(())
+        frame: &SymFrame,
+        scope: Scope<'_>,
+        op: BinOp,
+        x: Linear,
+        y: Linear,
+    ) -> Option<Sig> {
+        let (term, c, op) = match (x.leaf, y.leaf) {
+            (_, None) => (x, y.offset, op),
+            (None, Some(_)) => (y, x.offset, mirrored(op)),
+            (Some(_), Some(_)) => return None,
+        };
+        let bv = self.term_bv(frame, scope, term)?;
+        cmp_const(b, &bv, op, c)
     }
 
-    // ---- environments ---------------------------------------------------
-
-    /// Enumerate a local expression of `comp` over the frame's pre-state,
-    /// with `overrides` replacing transferred variables (mid-state).
-    fn local_cases(
+    /// Truth (`value ≠ 0`) of `e` over `frame`: a comparison of the linear
+    /// fragment is a comparator circuit, `And` / `Or` / `Not` / constants
+    /// compose, and any other sub-expression is enumerated as a leaf.
+    fn truth(
         &mut self,
         b: &mut CnfBuilder,
         frame: &SymFrame,
-        comp: CompId,
+        scope: Scope<'_>,
+        e: &Expr,
+        ctx: &dyn Fn() -> String,
+    ) -> Result<Sig, SymError> {
+        match e {
+            Expr::Const(c) => return Ok(Sig::Const(*c != 0)),
+            Expr::Unary(UnOp::Not, x) => return Ok(!self.truth(b, frame, scope, x, ctx)?),
+            Expr::Binary(op @ (BinOp::And | BinOp::Or), x, y) => {
+                let p = self.truth(b, frame, scope, x, ctx)?;
+                let q = self.truth(b, frame, scope, y, ctx)?;
+                return Ok(if *op == BinOp::And {
+                    sig_and(b, p, q)
+                } else {
+                    sig_or(b, p, q)
+                });
+            }
+            Expr::Binary(op, x, y) => {
+                if let (Some(x), Some(y)) = (linear_expr(x), linear_expr(y)) {
+                    if let Some(s) = self.atom(b, frame, scope, *op, x, y) {
+                        return Ok(s);
+                    }
+                }
+            }
+            _ => {}
+        }
+        let cases = self.expr_cases(b, frame, scope, e, ctx)?;
+        Ok(self.cases_to_pred(b, &cases))
+    }
+
+    /// `e` as a term's bit-vector, if it is one (see [`Self::term_bv`]).
+    fn term(&self, frame: &SymFrame, scope: Scope<'_>, e: &Expr) -> Option<Bv> {
+        self.term_bv(frame, scope, linear_expr(e)?)
+    }
+
+    /// Enumerate `expr` over the product of its support's domains in
+    /// `scope` — the encoder of everything outside the linear fragment.
+    fn expr_cases(
+        &mut self,
+        b: &mut CnfBuilder,
+        frame: &SymFrame,
+        scope: Scope<'_>,
         expr: &Expr,
-        overrides: Option<&FxHashMap<u32, Bv>>,
-        ctx: &str,
+        ctx: &dyn Fn() -> String,
     ) -> Result<Cases, SymError> {
-        let sys = self.sys;
         let mut keys = BTreeSet::new();
         collect_expr_keys(expr, &mut keys);
-        let items: Vec<(Key, Bv)> = keys
+        let items: Vec<(Key, &Bv)> = keys
             .iter()
-            .map(|&k| {
-                let bv = match k {
-                    Key::Local(i) => overrides
-                        .and_then(|o| o.get(&i))
-                        .cloned()
-                        .unwrap_or_else(|| frame.vars[sys.global_var(comp, i)].clone()),
-                    Key::Param(..) | Key::Global(_) => {
-                        unreachable!("local expression has only local support")
-                    }
-                };
-                (k, bv)
-            })
+            .map(|&k| (k, self.key_bv(frame, scope, k)))
             .collect();
         let nlocals = expr.max_var().map_or(0, |m| m as usize + 1);
-        self.enumerate(b, &items, ctx, |m| {
-            let mut locals = vec![0i64; nlocals];
-            for (&k, &v) in m {
-                if let Key::Local(i) = k {
-                    locals[i as usize] = v;
+        self.enumerate(
+            b,
+            &items,
+            &|| format!("{}: {}", ctx(), outside_fragment(expr)),
+            |m| {
+                let mut locals = vec![0i64; nlocals];
+                for (&k, &v) in m {
+                    if let Key::Local(i) = k {
+                        locals[i as usize] = v;
+                    }
                 }
-            }
-            expr.eval(&locals, &|_, _| 0)
-        })
-    }
-
-    /// Enumerate a connector expression (`Param(k, v)` support) over the
-    /// frame's pre-state.
-    fn param_cases(
-        &mut self,
-        b: &mut CnfBuilder,
-        frame: &SymFrame,
-        ci: usize,
-        expr: &Expr,
-        ctx: &str,
-    ) -> Result<Cases, SymError> {
-        let sys = self.sys;
-        let mut keys = BTreeSet::new();
-        collect_expr_keys(expr, &mut keys);
-        let items: Vec<(Key, Bv)> = keys
-            .iter()
-            .map(|&k| {
-                let bv = match k {
-                    Key::Param(kk, v) => {
-                        let (comp, _, _) = sys.resolved[ci][kk as usize];
-                        frame.vars[sys.global_var(comp, v)].clone()
-                    }
-                    Key::Local(_) | Key::Global(_) => {
-                        unreachable!("connector expression has only Param support")
-                    }
-                };
-                (k, bv)
-            })
-            .collect();
-        self.enumerate(b, &items, ctx, |m| {
-            expr.eval(&[], &|k, v| m.get(&Key::Param(k, v)).copied().unwrap_or(0))
-        })
+                expr.eval(&locals, &|k, v| {
+                    m.get(&Key::Param(k, v)).copied().unwrap_or(0)
+                })
+            },
+        )
     }
 
     // ---- cached per-frame semantic literals ----------------------------
@@ -753,8 +944,7 @@ impl<'a> StepEncoder<'a> {
         if let Some(&l) = frame.at_loc.get(&(comp, loc)) {
             return l;
         }
-        let bv = frame.locs[comp].clone();
-        let l = self.eq_lit(b, &bv, i64::from(loc));
+        let l = self.eq_lit(b, &frame.locs[comp], i64::from(loc));
         frame.at_loc.insert((comp, loc), l);
         l
     }
@@ -773,13 +963,15 @@ impl<'a> StepEncoder<'a> {
         }
         let sys = self.sys;
         let guard = &sys.atom_type(comp).transition(tid).guard;
-        let ctx = format!(
-            "guard of transition {} of component {:?}",
-            tid.0,
-            sys.instance_name(comp)
-        );
-        let cases = self.local_cases(b, frame, comp, guard, None, &ctx)?;
-        let l = self.cases_to_pred(b, &cases);
+        let ctx = || {
+            format!(
+                "guard of transition {} of component {:?}",
+                tid.0,
+                sys.instance_name(comp)
+            )
+        };
+        let s = self.truth(b, frame, Scope::Local(comp, None), guard, &ctx)?;
+        let l = self.sig_lit(b, s);
         frame.guards.insert((comp, tid.0), l);
         Ok(l)
     }
@@ -823,13 +1015,10 @@ impl<'a> StepEncoder<'a> {
             return Ok(l);
         }
         let sys = self.sys;
-        let guard = sys.connector(ConnId(ci as u32)).guard.clone();
-        let ctx = format!(
-            "guard of connector {:?}",
-            sys.connector(ConnId(ci as u32)).name
-        );
-        let cases = self.param_cases(b, frame, ci, &guard, &ctx)?;
-        let l = self.cases_to_pred(b, &cases);
+        let conn = sys.connector(ConnId(ci as u32));
+        let ctx = || format!("guard of connector {:?}", conn.name);
+        let s = self.truth(b, frame, Scope::Conn(ci), &conn.guard, &ctx)?;
+        let l = self.sig_lit(b, s);
         frame.conn_guards.insert(ci, l);
         Ok(l)
     }
@@ -892,36 +1081,43 @@ impl<'a> StepEncoder<'a> {
         }
     }
 
+    /// `x ≤ y` / `x = y`: a comparator when one side is a term of the linear
+    /// fragment and the other a constant, the case split otherwise.
     fn encode_cmp(
         &mut self,
         b: &mut CnfBuilder,
-        frame: &mut SymFrame,
+        frame: &SymFrame,
         x: &GExpr,
         y: &GExpr,
         le: bool,
     ) -> Result<Lit, SymError> {
         let sys = self.sys;
+        if let (Some(p), Some(q)) = (linear_gexpr(sys, x), linear_gexpr(sys, y)) {
+            let op = if le { BinOp::Le } else { BinOp::Eq };
+            if let Some(s) = self.atom(b, frame, Scope::Global, op, p, q) {
+                return Ok(self.sig_lit(b, s));
+            }
+        }
         let mut keys = BTreeSet::new();
         collect_gexpr_keys(sys, x, &mut keys);
         collect_gexpr_keys(sys, y, &mut keys);
-        let items: Vec<(Key, Bv)> = keys
+        let items: Vec<(Key, &Bv)> = keys
             .iter()
-            .map(|&k| match k {
-                Key::Global(flat) => (k, frame.vars[flat].clone()),
-                Key::Local(_) | Key::Param(..) => unreachable!("GExpr support is global"),
-            })
+            .map(|&k| (k, self.key_bv(frame, Scope::Global, k)))
             .collect();
-        let ctx = if le {
-            "Le state predicate"
-        } else {
-            "Eq state predicate"
+        let ctx = || {
+            format!(
+                "{} state predicate: {NOT_LINEAR_SHAPE}",
+                if le { "Le" } else { "Eq" }
+            )
         };
-        let cases = self.enumerate(b, &items, ctx, |m| {
+        let cases = self.enumerate(b, &items, &ctx, |m| {
             let a = geval(sys, x, m);
             let bb = geval(sys, y, m);
             i64::from(if le { a <= bb } else { a == bb })
         })?;
-        Ok(self.cases_to_pred(b, &cases))
+        let s = self.cases_to_pred(b, &cases);
+        Ok(self.sig_lit(b, s))
     }
 
     // ---- the transition relation ---------------------------------------
@@ -951,9 +1147,9 @@ impl<'a> StepEncoder<'a> {
         //    by the selectors and by the priority vetoes.
         let mut enabled: Vec<Vec<(u32, Lit)>> = Vec::with_capacity(nconn);
         for ci in 0..nconn {
-            let masks: Vec<u32> = sys.compiled.feasible_masks(ConnId(ci as u32)).to_vec();
+            let masks = sys.compiled.feasible_masks(ConnId(ci as u32));
             let mut row = Vec::with_capacity(masks.len());
-            for mask in masks {
+            for &mask in masks {
                 let l = self.int_enabled_lit(b, cur, ci, mask)?;
                 row.push((mask, l));
             }
@@ -971,8 +1167,7 @@ impl<'a> StepEncoder<'a> {
                 b.implies(sel, en);
 
                 // Guarded priority rules: `low < high when guard`.
-                let rules = sys.priority().rules.clone();
-                for rule in &rules {
+                for rule in &sys.priority().rules {
                     if rule.low.0 as usize != ci {
                         continue;
                     }
@@ -1063,8 +1258,7 @@ impl<'a> StepEncoder<'a> {
 
         // 4. Effects.
         let mut movers: Vec<Vec<Lit>> = vec![Vec::new(); sys.num_components()];
-        let actions_snapshot = actions.clone();
-        for action in &actions_snapshot {
+        for action in &actions {
             match action {
                 ActionVar::Interaction {
                     conn: ci,
@@ -1118,7 +1312,7 @@ impl<'a> StepEncoder<'a> {
     fn encode_interaction_effects(
         &mut self,
         b: &mut CnfBuilder,
-        cur: &mut SymFrame,
+        cur: &SymFrame,
         next: &SymFrame,
         ci: usize,
         mask: u32,
@@ -1127,17 +1321,24 @@ impl<'a> StepEncoder<'a> {
     ) -> Result<(), SymError> {
         let sys = self.sys;
         // Transfer: simultaneous over the pre-state, last write wins,
-        // restricted to participating endpoints.
+        // restricted to participating endpoints. A transferred term *is*
+        // its source's bits; anything else gets fresh bits pinned per case.
         let mut mid: FxHashMap<(CompId, u32), Bv> = FxHashMap::default();
-        let conn = sys.connector(ConnId(ci as u32)).clone();
+        let conn = sys.connector(ConnId(ci as u32));
         for (ep, var, expr) in &conn.transfer {
             if !crate::exec::mask_contains(mask, *ep as usize) {
                 continue;
             }
             let (comp, _, _) = sys.resolved[ci][*ep as usize];
-            let ctx = format!("transfer to endpoint {ep} of connector {:?}", conn.name);
-            let cases = self.param_cases(b, cur, ci, expr, &ctx)?;
-            let bv = self.cases_to_bv(b, &cases);
+            let scope = Scope::Conn(ci);
+            let bv = match self.term(cur, scope, expr) {
+                Some(term) => term,
+                None => {
+                    let ctx = || format!("transfer to endpoint {ep} of connector {:?}", conn.name);
+                    let cases = self.expr_cases(b, cur, scope, expr, &ctx)?;
+                    self.cases_to_bv(b, &cases)
+                }
+            };
             mid.insert((comp, *var), bv);
         }
         for (comp, cands) in choices {
@@ -1161,12 +1362,12 @@ impl<'a> StepEncoder<'a> {
 
     /// Effects of one component firing transition `tid` under `conds`:
     /// location change, updates over the (post-transfer) mid-state, and
-    /// pass-through of transferred-but-not-updated variables.
+    /// pass-through of every variable the transition does not update.
     #[allow(clippy::too_many_arguments)]
     fn encode_local_effects(
         &mut self,
         b: &mut CnfBuilder,
-        cur: &mut SymFrame,
+        cur: &SymFrame,
         next: &SymFrame,
         comp: CompId,
         tid: TransitionId,
@@ -1175,42 +1376,35 @@ impl<'a> StepEncoder<'a> {
     ) -> Result<(), SymError> {
         let sys = self.sys;
         let ty = sys.atom_type(comp);
-        let t = ty.transition(tid).clone();
-        self.assign_value(b, conds, i64::from(t.to.0), &next.locs[comp]);
+        let t = ty.transition(tid);
+        assign_value(b, conds, i64::from(t.to.0), &next.locs[comp]);
         // Simultaneous updates over the mid-state; a later update of the
         // same variable overwrites an earlier one (matching `apply_updates`).
         let mut effective: BTreeMap<u32, &Expr> = BTreeMap::new();
         for (v, e) in &t.updates {
             effective.insert(v.0, e);
         }
+        let scope = Scope::Local(comp, overrides);
         let nvars = ty.vars().len() as u32;
         for v in 0..nvars {
             let target = &next.vars[sys.global_var(comp, v)];
-            if let Some(expr) = effective.get(&v) {
-                let ctx = format!(
-                    "update of {:?} in transition {} of component {:?}",
-                    ty.var_name(crate::atom::VarId(v)),
-                    tid.0,
-                    sys.instance_name(comp)
-                );
-                let cases = self.local_cases(b, cur, comp, expr, overrides, &ctx)?;
-                self.assign_cases(b, conds, &cases, target);
-            } else if let Some(bv) = overrides.and_then(|o| o.get(&v)) {
-                let ctx = format!(
-                    "transferred variable {:?} of component {:?}",
-                    ty.var_name(crate::atom::VarId(v)),
-                    sys.instance_name(comp)
-                );
-                let bv = bv.clone();
-                self.assign_bv(b, conds, &bv, target, &ctx)?;
+            let Some(expr) = effective.get(&v) else {
+                assign_bv(b, conds, self.key_bv(cur, scope, Key::Local(v)), target);
+                continue;
+            };
+            if let Some(src) = self.term(cur, scope, expr) {
+                assign_bv(b, conds, &src, target);
             } else {
-                let src = cur.vars[sys.global_var(comp, v)].clone();
-                let ctx = format!(
-                    "unchanged variable {:?} of component {:?}",
-                    ty.var_name(crate::atom::VarId(v)),
-                    sys.instance_name(comp)
-                );
-                self.assign_bv(b, conds, &src, target, &ctx)?;
+                let ctx = || {
+                    format!(
+                        "update of {:?} in transition {} of component {:?}",
+                        ty.var_name(crate::atom::VarId(v)),
+                        tid.0,
+                        sys.instance_name(comp)
+                    )
+                };
+                let cases = self.expr_cases(b, cur, scope, expr, &ctx)?;
+                assign_cases(b, conds, &cases, target);
             }
         }
         Ok(())
@@ -1293,6 +1487,155 @@ fn flat_owner(sys: &System, flat: usize) -> (CompId, crate::atom::VarId) {
     )
 }
 
+/// `bv == v` (exact; constant false if out of range): one AND over the
+/// code's bits.
+fn eq_sig(b: &mut CnfBuilder, bv: &Bv, v: i64) -> Sig {
+    if v < bv.lo || v > bv.hi {
+        return Sig::Const(false);
+    }
+    if bv.bits.is_empty() {
+        return Sig::Const(true);
+    }
+    Sig::Lit(b.and(bv.code_lits(v)))
+}
+
+/// `bv ≤ c` as `unsigned(bits) ≤ m` with `m = c − lo`: scanning from the
+/// least significant bit, `le` says "the bits so far are ≤ `m`'s"; a
+/// 1-bit of `m` lets a 0-bit of the code decide (`¬x ∨ le`), a 0-bit
+/// demands one (`¬x ∧ le`). One gate per bit, constants folded; `c`
+/// outside `[lo, hi]` folds to a constant because the frame's domain
+/// clauses keep the code within `hi − lo`.
+fn le_const(b: &mut CnfBuilder, bv: &Bv, c: i64) -> Sig {
+    if c < bv.lo {
+        return Sig::Const(false);
+    }
+    if c >= bv.hi {
+        return Sig::Const(true);
+    }
+    let m = (c as i128 - bv.lo as i128) as u128;
+    let mut le = Sig::Const(true);
+    for (j, &x) in bv.bits.iter().enumerate() {
+        le = if m >> j & 1 == 1 {
+            sig_or(b, Sig::Lit(!x), le)
+        } else {
+            sig_and(b, Sig::Lit(!x), le)
+        };
+    }
+    le
+}
+
+/// `bv ⋈ c` for the six comparison operators (`None` for any other).
+fn cmp_const(b: &mut CnfBuilder, bv: &Bv, op: BinOp, c: i64) -> Option<Sig> {
+    // `bv < c` is `bv ≤ c − 1`; nothing is below `i64::MIN`.
+    let lt = |b: &mut CnfBuilder| {
+        c.checked_sub(1)
+            .map_or(Sig::Const(false), |c1| le_const(b, bv, c1))
+    };
+    Some(match op {
+        BinOp::Le => le_const(b, bv, c),
+        BinOp::Gt => !le_const(b, bv, c),
+        BinOp::Lt => lt(b),
+        BinOp::Ge => !lt(b),
+        BinOp::Eq => eq_sig(b, bv, c),
+        BinOp::Ne => !eq_sig(b, bv, c),
+        _ => return None,
+    })
+}
+
+/// `op` with its operands exchanged (`c ⋈ term` read as `term ⋈' c`).
+fn mirrored(op: BinOp) -> BinOp {
+    match op {
+        BinOp::Lt => BinOp::Gt,
+        BinOp::Le => BinOp::Ge,
+        BinOp::Gt => BinOp::Lt,
+        BinOp::Ge => BinOp::Le,
+        other => other,
+    }
+}
+
+/// Under `conds` (all true), force `target == v`. Values outside the
+/// target's proven domain forbid `conds` instead — sound because the
+/// interval analysis guarantees in-domain results exactly when the
+/// guard/selector conditions implied by `conds` hold.
+fn assign_value(b: &mut CnfBuilder, conds: &[Lit], v: i64, target: &Bv) {
+    if v < target.lo || v > target.hi {
+        b.clause(conds.iter().map(|&c| !c));
+        return;
+    }
+    for l in target.code_lits(v) {
+        b.clause(conds.iter().map(|&c| !c).chain([l]));
+    }
+}
+
+/// Under `conds`, force `target` to take the enumerated value.
+fn assign_cases(b: &mut CnfBuilder, conds: &[Lit], cases: &Cases, target: &Bv) {
+    match cases {
+        Cases::Const(v) => assign_value(b, conds, *v, target),
+        Cases::Split(cs) => {
+            for &(ind, v) in cs {
+                let mut c2 = conds.to_vec();
+                c2.push(ind);
+                assign_value(b, &c2, v, target);
+            }
+        }
+    }
+}
+
+/// Under `conds`, force `target == src` for two bit-vectors: one
+/// add-constant circuit on the difference of their offsets,
+/// `e = src.lo − target.lo`. The codes must satisfy `target = src + e`
+/// (`e ≥ 0`) or `src = target + |e|` (`e < 0`) *as integers*, which
+/// determines the target uniquely and has no solution exactly when
+/// `src`'s value is below `target.lo`; a value above `target.hi` is a code
+/// the target's own domain clauses reject. Either way an out-of-range value
+/// forbids `conds` — the rule [`assign_value`] states. With `e = 0` every
+/// sum bit folds to the source bit and this is the plain bit copy.
+fn assign_bv(b: &mut CnfBuilder, conds: &[Lit], src: &Bv, target: &Bv) {
+    let e = src.lo as i128 - target.lo as i128;
+    if e >= 0 {
+        assign_sum(b, conds, &src.bits, e as u128, &target.bits);
+    } else {
+        assign_sum(b, conds, &target.bits, e.unsigned_abs(), &src.bits);
+    }
+}
+
+/// Under `conds`: `unsigned(y) = unsigned(x) + k`, exactly (no wrap-around).
+/// A ripple adder with one constant operand: per bit one XOR for the sum and
+/// one AND (`k`'s bit 0) or OR (bit 1) for the carry, constants folded; sum
+/// bit `j` is tied to `y[j]`, and a sum bit beyond `y`'s width must be 0.
+fn assign_sum(b: &mut CnfBuilder, conds: &[Lit], x: &[Lit], k: u128, y: &[Lit]) {
+    let not_conds: Vec<Lit> = conds.iter().map(|&c| !c).collect();
+    let under = |b: &mut CnfBuilder, ls: &[Lit]| {
+        b.clause(not_conds.iter().chain(ls).copied());
+    };
+    // One bit past the wider operand holds the last carry; above it the sum
+    // is all zeros.
+    let k_width = (128 - k.leading_zeros()) as usize;
+    let sum_width = x.len().max(k_width) + 1;
+    let mut carry = Sig::Const(false);
+    for j in 0..sum_width.max(y.len()) {
+        let a = x.get(j).map_or(Sig::Const(false), |&l| Sig::Lit(l));
+        let kj = k >> j & 1 == 1;
+        let s = sig_xor(b, a, carry);
+        let s = if kj { !s } else { s };
+        carry = if kj {
+            sig_or(b, a, carry)
+        } else {
+            sig_and(b, a, carry)
+        };
+        match (y.get(j), s) {
+            (Some(&t), Sig::Lit(s)) => {
+                under(b, &[!s, t]);
+                under(b, &[s, !t]);
+            }
+            (Some(&t), Sig::Const(v)) => under(b, &[if v { t } else { !t }]),
+            (None, Sig::Lit(s)) => under(b, &[!s]),
+            (None, Sig::Const(true)) => under(b, &[]),
+            (None, Sig::Const(false)) => {}
+        }
+    }
+}
+
 /// Allocate a `[lo, hi]` bit-vector with domain constraints
 /// (`unsigned(bits) ≤ hi - lo` via lexicographic comparison clauses).
 fn alloc_bv(b: &mut CnfBuilder, lo: i64, hi: i64) -> Bv {
@@ -1335,9 +1678,8 @@ fn assert_bv_value(b: &mut CnfBuilder, bv: &Bv, v: i64) {
         bv.lo,
         bv.hi
     );
-    let code = (v as i128 - bv.lo as i128) as u128;
-    for (j, &bit) in bv.bits.iter().enumerate() {
-        b.assert_lit(if code >> j & 1 == 1 { bit } else { !bit });
+    for l in bv.code_lits(v) {
+        b.assert_lit(l);
     }
 }
 
@@ -1350,6 +1692,32 @@ fn decode_bv(bv: &Bv, model: &[Option<bool>]) -> i64 {
         }
     }
     (bv.lo as i128 + code) as i64
+}
+
+/// Said in a decline's context when no single operator is to blame.
+const NOT_LINEAR_SHAPE: &str = "not a `var ± const ⋈ const` shape (a product, two variables, \
+                                `const − var`, or a support of at most one bit)";
+
+/// Why `e` was enumerated, for a decline's context: the first operator
+/// (pre-order) that the linear fragment has no circuit for, else the shape.
+fn outside_fragment(e: &Expr) -> String {
+    fn culprit(e: &Expr) -> Option<String> {
+        match e {
+            Expr::Const(_) | Expr::Var(_) | Expr::Param(..) => None,
+            Expr::Unary(UnOp::Not, x) => culprit(x),
+            Expr::Unary(op, _) => Some(format!("{op:?}")),
+            Expr::Binary(
+                op @ (BinOp::Mul | BinOp::Div | BinOp::Rem | BinOp::Min | BinOp::Max),
+                ..,
+            ) => Some(format!("{op:?}")),
+            Expr::Binary(_, x, y) => culprit(x).or_else(|| culprit(y)),
+            Expr::Ite(..) => Some("Ite".to_string()),
+        }
+    }
+    match culprit(e) {
+        Some(op) => format!("`{op}` is outside the linear fragment"),
+        None => NOT_LINEAR_SHAPE.to_string(),
+    }
 }
 
 fn collect_expr_keys(e: &Expr, out: &mut BTreeSet<Key>) {
@@ -1414,20 +1782,19 @@ mod tests {
         sys.successors(st)
     }
 
-    /// Enumerate all `(step, successor)` pairs symbolically by blocking
-    /// models, and compare with the concrete set.
-    fn assert_one_step_agrees(sys: &System, max_models: usize) {
+    /// Enumerate all `(step, successor)` pairs of `start` symbolically by
+    /// blocking models, and compare with the concrete set.
+    fn assert_one_step_agrees(sys: &System, start: &State, max_models: usize) {
         let mut enc = StepEncoder::new(sys).expect("encodable");
         let mut b = CnfBuilder::new();
         let mut f0 = enc.new_frame(&mut b);
         let f1 = enc.new_frame(&mut b);
-        enc.assert_initial(&mut b, &f0);
+        enc.assert_state(&mut b, &f0, start);
         let sv = enc
             .encode_step(&mut b, &mut f0, &f1)
             .expect("encodable step");
 
-        let init = sys.initial_state();
-        let want: Set<(Vec<u8>, Vec<u8>)> = concrete_successors(sys, &init)
+        let want: Set<(Vec<u8>, Vec<u8>)> = concrete_successors(sys, start)
             .into_iter()
             .map(|(step, s)| (fmt_step(&step), fmt_state(&s)))
             .collect();
@@ -1441,9 +1808,9 @@ mod tests {
             let step = enc.decode_step(&sv, &model).expect("a selector is set");
             let succ = enc.decode_state(&f1, &model);
             assert_eq!(
-                enc.decode_state(&f0, &model),
-                init,
-                "frame 0 must decode to the initial state"
+                &enc.decode_state(&f0, &model),
+                start,
+                "frame 0 must decode to the start state"
             );
             got.insert((fmt_step(&step), fmt_state(&succ)));
             // Block this (step, successor) pair: at least one decision bit
@@ -1470,8 +1837,25 @@ mod tests {
         }
         assert_eq!(
             got, want,
-            "symbolic and concrete one-step successors differ"
+            "symbolic and concrete one-step successors of {start:?} differ"
         );
+    }
+
+    /// [`assert_one_step_agrees`] from every reachable state (at most `cap`).
+    fn assert_every_step_agrees(sys: &System, cap: usize) {
+        let mut seen = vec![sys.initial_state()];
+        let mut next = 0;
+        while next < seen.len() {
+            let st = seen[next].clone();
+            next += 1;
+            assert_one_step_agrees(sys, &st, 64);
+            for (_, succ) in sys.successors(&st) {
+                if !seen.contains(&succ) {
+                    assert!(seen.len() < cap, "more than {cap} reachable states");
+                    seen.push(succ);
+                }
+            }
+        }
     }
 
     fn fmt_state(s: &State) -> Vec<u8> {
@@ -1482,17 +1866,13 @@ mod tests {
         format!("{s:?}").into_bytes()
     }
 
-    fn counter_system(limit: i64) -> System {
+    /// One component `c` with one variable `n` and one internal self-loop.
+    fn one_counter(init: i64, guard: Expr, update: Expr) -> System {
         let counter = AtomBuilder::new("counter")
             .location("run")
             .initial("run")
-            .var("n", 0)
-            .internal_transition(
-                "run",
-                Expr::var(0).lt(Expr::int(limit)),
-                vec![("n", Expr::var(0).add(Expr::int(1)))],
-                "run",
-            )
+            .var("n", init)
+            .internal_transition("run", guard, vec![("n", update)], "run")
             .build()
             .unwrap();
         let mut sb = SystemBuilder::new();
@@ -1500,21 +1880,353 @@ mod tests {
         sb.build().unwrap()
     }
 
+    /// `n` steps from `lo` up to `hi`, so the analysis proves `[lo, hi]`.
+    fn up_counter(lo: i64, hi: i64) -> System {
+        one_counter(
+            lo,
+            Expr::var(0).lt(Expr::int(hi)),
+            Expr::var(0).add(Expr::int(1)),
+        )
+    }
+
+    fn counter_system(limit: i64) -> System {
+        up_counter(0, limit)
+    }
+
+    /// The literals pinning `bv` to `v`, as solver assumptions.
+    fn pin(bv: &Bv, v: i64) -> Vec<Lit> {
+        bv.code_lits(v).collect()
+    }
+
+    const CMP_OPS: [BinOp; 6] = [
+        BinOp::Lt,
+        BinOp::Le,
+        BinOp::Gt,
+        BinOp::Ge,
+        BinOp::Eq,
+        BinOp::Ne,
+    ];
+
+    /// The compiled truth of `e` over `frame`'s only variable is forced to
+    /// `Expr::eval`'s answer at every value of its range.
+    fn assert_truth_matches_eval(
+        enc: &mut StepEncoder,
+        b: &mut CnfBuilder,
+        frame: &SymFrame,
+        e: &Expr,
+    ) {
+        let ctx = || "test".to_string();
+        let s = enc.truth(b, frame, Scope::Local(0, None), e, &ctx).unwrap();
+        let l = enc.sig_lit(b, s);
+        let (lo, hi) = enc.var_range(0);
+        for v in lo..=hi {
+            let want = e.eval_local(&[v]) != 0;
+            let mut assume = pin(&frame.vars[0], v);
+            assume.push(l);
+            let holds = b.solver_mut().solve_with(&assume).is_sat();
+            *assume.last_mut().unwrap() = !l;
+            let fails = b.solver_mut().solve_with(&assume).is_sat();
+            assert_eq!(
+                (holds, fails),
+                (want, !want),
+                "{e:?} at n = {v} over [{lo}, {hi}]"
+            );
+        }
+    }
+
+    #[test]
+    fn comparators_match_eval_on_every_value() {
+        for lo in [-5i64, 0, 3] {
+            for span in [1i64, 2, 4, 6, 7, 12] {
+                let hi = lo + span;
+                let sys = up_counter(lo, hi);
+                let mut enc = StepEncoder::new(&sys).unwrap();
+                assert_eq!(enc.var_range(0), (lo, hi));
+                let mut b = CnfBuilder::new();
+                let f = enc.new_frame(&mut b);
+                let consts = (lo - 2..=hi + 2).chain([i64::MIN, i64::MAX]);
+                for c in consts {
+                    for op in CMP_OPS {
+                        let (var, k) = (Box::new(Expr::var(0)), Box::new(Expr::int(c)));
+                        for e in [
+                            Expr::Binary(op, var.clone(), k.clone()),
+                            Expr::Binary(op, k, var),
+                        ] {
+                            assert_truth_matches_eval(&mut enc, &mut b, &f, &e);
+                        }
+                    }
+                }
+                // Two bits and up are circuits; one bit keeps the case split.
+                assert_eq!(enc.enumerated_cases() == 0, span > 1, "[{lo}, {hi}]");
+            }
+        }
+    }
+
+    #[test]
+    fn offsets_that_leave_i64_keep_wrapping_exact() {
+        // `eval` wraps; a shifted interval cannot, so these terms go to the
+        // case split — and offsets that only pass through an extreme and
+        // come back (`n + MAX − MAX`) stay circuits.
+        let sys = up_counter(-3, 4);
+        let n = || Expr::var(0);
+        let wrapping = [
+            n().add(Expr::int(i64::MAX)).lt(Expr::int(0)),
+            n().add(Expr::int(i64::MIN)).gt(Expr::int(0)),
+            n().sub(Expr::int(i64::MAX)).le(Expr::int(-i64::MAX)),
+            n().sub(Expr::int(i64::MIN)).ge(Expr::int(0)),
+            n().add(Expr::int(i64::MAX))
+                .add(Expr::int(i64::MAX))
+                .eq(Expr::int(-1)),
+        ];
+        for e in &wrapping {
+            let mut enc = StepEncoder::new(&sys).unwrap();
+            let mut b = CnfBuilder::new();
+            let f = enc.new_frame(&mut b);
+            assert_truth_matches_eval(&mut enc, &mut b, &f, e);
+            assert!(enc.enumerated_cases() > 0, "{e:?} must not be a circuit");
+        }
+        let back = n()
+            .add(Expr::int(i64::MAX))
+            .sub(Expr::int(i64::MAX))
+            .lt(Expr::int(2));
+        let mut enc = StepEncoder::new(&sys).unwrap();
+        let mut b = CnfBuilder::new();
+        let f = enc.new_frame(&mut b);
+        assert_truth_matches_eval(&mut enc, &mut b, &f, &back);
+        assert_eq!(enc.enumerated_cases(), 0);
+    }
+
+    #[test]
+    fn assignment_is_exact_on_every_value() {
+        // (source, target) intervals: overlapping, nested either way,
+        // missing each other on either side, below zero, and a constant on
+        // either side.
+        let pairs = [
+            ((0, 5), (3, 9)),
+            ((2, 4), (0, 12)),
+            ((0, 12), (3, 6)),
+            ((0, 3), (10, 13)),
+            ((10, 13), (0, 3)),
+            ((-5, 1), (-2, 4)),
+            ((7, 7), (0, 9)),
+            ((0, 9), (3, 3)),
+        ];
+        for ((slo, shi), (tlo, thi)) in pairs {
+            for d in -4i64..=4 {
+                let mut b = CnfBuilder::new();
+                let var = alloc_bv(&mut b, slo, shi);
+                let src = Bv {
+                    lo: slo + d,
+                    hi: shi + d,
+                    bits: var.bits.clone(),
+                };
+                let target = alloc_bv(&mut b, tlo, thi);
+                let cond = Lit::pos(b.fresh());
+                assign_bv(&mut b, &[cond], &src, &target);
+                for v in slo..=shi {
+                    let ctx = format!("[{slo}, {shi}] + {d} -> [{tlo}, {thi}] at {v}");
+                    let mut assume = pin(&var, v);
+                    assume.push(cond);
+                    let sat = b.solver_mut().solve_with(&assume).is_sat();
+                    assert_eq!(sat, (tlo..=thi).contains(&(v + d)), "{ctx}");
+                    if sat {
+                        let model = b.solver_mut().model();
+                        assert_eq!(decode_bv(&target, &model), v + d, "{ctx}");
+                        // Unique: no target bit can take the other value.
+                        for &bit in &target.bits {
+                            let other = if lit_true(&model, bit) { !bit } else { bit };
+                            assume.push(other);
+                            assert!(b.solver_mut().solve_with(&assume).is_unsat(), "{ctx}");
+                            assume.pop();
+                        }
+                    }
+                    // Without `conds` the target is free.
+                    *assume.last_mut().unwrap() = !cond;
+                    for t in tlo..=thi {
+                        let mut free = assume.clone();
+                        free.extend(pin(&target, t));
+                        assert!(b.solver_mut().solve_with(&free).is_sat(), "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// One component with `v0 ∈ [-3, 4]`, `v1 ∈ [0, 5]` and the one-bit
+    /// `v2 ∈ [0, 1]`: the support of the random expressions below.
+    fn three_var_system() -> System {
+        let step = |v: u32, hi: i64| {
+            (
+                Expr::var(v).lt(Expr::int(hi)),
+                Expr::var(v).add(Expr::int(1)),
+            )
+        };
+        let mut atom = AtomBuilder::new("vars")
+            .location("l")
+            .initial("l")
+            .var("v0", -3)
+            .var("v1", 0)
+            .var("v2", 0);
+        for (v, name, hi) in [(0u32, "v0", 4i64), (1, "v1", 5), (2, "v2", 1)] {
+            let (guard, update) = step(v, hi);
+            atom = atom.internal_transition("l", guard, vec![(name, update)], "l");
+        }
+        let mut sb = SystemBuilder::new();
+        sb.add_instance("c", &atom.build().unwrap());
+        sb.build().unwrap()
+    }
+
+    /// A random integer expression: linear terms mixed with operators the
+    /// fragment has no circuit for, and now and then an `i64` extreme so
+    /// that the overflow fallbacks run.
+    fn random_value(rng: &mut rand::rngs::StdRng, depth: u32) -> Expr {
+        use rand::Rng;
+        let constant = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0u32..12) {
+            0 => Expr::int(i64::MAX),
+            1 => Expr::int(i64::MIN),
+            _ => Expr::int(rng.gen_range(-6i64..7)),
+        };
+        if depth == 0 || rng.gen_bool(0.3) {
+            return if rng.gen_bool(0.3) {
+                constant(rng)
+            } else {
+                Expr::var(rng.gen_range(0u32..3))
+            };
+        }
+        let x = random_value(rng, depth - 1);
+        match rng.gen_range(0u32..10) {
+            0 | 1 => x.add(constant(rng)),
+            2 => constant(rng).add(x),
+            3 | 4 => x.sub(constant(rng)),
+            5 => constant(rng).sub(x),
+            6 => x.add(random_value(rng, depth - 1)),
+            7 => x.mul(random_value(rng, depth - 1)),
+            8 => x.min(random_value(rng, depth - 1)).neg(),
+            _ => random_truth(rng, depth - 1).ite(x, random_value(rng, depth - 1)),
+        }
+    }
+
+    /// A random guard over [`random_value`]s.
+    fn random_truth(rng: &mut rand::rngs::StdRng, depth: u32) -> Expr {
+        use rand::Rng;
+        if depth > 0 && rng.gen_bool(0.4) {
+            let x = random_truth(rng, depth - 1);
+            return match rng.gen_range(0u32..3) {
+                0 => x.and(random_truth(rng, depth - 1)),
+                1 => x.or(random_truth(rng, depth - 1)),
+                _ => x.not(),
+            };
+        }
+        match rng.gen_range(0u32..10) {
+            0 => Expr::int(rng.gen_range(0i64..2)),
+            1 => random_value(rng, depth),
+            _ => Expr::Binary(
+                CMP_OPS[rng.gen_range(0usize..6)],
+                Box::new(random_value(rng, depth)),
+                Box::new(random_value(rng, depth)),
+            ),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Structural ≡ enumeration ≡ `Expr::eval`: the compiled guard and
+        /// the case split of the same expression are equivalent literals
+        /// over the frame's domain, both answer as `eval` does on every
+        /// in-domain assignment, and a value the fragment takes as a term
+        /// decodes to what `eval` computes.
+        #[test]
+        fn structural_matches_enumeration_and_eval(seed in 0u64..u64::MAX) {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let guard = random_truth(&mut rng, 3);
+            let value = random_value(&mut rng, 2);
+
+            let sys = three_var_system();
+            let mut enc = StepEncoder::new(&sys).unwrap();
+            let mut b = CnfBuilder::new();
+            let f = enc.new_frame(&mut b);
+            let scope = Scope::Local(0, None);
+            let ctx = || "test".to_string();
+            let s = enc.truth(&mut b, &f, scope, &guard, &ctx).unwrap();
+            let compiled = enc.sig_lit(&mut b, s);
+            let cases = enc.expr_cases(&mut b, &f, scope, &guard, &ctx).unwrap();
+            let s = enc.cases_to_pred(&mut b, &cases);
+            let split = enc.sig_lit(&mut b, s);
+            for differ in [[compiled, !split], [!compiled, split]] {
+                proptest::prop_assert!(
+                    b.solver_mut().solve_with(&differ).is_unsat(),
+                    "{guard:?}: circuit and case split differ"
+                );
+            }
+            let term = enc.term(&f, scope, &value);
+
+            let ranges: Vec<(i64, i64)> = (0..3).map(|v| enc.var_range(v)).collect();
+            for v0 in ranges[0].0..=ranges[0].1 {
+                for v1 in ranges[1].0..=ranges[1].1 {
+                    for v2 in ranges[2].0..=ranges[2].1 {
+                        let locals = [v0, v1, v2];
+                        let mut assume: Vec<Lit> = (0..3)
+                            .flat_map(|v| pin(&f.vars[v], locals[v]))
+                            .collect();
+                        let want = guard.eval_local(&locals) != 0;
+                        assume.push(if want { compiled } else { !compiled });
+                        proptest::prop_assert!(
+                            b.solver_mut().solve_with(&assume).is_sat(),
+                            "{guard:?} at {locals:?}: eval says {want}"
+                        );
+                        *assume.last_mut().unwrap() = if want { !compiled } else { compiled };
+                        proptest::prop_assert!(
+                            b.solver_mut().solve_with(&assume).is_unsat(),
+                            "{guard:?} at {locals:?}: eval says {want}"
+                        );
+                        if let Some(bv) = &term {
+                            assume.pop();
+                            proptest::prop_assert!(b.solver_mut().solve_with(&assume).is_sat());
+                            let got = decode_bv(bv, &b.solver_mut().model());
+                            proptest::prop_assert!(
+                                got == value.eval_local(&locals),
+                                "{value:?} at {locals:?}: the term decodes to {got}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn counters_agree_from_every_state() {
+        // 5 is three bits; the increment's carry chain crosses a power of
+        // two inside [0, 37] and at the very top of [0, 64].
+        for limit in [5, 37, 64] {
+            assert_every_step_agrees(&counter_system(limit), 100);
+        }
+        let down = one_counter(
+            9,
+            Expr::var(0).gt(Expr::int(0)),
+            Expr::var(0).sub(Expr::int(1)),
+        );
+        assert_every_step_agrees(&down, 100);
+    }
+
     #[test]
     fn counter_one_step() {
-        assert_one_step_agrees(&counter_system(3), 16);
+        let sys = counter_system(3);
+        assert_one_step_agrees(&sys, &sys.initial_state(), 16);
     }
 
     #[test]
     fn philosophers_one_step() {
         let sys = dining_philosophers(3, true).unwrap();
-        assert_one_step_agrees(&sys, 64);
+        assert_one_step_agrees(&sys, &sys.initial_state(), 64);
     }
 
     #[test]
     fn philosophers_conservative_one_step() {
         let sys = dining_philosophers(3, false).unwrap();
-        assert_one_step_agrees(&sys, 64);
+        assert_one_step_agrees(&sys, &sys.initial_state(), 64);
     }
 
     #[test]
@@ -1561,7 +2273,58 @@ mod tests {
         let succs = sys.successors(&sys.initial_state());
         assert_eq!(succs.len(), 1);
         assert_eq!(succs[0].1.vars, vec![5, 5, 6]);
-        assert_one_step_agrees(&sys, 8);
+        assert_one_step_agrees(&sys, &sys.initial_state(), 8);
+    }
+
+    #[test]
+    fn offset_transfer_agrees_from_every_state() {
+        // `x` walks [5, 9]; the transfer hands `y` a term of `x` (its own
+        // bits, range [5, 9] or shifted), so the pass-through into `y`
+        // (range from 0) and the update `z := y + 1` both add a non-zero
+        // offset difference.
+        for sent in [Expr::param(0, 0), Expr::param(0, 0).sub(Expr::int(3))] {
+            let src = AtomBuilder::new("src")
+                .var("x", 5)
+                .port_exporting("send", ["x"])
+                .location("s")
+                .initial("s")
+                .transition("s", "send", "s")
+                .internal_transition(
+                    "s",
+                    Expr::var(0).lt(Expr::int(9)),
+                    vec![("x", Expr::var(0).add(Expr::int(1)))],
+                    "s",
+                )
+                .build()
+                .unwrap();
+            let dst = AtomBuilder::new("dst")
+                .var("y", 0)
+                .var("z", 0)
+                .port_exporting("recv", ["y", "z"])
+                .location("d")
+                .initial("d")
+                .guarded_transition(
+                    "d",
+                    "recv",
+                    Expr::t(),
+                    vec![("z", Expr::var(0).add(Expr::int(1)))],
+                    "d",
+                )
+                .build()
+                .unwrap();
+            let mut sb = SystemBuilder::new();
+            let a = sb.add_instance("a", &src);
+            let c = sb.add_instance("b", &dst);
+            sb.add_connector(
+                ConnectorBuilder::rendezvous("move", [(a, "send"), (c, "recv")])
+                    .transfer(1, 0, sent),
+            );
+            let sys = sb.build().unwrap();
+            let enc = StepEncoder::new(&sys).unwrap();
+            assert_eq!(enc.var_range(0), (5, 9));
+            assert_ne!(enc.var_range(1).0, enc.var_range(0).0, "offsets differ");
+            assert_every_step_agrees(&sys, 200);
+        }
     }
 
     #[test]
@@ -1597,23 +2360,44 @@ mod tests {
 
     #[test]
     fn budget_declines_are_typed() {
-        // n ranges over [0, 8]: nine values, more than the budget of 4.
-        let sys = counter_system(8);
+        // n ranges over [0, 8]: nine values, more than the budget of 4 —
+        // which only matters to the conjunct outside the linear fragment.
+        let sys = one_counter(
+            0,
+            Expr::var(0)
+                .lt(Expr::int(8))
+                .and(Expr::var(0).mul(Expr::var(0)).lt(Expr::int(64))),
+            Expr::var(0).add(Expr::int(1)),
+        );
         let mut enc = StepEncoder::new(&sys).unwrap().enum_budget(4);
+        assert_eq!(enc.var_range(0), (0, 8));
         let mut b = CnfBuilder::new();
         let mut f0 = enc.new_frame(&mut b);
         let f1 = enc.new_frame(&mut b);
         match enc.encode_step(&mut b, &mut f0, &f1) {
             Err(SymError::SupportTooLarge {
+                context,
                 combinations,
                 budget,
-                ..
             }) => {
+                assert!(
+                    context.contains("`Mul` is outside the linear fragment"),
+                    "{context}"
+                );
                 assert_eq!(combinations, 9);
                 assert_eq!(budget, 4);
             }
             other => panic!("expected SupportTooLarge, got {other:?}"),
         }
+        // The same range under the same budget encodes once the guard is
+        // `n < 8`: the fragment never consults the budget.
+        let sys = counter_system(8);
+        let mut enc = StepEncoder::new(&sys).unwrap().enum_budget(4);
+        let mut b = CnfBuilder::new();
+        let mut f0 = enc.new_frame(&mut b);
+        let f1 = enc.new_frame(&mut b);
+        enc.encode_step(&mut b, &mut f0, &f1).unwrap();
+        assert_eq!(enc.enumerated_cases(), 0);
     }
 
     #[test]
@@ -1773,7 +2557,7 @@ mod tests {
         let sys = sb.build().unwrap();
         // Concretely only "high" survives the priority filter.
         assert_eq!(sys.successors(&sys.initial_state()).len(), 1);
-        assert_one_step_agrees(&sys, 8);
+        assert_one_step_agrees(&sys, &sys.initial_state(), 8);
     }
 
     #[test]
@@ -1808,6 +2592,6 @@ mod tests {
         // Without the filter there are 4 interactions ({s}, {s,r0}, {s,r1},
         // {s,r0,r1}); maximal progress keeps only the full one.
         assert_eq!(sys.successors(&sys.initial_state()).len(), 1);
-        assert_one_step_agrees(&sys, 8);
+        assert_one_step_agrees(&sys, &sys.initial_state(), 8);
     }
 }

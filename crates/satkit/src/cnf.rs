@@ -219,6 +219,17 @@ impl CnfBuilder {
         self.clause(cl);
         g
     }
+
+    /// Tseitin XOR: returns a literal equivalent to `a ≠ b` (the sum bit of
+    /// a ripple adder).
+    pub fn xor(&mut self, a: Lit, b: Lit) -> Lit {
+        let g = Lit::pos(self.fresh());
+        self.clause([!g, a, b]);
+        self.clause([!g, !a, !b]);
+        self.clause([g, !a, b]);
+        self.clause([g, a, !b]);
+        g
+    }
 }
 
 #[cfg(test)]
@@ -295,6 +306,20 @@ mod tests {
         assert!(s.solve().is_sat());
         assert_eq!(s.value(x), Some(false));
         assert_eq!(s.value(y), Some(false));
+    }
+
+    #[test]
+    fn tseitin_xor_truth_table() {
+        for (x, y) in [(false, false), (false, true), (true, false), (true, true)] {
+            let mut b = CnfBuilder::new();
+            let (p, q) = (Lit::pos(b.fresh()), Lit::pos(b.fresh()));
+            let g = b.xor(p, q);
+            b.assert_lit(if x { p } else { !p });
+            b.assert_lit(if y { q } else { !q });
+            let s = b.solver_mut();
+            assert!(s.solve().is_sat());
+            assert_eq!(s.value(g.var()), Some(x != y), "{x} xor {y}");
+        }
     }
 
     #[test]

@@ -233,6 +233,31 @@ fn philosophers_conservative_adjacent_mutex_holds() {
     );
 }
 
+/// The planted bug 40 steps deep behind a guard a million values wide: one
+/// Tseitin case per value was declined (`SupportTooLarge`); the comparator
+/// costs 20 gates. Tight on both sides, and the witness replays through
+/// `System::successors`.
+#[test]
+fn depth_40_bug_behind_a_million_wide_guard() {
+    let sys = bench::planted(1_000_000, 0);
+    let inv = bench::planted_invariant(40);
+    let at = bmc_at(&sys, &inv, 40);
+    let (trace, states) = at.violation().expect("n reaches 40 in 40 steps");
+    assert_eq!((trace.len(), states.len()), (40, 41));
+    assert_eq!(states[0], sys.initial_state());
+    for (i, step) in trace.iter().enumerate() {
+        assert!(
+            sys.successors(&states[i])
+                .into_iter()
+                .any(|(s, next)| &s == step && next == states[i + 1]),
+            "step {i} is not a concrete transition"
+        );
+    }
+    assert!(!inv.eval(&sys, &states[40]));
+    let below = bmc_at(&sys, &inv, 39);
+    assert_eq!(below.outcome, BmcOutcome::NoViolationWithin(39));
+}
+
 /// Golden solver counts, captured at the commit before BMC moved onto the
 /// shared unroller: satkit is deterministic, so per-depth `(depth, vars,
 /// clauses, conflicts, decisions, propagations)` move only if the solver

@@ -1,0 +1,126 @@
+//! The SAT side's deterministic counts as a tier-1 golden table.
+//!
+//! `satkit` is deterministic, so the size of a formula (`vars`, `clauses`)
+//! and the search it takes (`conflicts`, `k`) move only when `sym` emits a
+//! different variable or clause sequence or the solver's heuristics change.
+//! Either must be a decision, not an accident: a PR that moves a count
+//! re-pins it in `tests/golden_counts.txt` (the failure message prints the
+//! whole new table) and says why in CHANGES.md. The instances are the
+//! debug-cheap relatives of the `perf/` workloads `bmc_deep`, `sym_wide`
+//! and `kind_proof`, so a drift shows here before the ledger has to find it.
+//!
+//! The dispatch tests beside the table pin *which* encoder ran
+//! ([`StepEncoder::enumerated_cases`]): a silent fallback from the linear
+//! fragment's circuits to the case split would otherwise only show as a slow
+//! run.
+
+use std::fmt::Write as _;
+
+use bench::{
+    adjacent_mutex, counter_ring, crash_recovery_philosophers, planted, planted_invariant,
+    ring_token_mutex,
+};
+use bip_core::fault::single_fault_invariant;
+use bip_core::sym::StepEncoder;
+use bip_core::{dining_philosophers, RecoverSpec, StatePred, System};
+use bip_verify::bmc::BmcConfig;
+use bip_verify::kind::{KindConfig, Verdict};
+use satkit::CnfBuilder;
+
+const GOLDEN: &str = include_str!("golden_counts.txt");
+
+/// Rows of one k-induction proof: `k` and the step side's formula and search.
+fn kind_rows(out: &mut String, name: &str, sys: &System, inv: &StatePred, max_k: usize) {
+    let r = KindConfig::new(sys).max_k(max_k).prove(inv).unwrap();
+    let Verdict::Proved { k } = r.verdict else {
+        panic!("{name}: expected a proof, got {:?}", r.verdict);
+    };
+    writeln!(out, "{name} k {k}").unwrap();
+    writeln!(out, "{name} step_vars {}", r.stats.step_vars).unwrap();
+    writeln!(out, "{name} step_clauses {}", r.stats.step_clauses).unwrap();
+    writeln!(out, "{name} step_conflicts {}", r.stats.step_conflicts).unwrap();
+}
+
+#[test]
+fn sat_side_counts_match_the_golden_table() {
+    let mut got = String::new();
+
+    // BMC: the planted depth-30 bug behind 10 toggles, last frame's stats.
+    let r = BmcConfig::new(&planted(30, 10))
+        .bound(30)
+        .check_invariant(&planted_invariant(30))
+        .unwrap();
+    let (trace, _) = r.violation().expect("the planted bug is 30 steps deep");
+    let last = r.frames.last().unwrap();
+    writeln!(got, "planted-30x10 trace_len {}", trace.len()).unwrap();
+    writeln!(got, "planted-30x10 vars {}", last.vars).unwrap();
+    writeln!(got, "planted-30x10 clauses {}", last.clauses).unwrap();
+    writeln!(got, "planted-30x10 conflicts {}", last.conflicts).unwrap();
+
+    // k-induction: a wide data guard, pure control, and a one-bit counter.
+    kind_rows(
+        &mut got,
+        "ring-8x4000",
+        &counter_ring(8, 4000),
+        &ring_token_mutex(8),
+        4,
+    );
+    kind_rows(
+        &mut got,
+        "cphil-5",
+        &dining_philosophers(5, false).unwrap(),
+        &adjacent_mutex(5),
+        12,
+    );
+    let crash = crash_recovery_philosophers(4, Some(1), RecoverSpec::Restart);
+    kind_rows(
+        &mut got,
+        "crashphil-4",
+        &crash,
+        &single_fault_invariant(&crash),
+        4,
+    );
+
+    let want: Vec<&str> = GOLDEN
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .collect();
+    assert_eq!(
+        got.lines().collect::<Vec<_>>(),
+        want,
+        "\nSAT-side counts moved. If that is intended, re-pin tests/golden_counts.txt \
+         to the table below and give the old values and the reason in CHANGES.md:\n\n{got}"
+    );
+}
+
+/// Indicator cases one step plus `inv` cost on `sys`.
+fn enumerated_cases(sys: &System, inv: &StatePred) -> u64 {
+    let mut enc = StepEncoder::new(sys).unwrap();
+    let mut b = CnfBuilder::new();
+    let mut f0 = enc.new_frame(&mut b);
+    let f1 = enc.new_frame(&mut b);
+    enc.encode_step(&mut b, &mut f0, &f1).unwrap();
+    enc.encode_pred(&mut b, &mut f0, inv).unwrap();
+    enc.enumerated_cases()
+}
+
+#[test]
+fn linear_fragment_systems_enumerate_nothing() {
+    assert_eq!(
+        enumerated_cases(&counter_ring(4, 4000), &ring_token_mutex(4)),
+        0
+    );
+    assert_eq!(
+        enumerated_cases(&planted(30, 10), &planted_invariant(30)),
+        0
+    );
+}
+
+#[test]
+fn one_bit_counter_keeps_the_case_split() {
+    // The fault monitor's `active ∈ [0, 1]` is one bit wide: its guards and
+    // updates stay on the case split (which is its truth table), so the
+    // crash-recovery formula is the one the search was tuned on.
+    let sys = crash_recovery_philosophers(6, Some(1), RecoverSpec::Restart);
+    assert!(enumerated_cases(&sys, &single_fault_invariant(&sys)) > 0);
+}

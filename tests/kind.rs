@@ -20,6 +20,7 @@
 //! be identical across restart policies (modulo `Wall`/stats), and repeated
 //! identical runs must match field-for-field including solver statistics.
 
+use bench::adjacent_mutex;
 use bip_core::{dining_philosophers, StatePred, System};
 use bip_verify::bmc::{BmcConfig, BmcOutcome};
 use bip_verify::control::Budget;
@@ -182,23 +183,6 @@ proptest! {
     }
 }
 
-/// "Adjacent philosophers never eat together" in the conservative variant —
-/// a true invariant that is not 1-inductive (an arbitrary state with
-/// philosopher 0 eating says nothing about its neighbour's fork), so the
-/// proof exercises depths k > 0 and the simple-path constraints.
-fn adjacent_mutex(n: usize) -> StatePred {
-    StatePred::And(
-        (0..n)
-            .map(|i| {
-                StatePred::Not(Box::new(StatePred::And(vec![
-                    StatePred::AtLoc(i, 1),
-                    StatePred::AtLoc((i + 1) % n, 1),
-                ])))
-            })
-            .collect(),
-    )
-}
-
 /// Verdicts derive from SAT/UNSAT answers only — semantic, hence identical
 /// across restart policies. `ProofReport` equality covers verdict and stop
 /// (stats and wall-clock compare equal by design).
@@ -349,6 +333,19 @@ fn guard_bounded_counter_at_limit_100_proves() {
     independent_replay(&sys, &false_inv, trace, states).unwrap();
 }
 
+/// A guard domain no enumeration budget covers: with one Tseitin case per
+/// counter value the ring at limit 10⁶ was declined (`SupportTooLarge`);
+/// the comparator and the add-constant circuit cost O(width) whatever the
+/// limit, under the default budget, certificate included.
+#[test]
+fn million_wide_ring_proves_under_the_default_budget() {
+    let sys = bench::counter_ring(4, 1_000_000);
+    let inv = bench::ring_token_mutex(4);
+    let r = KindConfig::new(&sys).max_k(4).prove(&inv).unwrap();
+    assert_eq!(r.verdict, Verdict::Proved { k: 0 });
+    assert!(certify_step(&sys, &inv, 0, bip_core::sym::DEFAULT_ENUM_BUDGET).unwrap());
+}
+
 /// Golden solver counts, captured at the commit before k-induction moved
 /// onto the shared unroller (see the BMC twin in `tests/bmc.rs`):
 /// conservative phil-5 adjacent mutex closes at k = 3. The base side's
@@ -392,14 +389,12 @@ fn conservative_phil5_proof_solver_counts_are_pinned() {
 /// the base solver never saw a step relation.
 #[test]
 fn base_side_of_a_closed_proof_is_bmc_at_the_closing_depth() {
-    let ring_mutex = StatePred::And(
-        (0..4)
-            .flat_map(|i| (i + 1..4).map(move |j| (i, j)))
-            .map(|(i, j)| StatePred::at_loc(i, 1).and(StatePred::at_loc(j, 1)).not())
-            .collect(),
-    );
     let workloads = [
-        (bench::counter_ring(4, 100), ring_mutex, 0usize),
+        (
+            bench::counter_ring(4, 100),
+            bench::ring_token_mutex(4),
+            0usize,
+        ),
         (dining_philosophers(5, false).unwrap(), adjacent_mutex(5), 3),
     ];
     for (sys, inv, closes_at) in &workloads {
