@@ -123,7 +123,7 @@ fn table() {
             .threads(2)
             .budget(Budget::unlimited().states(target));
         let t = std::time::Instant::now();
-        let resumed = explore_resume(&sys, &budget_cfg, ck);
+        let resumed = explore_resume(&sys, &budget_cfg, ck).expect("same mode and reduction");
         let wall = t.elapsed().as_secs_f64();
         let straight = explore_with(&sys, &budget_cfg);
         assert_same(&resumed, &straight, &format!("{phase}: resume"));

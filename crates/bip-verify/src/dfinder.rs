@@ -80,7 +80,13 @@ pub struct Abstraction {
     /// `transitions` with pre/post packed as [`PlaceSet`] bitsets and exact
     /// duplicates removed — the representation every trap check runs on.
     packed: Vec<(PlaceSet, PlaceSet)>,
+    /// Some connector's move combinations were cut at the transition cap.
+    truncated: bool,
 }
+
+/// Abstract transitions [`Abstraction::new`] expands from connectors before
+/// it stops (and marks the net [`Abstraction::truncated`]).
+const MAX_ABSTRACT_TRANSITIONS: usize = 200_000;
 
 /// Abstraction of one interaction for the DIS encoding.
 #[derive(Debug, Clone)]
@@ -96,8 +102,16 @@ pub struct InteractionAbs {
 }
 
 impl Abstraction {
-    /// Build the abstraction of a system.
+    /// Build the abstraction of a system. A connector whose local-move
+    /// combinations would take the net past 200 000 transitions is cut
+    /// there, and the net is marked [`Abstraction::truncated`].
     pub fn new(sys: &System) -> Abstraction {
+        Self::with_cap(sys, MAX_ABSTRACT_TRANSITIONS)
+    }
+
+    /// [`Abstraction::new`] with the connector-transition cap as a
+    /// parameter.
+    fn with_cap(sys: &System, cap: usize) -> Abstraction {
         let n = sys.num_components();
         let mut place_base = Vec::with_capacity(n);
         let mut num_places = 0usize;
@@ -134,6 +148,7 @@ impl Abstraction {
         // Abstract transitions + DIS data per interaction.
         let mut transitions = Vec::new();
         let mut interactions = Vec::new();
+        let mut truncated = false;
         for (ci, conn) in sys.connectors().iter().enumerate() {
             let eps = sys.connector_endpoints(bip_core::ConnId(ci as u32));
             let guarded = conn.guard != bip_core::Expr::Const(1);
@@ -171,8 +186,9 @@ impl Abstraction {
                     maybe_disabled: guarded,
                 });
                 // Abstract net transitions: one per combination of local
-                // moves (capped; our models stay small).
-                push_move_combinations(&moves_per_part, &place_base, &mut transitions);
+                // moves, up to the cap.
+                truncated |=
+                    push_move_combinations(&moves_per_part, &place_base, &mut transitions, cap);
             }
         }
         // Internal transitions.
@@ -193,7 +209,17 @@ impl Abstraction {
             reachable,
             interactions,
             packed,
+            truncated,
         }
+    }
+
+    /// `true` when some connector's move combinations were cut at the
+    /// transition cap. Such a net *under*-approximates the system — it lacks
+    /// moves the system makes — so its traps and linear invariants need not
+    /// hold of the system; [`DFinder`] keeps only the component invariants
+    /// on it.
+    pub fn truncated(&self) -> bool {
+        self.truncated
     }
 
     /// The component owning a place.
@@ -257,17 +283,23 @@ fn pack_transitions(
     packed
 }
 
+/// Append one abstract transition per combination of the participants'
+/// local moves, stopping once `out` holds `cap` transitions. Returns `true`
+/// when a combination was dropped at the cap.
 fn push_move_combinations(
     moves_per_part: &[(usize, Vec<(u32, u32)>)],
     place_base: &[usize],
     out: &mut Vec<(Vec<Place>, Vec<Place>)>,
-) {
-    const CAP: usize = 200_000;
+    cap: usize,
+) -> bool {
     if moves_per_part.iter().any(|(_, m)| m.is_empty()) {
-        return; // some participant can never offer the port: interaction dead
+        return false; // some participant can never offer the port: interaction dead
     }
     let mut idx = vec![0usize; moves_per_part.len()];
     loop {
+        if out.len() >= cap {
+            return true;
+        }
         let mut pre = Vec::with_capacity(idx.len());
         let mut post = Vec::with_capacity(idx.len());
         for (j, (comp, moves)) in moves_per_part.iter().enumerate() {
@@ -276,13 +308,10 @@ fn push_move_combinations(
             post.push(place_base[*comp] + to as usize);
         }
         out.push((pre, post));
-        if out.len() >= CAP {
-            return;
-        }
         let mut k = 0;
         loop {
             if k == idx.len() {
-                return;
+                return false;
             }
             idx[k] += 1;
             if idx[k] < moves_per_part[k].1.len() {
@@ -841,10 +870,24 @@ impl DFinder {
     /// result does not depend on the thread count).
     pub fn with_config(sys: &System, cfg: &DFinderConfig) -> DFinder {
         let start = Instant::now();
-        let abs = Abstraction::new(sys);
-        let (traps, build_stop) = enumerate_traps_inner(&abs, &[], &abs.seeds(), cfg);
-        let rref = Rref::of(&abs);
-        let linear = rref.invariants(&abs, Self::DEFAULT_MAX_COEFF, Self::DEFAULT_MAX_SUPPORT);
+        Self::from_abstraction(Abstraction::new(sys), cfg, start)
+    }
+
+    /// Compute the invariants of `abs`. A truncated net keeps CI only: its
+    /// missing transitions could make a non-trap look like a trap and a
+    /// non-invariant look conserved, so II and LI are left empty — weaker,
+    /// never wrong. `start` is when building `abs` began, so the reported
+    /// wall time includes it.
+    fn from_abstraction(abs: Abstraction, cfg: &DFinderConfig, start: Instant) -> DFinder {
+        let (traps, build_stop, rref, linear) = if abs.truncated() {
+            let rref = Rref::new(abs.num_places);
+            (Vec::new(), StopReason::Completed, rref, Vec::new())
+        } else {
+            let (traps, build_stop) = enumerate_traps_inner(&abs, &[], &abs.seeds(), cfg);
+            let rref = Rref::of(&abs);
+            let linear = rref.invariants(&abs, Self::DEFAULT_MAX_COEFF, Self::DEFAULT_MAX_SUPPORT);
+            (traps, build_stop, rref, linear)
+        };
         DFinder {
             abs,
             traps,
@@ -1475,6 +1518,83 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A `parts`-way rendezvous whose every participant has `moves` local
+    /// moves on its port (a ring of `moves` locations), so the connector
+    /// expands to `moves^parts` abstract transitions; then a two-location
+    /// toggle `x` (instance `parts`) declared `b` before `a`, starting in
+    /// `a`, so its `a → b` move comes second and is the one a cut drops.
+    fn wide_rendezvous_then_toggle(parts: usize, moves: usize) -> System {
+        let mut ring = AtomBuilder::new("ring").port("p");
+        for l in 0..moves {
+            ring = ring.location(format!("l{l}"));
+        }
+        ring = ring.initial("l0");
+        for l in 0..moves {
+            ring = ring.transition(format!("l{l}"), "p", format!("l{}", (l + 1) % moves));
+        }
+        let ring = ring.build().unwrap();
+        let toggle = AtomBuilder::new("toggle")
+            .port("t")
+            .location("b")
+            .location("a")
+            .initial("a")
+            .transition("b", "t", "a")
+            .transition("a", "t", "b")
+            .build()
+            .unwrap();
+        let mut sb = SystemBuilder::new();
+        for i in 0..parts {
+            sb.add_instance(format!("r{i}"), &ring);
+        }
+        let x = sb.add_instance("x", &toggle);
+        sb.add_connector(ConnectorBuilder::rendezvous(
+            "all",
+            (0..parts).map(|i| (i, "p")),
+        ));
+        sb.add_connector(ConnectorBuilder::singleton("flip", x, "t"));
+        sb.build().unwrap()
+    }
+
+    #[test]
+    fn truncated_net_keeps_component_invariants_only() {
+        // 27 rendezvous combinations against a cap of 20: the toggle's
+        // `a → b` is cut, so on the net `{x.a}` is an initially marked
+        // trap — an interaction invariant "x stays at a" that the system
+        // breaks in one step.
+        let sys = wide_rendezvous_then_toggle(3, 3);
+        let x_at_a = StatePred::at(&sys, 3, "a");
+        let cut = Abstraction::with_cap(&sys, 20);
+        assert!(cut.truncated());
+        let mut trap = cut.place_set();
+        trap.insert(cut.place_base[3] + 1);
+        assert!(cut.is_trap(&trap), "the cut net has the false trap");
+
+        let df = DFinder::from_abstraction(cut, &DFinderConfig::new(), Instant::now());
+        assert!(df.traps().is_empty() && df.linear().is_empty());
+        assert_eq!(
+            df.prove_location_invariant(&x_at_a),
+            Some(false),
+            "x leaves a in one step: no proof"
+        );
+        let report = df.check_deadlock_freedom();
+        assert_eq!((report.traps, report.linear_invariants), (0, 0));
+
+        // Under the default cap the same system is whole and equally unproved.
+        let whole = DFinder::new(&sys);
+        assert!(!whole.abstraction().truncated());
+        assert_eq!(whole.abstraction().transitions.len(), 27 + 2);
+        assert_eq!(whole.prove_location_invariant(&x_at_a), Some(false));
+    }
+
+    #[test]
+    fn abstraction_flags_the_transition_cap() {
+        // 8^6 = 262 144 move combinations: the default cap cuts the
+        // rendezvous and the toggle's connector after it.
+        let abs = Abstraction::new(&wide_rendezvous_then_toggle(6, 8));
+        assert!(abs.truncated());
+        assert_eq!(abs.transitions.len(), MAX_ABSTRACT_TRANSITIONS);
     }
 
     /// A four-place abstraction with no transitions at all: whatever rows a

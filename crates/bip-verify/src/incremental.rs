@@ -153,6 +153,24 @@ impl IncrementalVerifier {
             new_abs.num_places, self.df.abs.num_places,
             "adding a connector never adds places"
         );
+        if new_abs.truncated() {
+            // The grown net lacks transitions of the system: like a
+            // `DFinder` built on it, keep CI only. Adding connectors never
+            // un-truncates a net, so neither the traps nor the `Rref` are
+            // read again.
+            let dropped = self.df.traps.len();
+            self.sys = new_sys;
+            self.df.abs = new_abs;
+            self.df.traps.clear();
+            self.df.linear.clear();
+            self.df.build_stop = StopReason::Completed;
+            return Ok(IncrementStats {
+                traps_reused: 0,
+                traps_dropped: dropped,
+                traps_added: 0,
+                seeds_swept: 0,
+            });
+        }
 
         // Sufficient condition: the *new* abstract transitions preserve each
         // existing trap. (Old transitions are a prefix of the new transition

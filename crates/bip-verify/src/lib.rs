@@ -94,5 +94,6 @@ pub use reach::{
     check_invariant, check_invariant_resume, check_invariant_with, explore, explore_resume,
     explore_with, find_deadlock, find_deadlock_resume, find_deadlock_with, CodecMode,
     DeadlockReport, InvariantReport, ReachCheckpoint, ReachConfig, ReachReport, Reduction,
+    ResumeError, SearchMode,
 };
 pub use unroll::UnrollError;

@@ -29,8 +29,16 @@
 //! `(fingerprint, state index)` pairs — no per-state allocation on insert,
 //! no pointer chase on probe, and the arena slice *is* the stored state, so
 //! the frontier carries compact `shard << 48 | index` references instead of
-//! owned packed states. Witness traces are reconstructed from parent
-//! pointers of the same shape into shard-local trace arenas.
+//! owned packed states.
+//!
+//! The witness-tracing modes keep, beside every stored state and at the
+//! same arena index, a 16-byte trace node: the parent state's reference,
+//! the state's ordinal in the parent's successor stream, and whether that
+//! expansion fired a reduced (ample) subset. No step is stored: a witness
+//! walks the nodes back to the root and rebuilds each step by re-expanding
+//! the parent exactly as the engine did. Successor enumeration and the
+//! ample selector are pure functions of the state, so the rebuilt step is
+//! the one the engine fired.
 //!
 //! Each BFS level is expanded by up to [`ReachConfig::threads`] workers
 //! over chunks of the frontier (each worker reusing its own
@@ -143,8 +151,7 @@ use std::hash::Hasher;
 /// witness selection — is identical for every thread count.
 const SHARDS: usize = 64;
 
-/// Sentinel reference for states without an arena node (the initial state,
-/// and every state when tracing is off).
+/// Sentinel parent reference of the initial state's trace node.
 const NO_NODE: u64 = u64::MAX;
 
 /// Low 48 bits of a `shard << 48 | index` reference.
@@ -377,7 +384,9 @@ pub struct InvariantReport {
     pub stop: StopReason,
     /// Wall-clock the run took, accumulated across checkpoint resumes.
     pub elapsed: Duration,
-    /// Largest `seen`-set footprint observed at any level boundary.
+    /// Largest footprint observed at any level boundary: the `seen` set
+    /// plus the trace arena (16 bytes per stored state) — the figure a
+    /// [`Budget::bytes`] ceiling is checked against.
     pub peak_bytes: usize,
     /// Present iff the run was interrupted; resume it with
     /// [`check_invariant_resume`].
@@ -412,7 +421,9 @@ pub struct DeadlockReport {
     pub stop: StopReason,
     /// Wall-clock the run took, accumulated across checkpoint resumes.
     pub elapsed: Duration,
-    /// Largest `seen`-set footprint observed at any level boundary.
+    /// Largest footprint observed at any level boundary: the `seen` set
+    /// plus the trace arena (16 bytes per stored state) — the figure a
+    /// [`Budget::bytes`] ceiling is checked against.
     pub peak_bytes: usize,
     /// Present iff the run was interrupted; resume it with
     /// [`find_deadlock_resume`].
@@ -444,8 +455,8 @@ struct PorCtx<'a> {
 /// Reusable per-worker scratch: the compiled enabled-set, the
 /// allocation-free successor scratch, a decode target, and — under
 /// partial-order reduction — the ample-selector scratch. A warmed worker
-/// allocates per *stored* state (the arena words and, when tracing, the
-/// step), not per *expanded* edge.
+/// allocates nothing per expanded edge; what grows per *stored* state is
+/// the arena words and, when tracing, one fixed-size trace node.
 struct Expander {
     es: EnabledSet,
     scratch: SuccScratch,
@@ -579,38 +590,81 @@ enum Mode<'a> {
 }
 
 impl Mode<'_> {
-    /// Whether parent pointers (and steps) must be recorded for traces.
+    /// Whether trace nodes must be recorded for witnesses.
     fn tracing(&self) -> bool {
         !matches!(self, Mode::Explore)
     }
 
-    fn tag(&self) -> ModeTag {
+    fn tag(&self) -> SearchMode {
         match self {
-            Mode::Explore => ModeTag::Explore,
-            Mode::Deadlock => ModeTag::Deadlock,
-            Mode::Invariant(_) => ModeTag::Invariant,
+            Mode::Explore => SearchMode::Explore,
+            Mode::Deadlock => SearchMode::Deadlock,
+            Mode::Invariant(_) => SearchMode::Invariant,
         }
     }
 }
 
-/// Which engine mode captured a checkpoint (the invariant predicate itself
-/// cannot be stored; the resume entry point re-supplies it).
+/// Which entry point a [`ReachCheckpoint`] was captured by (the invariant
+/// predicate itself is not stored; [`check_invariant_resume`] re-supplies
+/// it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ModeTag {
+pub enum SearchMode {
+    /// [`explore_with`].
     Explore,
+    /// [`find_deadlock_with`].
     Deadlock,
+    /// [`check_invariant_with`].
     Invariant,
 }
 
-impl std::fmt::Display for ModeTag {
+impl std::fmt::Display for SearchMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            ModeTag::Explore => "explore",
-            ModeTag::Deadlock => "find_deadlock",
-            ModeTag::Invariant => "check_invariant",
+            SearchMode::Explore => "explore",
+            SearchMode::Deadlock => "find_deadlock",
+            SearchMode::Invariant => "check_invariant",
         })
     }
 }
+
+/// Why a `*_resume` entry point refused a checkpoint. Nothing ran, but the
+/// checkpoint was consumed: clone it first to retry under a matching
+/// config.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ResumeError {
+    /// The checkpoint was captured by a different entry point.
+    ModeMismatch {
+        /// The entry point that captured the checkpoint.
+        captured: SearchMode,
+        /// The entry point asked to resume it.
+        resumed: SearchMode,
+    },
+    /// The checkpoint was captured under a different
+    /// [`ReachConfig::reduction`] mode than the resuming config requests.
+    ReductionMismatch {
+        /// The reduction mode of the captured run.
+        captured: Reduction,
+        /// The reduction mode of the resuming config.
+        resumed: Reduction,
+    },
+}
+
+impl std::fmt::Display for ResumeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ResumeError::ModeMismatch { captured, resumed } => write!(
+                f,
+                "checkpoint was captured by `{captured}`, resumed as `{resumed}`"
+            ),
+            ResumeError::ReductionMismatch { captured, resumed } => write!(
+                f,
+                "checkpoint was captured under reduction mode {captured:?}, resumed under {resumed:?}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ResumeError {}
 
 /// A paused reachability run, captured at a completed BFS level boundary.
 ///
@@ -632,12 +686,12 @@ impl std::fmt::Display for ModeTag {
 pub struct ReachCheckpoint {
     codec: CodecSnapshot,
     shards: Vec<Shard>,
-    frontier: Vec<(u64, u64)>,
+    frontier: Vec<u64>,
     stored: usize,
     transitions: usize,
     complete: bool,
     deadlocks: Vec<State>,
-    mode: ModeTag,
+    mode: SearchMode,
     reduction: Reduction,
     elapsed: Duration,
     peak_bytes: usize,
@@ -669,13 +723,28 @@ impl std::fmt::Debug for ReachCheckpoint {
     }
 }
 
-/// Parent pointer plus the step that discovered a stored state; lives in a
-/// shard-local arena, indexed by `shard << 48 | index` references.
-#[derive(Clone)]
+/// How a stored state was discovered, stored at the state's own arena index
+/// (so a state reference is also its node reference). The step itself is
+/// not kept: [`rebuild_trace`] recovers it by re-expanding `src`.
+#[derive(Clone, Copy)]
 struct Node {
-    parent: u64,
-    step: Step,
+    /// `shard << 48 | index` reference of the parent state (`NO_NODE` for
+    /// the initial state).
+    src: u64,
+    /// This state's ordinal in the parent's successor stream, counting
+    /// every successor the expansion produced (already-stored ones too).
+    succ: u32,
+    /// Whether the parent's expansion fired its ample subset (after the
+    /// cycle proviso) rather than every enabled step.
+    reduced: bool,
 }
+
+/// The initial state's trace node.
+const ROOT: Node = Node {
+    src: NO_NODE,
+    succ: 0,
+    reduced: false,
+};
 
 /// One `seen` partition: an open-addressing table over a bump arena.
 ///
@@ -684,8 +753,9 @@ struct Node {
 /// `arena[idx * stride ..]` *is* the stored state (no box, no clone).
 /// `slots` is a power-of-two linear-probing table whose entries pack a
 /// 32-bit hash fingerprint over a 32-bit state index; a probe touches the
-/// arena only on fingerprint match. `nodes` is the trace arena (parallel
-/// bump allocation, populated only by witness-tracing modes).
+/// arena only on fingerprint match. `nodes` is the trace arena: in the
+/// witness-tracing modes `nodes[idx]` is state `idx`'s [`Node`]; in explore
+/// mode it stays empty.
 #[derive(Clone)]
 struct Shard {
     slots: Vec<u64>,
@@ -792,10 +862,17 @@ impl Shard {
         self.slots = slots;
     }
 
-    /// Bytes this shard's seen set occupies (arena + slots; the trace arena
-    /// is witness machinery, not part of the footprint metric).
+    /// Record the trace node of the just-inserted state `idx`.
+    #[inline]
+    fn push_node(&mut self, idx: usize, node: Node) {
+        debug_assert_eq!(self.nodes.len(), idx, "node index = state index");
+        self.nodes.push(node);
+    }
+
+    /// Bytes this shard occupies: arena words, table slots and trace nodes
+    /// (none in explore mode).
     fn bytes(&self) -> usize {
-        self.arena.len() * 8 + self.slots.len() * 8
+        self.arena.len() * 8 + self.slots.len() * 8 + self.nodes.len() * std::mem::size_of::<Node>()
     }
 }
 
@@ -809,24 +886,58 @@ fn ref_words(shards: &[Shard], sref: u64) -> &[u64] {
     shards[(sref >> 48) as usize].state_words((sref & REF_MASK) as usize)
 }
 
-/// Walk parent pointers from `node` back to the root, collecting steps.
-fn rebuild_trace(shards: &[Shard], mut node: u64) -> Vec<Step> {
+/// The steps from the initial state to the stored state `sref`.
+///
+/// Walks the trace nodes back to the root and, per hop, replays the
+/// parent's expansion exactly as the engine ran it — the planned ample
+/// subset or the full successor set, as the node records — taking the
+/// `succ`-th successor. Enumeration order and the ample selector are pure
+/// functions of the (decoded, codec-independent) state, so the rebuilt step
+/// is the one the engine fired, whatever the thread count, codec, widen
+/// history or checkpoint resumes in between.
+fn rebuild_trace(
+    sys: &System,
+    codec: &StateCodec,
+    por: Option<&PorCtx<'_>>,
+    shards: &[Shard],
+    mut sref: u64,
+) -> Vec<Step> {
+    let mut ex = Expander::new(sys, por.is_some());
     let mut trace = Vec::new();
-    while node != NO_NODE {
-        let n = &shards[(node >> 48) as usize].nodes[(node & REF_MASK) as usize];
-        trace.push(n.step.clone());
-        node = n.parent;
+    loop {
+        let node = shards[(sref >> 48) as usize].nodes[(sref & REF_MASK) as usize];
+        if node.src == NO_NODE {
+            break;
+        }
+        let words = ref_words(shards, node.src);
+        let mut step = None;
+        let mut ordinal = 0u32;
+        let pick = |s: bip_core::SuccStep<'_>, _: &State| {
+            if ordinal == node.succ {
+                step = Some(s.to_step(sys));
+            }
+            ordinal += 1;
+        };
+        match por {
+            None => ex.for_each(sys, codec, words, pick),
+            Some(pc) => {
+                ex.plan(sys, codec, words, pc);
+                ex.fire(sys, pc, node.reduced, pick)
+            }
+        };
+        trace.push(step.expect("a recorded ordinal lies in its parent's successor stream"));
+        sref = node.src;
     }
     trace.reverse();
     trace
 }
 
 /// Widen `codec` for `req` and migrate every stored state (the per-shard
-/// prefixes in `keep`, as `(states, nodes)` pairs) to the new layout.
+/// state-count prefixes in `keep`) and its trace node to the new layout.
 ///
 /// Shard assignment is canonical (content-hashed), so each state stays in
 /// its shard and keeps its arena index — every outstanding
-/// `shard << 48 | index` reference in frontiers and trace arenas survives
+/// `shard << 48 | index` reference in frontiers and trace nodes survives
 /// the migration untouched. Migration itself can discover that the ladder
 /// must climb further (an interned prefix larger than the new index field),
 /// in which case it widens again and restarts from the old shards, which it
@@ -835,7 +946,7 @@ fn widen_and_migrate(
     sys: &System,
     codec: &mut StateCodec,
     shards: &mut Vec<Shard>,
-    keep: &[(usize, usize)],
+    keep: &[usize],
     req: WidenReq,
 ) {
     let mut next = codec.widen(sys, req);
@@ -844,9 +955,11 @@ fn widen_and_migrate(
         let mut st = sys.initial_state();
         let mut enc = next.new_packed();
         let mut out: Vec<Shard> = Vec::with_capacity(shards.len());
-        for (sh, &(kstates, knodes)) in shards.iter().zip(keep) {
+        for (sh, &kstates) in shards.iter().zip(keep) {
             let mut ns = Shard::new(stride);
-            ns.nodes = sh.nodes[..knodes].to_vec();
+            // Explore mode keeps no nodes; the tracing modes one per state.
+            ns.nodes
+                .extend_from_slice(&sh.nodes[..kstates.min(sh.nodes.len())]);
             for idx in 0..kstates {
                 codec.decode_words_into(sh.state_words(idx), &mut st);
                 match next.try_encode_into(&st, &mut enc) {
@@ -868,7 +981,7 @@ fn widen_and_migrate(
 }
 
 /// Next-frontier entries plus insert count produced by one shard merge.
-type MergeOut = (Vec<(u64, u64)>, usize);
+type MergeOut = (Vec<u64>, usize);
 
 /// A successor produced during expansion, waiting to be merged.
 struct Candidate {
@@ -877,11 +990,8 @@ struct Candidate {
     hash: u64,
     /// Owning shard (canonical hash, precomputed so merges don't rehash).
     shard: u32,
-    /// Arena reference of the source state (`NO_NODE` for the root).
-    parent: u64,
-    /// Discovering step; populated only when tracing (boxed so explore-mode
-    /// candidates stay small and cheap to shuffle between buffers).
-    step: Option<Box<Step>>,
+    /// The trace node the target gets if this candidate stores it.
+    node: Node,
     /// Invariant mode: whether this successor violates the predicate.
     violates: bool,
 }
@@ -925,18 +1035,17 @@ fn expand_chunk(
     shards: &[Shard],
     mode: Mode<'_>,
     por: Option<&PorCtx<'_>>,
-    entries: &[(u64, u64)],
+    entries: &[u64],
     base: usize,
     ex: &mut Expander,
 ) -> Result<ChunkOut, WidenReq> {
-    let tracing = mode.tracing();
     let mut cands = Vec::new();
     let mut deadlocks = Vec::new();
     let mut dup_transitions = 0usize;
     let mut enc = codec.new_packed();
     let mut enc_probe = codec.new_packed();
     let mut req: Option<WidenReq> = None;
-    for (i, (sref, node)) in entries.iter().enumerate() {
+    for (i, sref) in entries.iter().enumerate() {
         // Partial-order reduction: plan the ample subset; in invariant mode
         // a reduced state with a successor already stored (phase A reads
         // the level-entry seen set, so this is exactly the fused path's
@@ -960,7 +1069,10 @@ fn expand_chunk(
                 Some(r)
             }
         };
-        let body = |sstep: bip_core::SuccStep<'_>, next: &State| {
+        let mut ordinal = 0u32;
+        let body = |_: bip_core::SuccStep<'_>, next: &State| {
+            let succ = ordinal;
+            ordinal += 1;
             if req.is_some() {
                 return;
             }
@@ -982,8 +1094,11 @@ fn expand_chunk(
                 shard: si as u32,
                 hash: h,
                 packed: enc.clone(),
-                parent: *node,
-                step: tracing.then(|| Box::new(sstep.to_step(sys))),
+                node: Node {
+                    src: *sref,
+                    succ,
+                    reduced: reduced == Some(true),
+                },
                 violates,
             });
         };
@@ -1011,29 +1126,46 @@ fn expand_chunk(
 fn merge_shard(shard: &mut Shard, si: usize, cands: Vec<Candidate>, tracing: bool) -> MergeOut {
     let mut front = Vec::new();
     let mut inserted = 0usize;
-    for mut cand in cands {
+    for cand in cands {
         let Some(idx) = shard.insert(cand.packed.words(), cand.hash) else {
             continue;
         };
         inserted += 1;
-        let node = if tracing {
-            shard.nodes.push(Node {
-                parent: cand.parent,
-                step: *cand.step.take().expect("tracing candidates carry steps"),
-            });
-            node_ref(si, shard.nodes.len() - 1)
-        } else {
-            NO_NODE
-        };
-        front.push((node_ref(si, idx), node));
+        if tracing {
+            shard.push_node(idx, cand.node);
+        }
+        front.push(node_ref(si, idx));
     }
     (front, inserted)
+}
+
+/// Resume `mode` from `ck` under `cfg`, after checking that the checkpoint
+/// was captured by the same entry point and reduction mode.
+fn resume_run(
+    sys: &System,
+    cfg: &ReachConfig,
+    mode: Mode<'_>,
+    ck: ReachCheckpoint,
+) -> Result<EngineOut, ResumeError> {
+    if ck.mode != mode.tag() {
+        return Err(ResumeError::ModeMismatch {
+            captured: ck.mode,
+            resumed: mode.tag(),
+        });
+    }
+    if ck.reduction != cfg.reduction {
+        return Err(ResumeError::ReductionMismatch {
+            captured: ck.reduction,
+            resumed: cfg.reduction,
+        });
+    }
+    Ok(run(sys, cfg, mode, Some(ck)))
 }
 
 /// The level-synchronous sharded BFS all public explorers run on. With
 /// `resume`, the engine restarts from a captured level boundary instead of
 /// the initial state (the checkpoint's codec overrides `cfg.codec`; its
-/// reduction mode must match `cfg.reduction`).
+/// mode and reduction were checked by [`resume_run`]).
 fn run(
     sys: &System,
     cfg: &ReachConfig,
@@ -1074,27 +1206,16 @@ fn run(
     let mut base_elapsed = Duration::ZERO;
     let mut peak_bytes = 0usize;
     let mut shards: Vec<Shard>;
-    let mut frontier: Vec<(u64, u64)>;
+    let mut frontier: Vec<u64>;
     let mut stored: usize;
     let mut transitions: usize;
     let mut complete: bool;
     let mut deadlock_states: Vec<State>;
     if let Some(ck) = resume {
         // Continue from a captured level boundary: the sharded seen set,
-        // frontier, and counters verbatim; the restored codec decodes the
-        // arenas bit-identically (see `StateCodec::restore`).
-        assert_eq!(
-            ck.mode,
-            mode.tag(),
-            "checkpoint was captured by `{}`, resumed as `{}`",
-            ck.mode,
-            mode.tag()
-        );
-        assert_eq!(
-            ck.reduction, cfg.reduction,
-            "checkpoint was captured under reduction mode {:?}, resumed under {:?}",
-            ck.reduction, cfg.reduction
-        );
+        // trace nodes, frontier, and counters verbatim; the restored codec
+        // decodes the arenas bit-identically (see `StateCodec::restore`).
+        debug_assert!(ck.mode == mode.tag() && ck.reduction == cfg.reduction);
         shards = ck.shards;
         frontier = ck.frontier;
         stored = ck.stored;
@@ -1139,17 +1260,20 @@ fn run(
         let idx0 = shards[si0]
             .insert(pinit.words(), word_hash(pinit.words()))
             .expect("fresh table");
+        if tracing {
+            shards[si0].push_node(idx0, ROOT);
+        }
         stored = 1;
         transitions = 0;
         complete = true;
         deadlock_states = Vec::new();
-        frontier = vec![(node_ref(si0, idx0), NO_NODE)];
+        frontier = vec![node_ref(si0, idx0)];
     }
     let mut workers: Vec<Expander> = (0..threads)
         .map(|_| Expander::new(sys, por.is_some()))
         .collect();
     // Reused per-shard next-frontier buckets for the sequential fast path.
-    let mut buckets: Vec<Vec<(u64, u64)>> = (0..SHARDS).map(|_| Vec::new()).collect();
+    let mut buckets: Vec<Vec<u64>> = (0..SHARDS).map(|_| Vec::new()).collect();
 
     // Scratch for the fused sequential path (`enc_probe` is the cycle
     // proviso's, so the pre-pass never clobbers the insert buffer).
@@ -1206,15 +1330,14 @@ fn run(
         };
 
         // Level-entry snapshot: everything a repack must roll back. The
-        // bump arenas make rollback cheap — states inserted this level
-        // occupy each arena's tail, so the snapshot is one `(states,
-        // nodes)` length pair per shard.
+        // bump arenas make rollback cheap — states (and their trace nodes)
+        // inserted this level occupy each arena's tail, so the snapshot is
+        // one length per shard.
         let snap_stored = stored;
         let snap_transitions = transitions;
         let snap_complete = complete;
         let snap_deadlocks = deadlock_states.len();
-        let snap_lens: Vec<(usize, usize)> =
-            shards.iter().map(|s| (s.len, s.nodes.len())).collect();
+        let snap_lens: Vec<usize> = shards.iter().map(|s| s.len).collect();
 
         if threads == 1 {
             // ---- Fused sequential level. ----
@@ -1227,12 +1350,11 @@ fn run(
             let mut widen_req: Option<WidenReq> = None;
             let mut violation: Option<(State, u64)> = None;
             let ex = &mut workers[0];
-            for (sref, node) in &frontier {
-                let node = *node;
+            for &sref in &frontier {
                 // Copy the source words out of the arena: the closure below
                 // appends to the same arenas.
                 cur.clear();
-                cur.extend_from_slice(ref_words(&shards, *sref));
+                cur.extend_from_slice(ref_words(&shards, sref));
                 // Partial-order reduction: plan the ample subset, then — in
                 // invariant mode — run the cycle-proviso pre-pass: a
                 // reduced state with a successor already stored at this
@@ -1255,7 +1377,7 @@ fn run(
                                 let h = word_hash(enc_probe.words());
                                 shards[si]
                                     .find(enc_probe.words(), h)
-                                    .is_some_and(|idx| idx < snap_lens[si].0)
+                                    .is_some_and(|idx| idx < snap_lens[si])
                             });
                             if hit {
                                 r = false;
@@ -1264,7 +1386,10 @@ fn run(
                         Some(r)
                     }
                 };
-                let body = |sstep: bip_core::SuccStep<'_>, next: &State| {
+                let mut ordinal = 0u32;
+                let body = |_: bip_core::SuccStep<'_>, next: &State| {
+                    let succ = ordinal;
+                    ordinal += 1;
                     if widen_req.is_some() || violation.is_some() {
                         return;
                     }
@@ -1286,22 +1411,23 @@ fn run(
                     let idx = shard.insert(enc.words(), h).expect("probed absent");
                     stored += 1;
                     transitions += 1;
-                    let nref = if tracing {
-                        shard.nodes.push(Node {
-                            parent: node,
-                            step: sstep.to_step(sys),
-                        });
-                        node_ref(si, shard.nodes.len() - 1)
-                    } else {
-                        NO_NODE
-                    };
+                    if tracing {
+                        shard.push_node(
+                            idx,
+                            Node {
+                                src: sref,
+                                succ,
+                                reduced: reduced == Some(true),
+                            },
+                        );
+                    }
                     if let Mode::Invariant(inv) = mode {
                         if !inv.eval(sys, next) {
-                            violation = Some((next.clone(), nref));
+                            violation = Some((next.clone(), node_ref(si, idx)));
                             return;
                         }
                     }
-                    buckets[si].push((node_ref(si, idx), nref));
+                    buckets[si].push(node_ref(si, idx));
                 };
                 let any = match reduced {
                     None => ex.for_each(sys, &codec, &cur, body),
@@ -1323,13 +1449,16 @@ fn run(
                     }
                     continue 'level;
                 }
-                if let Some((bad, nref)) = violation {
+                if let Some((bad, bref)) = violation {
                     return EngineOut {
                         states: stored,
                         transitions,
                         deadlocks: Vec::new(),
                         complete,
-                        witness: Some((bad, rebuild_trace(&shards, nref))),
+                        witness: Some((
+                            bad,
+                            rebuild_trace(sys, &codec, por.as_ref(), &shards, bref),
+                        )),
                         stored_bytes: shard_bytes(&shards),
                         stop: StopReason::Completed,
                         elapsed: base_elapsed + start.elapsed(),
@@ -1351,7 +1480,7 @@ fn run(
                                 complete: snap_complete,
                                 witness: Some((
                                     codec.decode_words(&cur),
-                                    rebuild_trace(&shards, node),
+                                    rebuild_trace(sys, &codec, por.as_ref(), &shards, sref),
                                 )),
                                 stored_bytes: shard_bytes(&shards),
                                 stop: StopReason::Completed,
@@ -1436,22 +1565,21 @@ fn run(
             Mode::Explore => {
                 for (_, out) in &outs {
                     for &fi in &out.deadlocks {
-                        deadlock_states
-                            .push(codec.decode_words(ref_words(&shards, frontier[fi].0)));
+                        deadlock_states.push(codec.decode_words(ref_words(&shards, frontier[fi])));
                     }
                 }
             }
             Mode::Deadlock => {
                 if let Some(&fi) = outs.iter().flat_map(|(_, o)| o.deadlocks.first()).min() {
-                    let (sref, node) = &frontier[fi];
+                    let sref = frontier[fi];
                     return EngineOut {
                         states: stored,
                         transitions,
                         deadlocks: Vec::new(),
                         complete,
                         witness: Some((
-                            codec.decode_words(ref_words(&shards, *sref)),
-                            rebuild_trace(&shards, *node),
+                            codec.decode_words(ref_words(&shards, sref)),
+                            rebuild_trace(sys, &codec, por.as_ref(), &shards, sref),
                         )),
                         stored_bytes: shard_bytes(&shards),
                         stop: StopReason::Completed,
@@ -1530,7 +1658,7 @@ fn run(
             // path, so later levels see the same stream order regardless
             // of which path built this one.
             for (_, out) in &mut outs {
-                for mut cand in out.cands.drain(..) {
+                for cand in out.cands.drain(..) {
                     let si = cand.shard as usize;
                     let shard = &mut shards[si];
                     if stored >= max_states && shard.contains(cand.packed.words(), cand.hash) {
@@ -1547,15 +1675,9 @@ fn run(
                     };
                     stored += 1;
                     transitions += 1;
-                    let node = if tracing {
-                        shard.nodes.push(Node {
-                            parent: cand.parent,
-                            step: *cand.step.take().expect("tracing candidates carry steps"),
-                        });
-                        node_ref(si, shard.nodes.len() - 1)
-                    } else {
-                        NO_NODE
-                    };
+                    if tracing {
+                        shard.push_node(idx, cand.node);
+                    }
                     if cand.violates {
                         return EngineOut {
                             states: stored,
@@ -1564,7 +1686,13 @@ fn run(
                             complete,
                             witness: Some((
                                 codec.decode(&cand.packed),
-                                rebuild_trace(&shards, node),
+                                rebuild_trace(
+                                    sys,
+                                    &codec,
+                                    por.as_ref(),
+                                    &shards,
+                                    node_ref(si, idx),
+                                ),
                             )),
                             stored_bytes: shard_bytes(&shards),
                             stop: StopReason::Completed,
@@ -1573,7 +1701,7 @@ fn run(
                             checkpoint: None,
                         };
                     }
-                    buckets[si].push((node_ref(si, idx), node));
+                    buckets[si].push(node_ref(si, idx));
                 }
             }
             frontier.clear();
@@ -1626,13 +1754,19 @@ pub fn explore_with(sys: &System, cfg: &ReachConfig) -> ReachReport {
 /// completion yields a report bit-identical to an uninterrupted run with
 /// the same bound.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the checkpoint was captured by a different entry point
-/// ([`check_invariant_with`] / [`find_deadlock_with`]) or under a different
-/// [`ReachConfig::reduction`] mode than `cfg` requests.
-pub fn explore_resume(sys: &System, cfg: &ReachConfig, ckpt: ReachCheckpoint) -> ReachReport {
-    reach_report(run(sys, cfg, Mode::Explore, Some(ckpt)))
+/// [`ResumeError::ModeMismatch`] if the checkpoint was captured by a
+/// different entry point ([`check_invariant_with`] /
+/// [`find_deadlock_with`]); [`ResumeError::ReductionMismatch`] if it was
+/// captured under a different [`ReachConfig::reduction`] mode than `cfg`
+/// requests.
+pub fn explore_resume(
+    sys: &System,
+    cfg: &ReachConfig,
+    ckpt: ReachCheckpoint,
+) -> Result<ReachReport, ResumeError> {
+    resume_run(sys, cfg, Mode::Explore, ckpt).map(reach_report)
 }
 
 fn reach_report(out: EngineOut) -> ReachReport {
@@ -1673,17 +1807,17 @@ pub fn check_invariant_with(sys: &System, inv: &StatePred, cfg: &ReachConfig) ->
 /// predicate the original run checked (states stored before the
 /// interruption were already checked and are not re-examined).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the checkpoint came from a different entry point or a
-/// different [`ReachConfig::reduction`] mode.
+/// A [`ResumeError`] if the checkpoint came from a different entry point
+/// or a different [`ReachConfig::reduction`] mode.
 pub fn check_invariant_resume(
     sys: &System,
     inv: &StatePred,
     cfg: &ReachConfig,
     ckpt: ReachCheckpoint,
-) -> InvariantReport {
-    invariant_report(run(sys, cfg, Mode::Invariant(inv), Some(ckpt)))
+) -> Result<InvariantReport, ResumeError> {
+    resume_run(sys, cfg, Mode::Invariant(inv), ckpt).map(invariant_report)
 }
 
 fn invariant_report(out: EngineOut) -> InvariantReport {
@@ -1718,16 +1852,16 @@ pub fn find_deadlock_with(sys: &System, cfg: &ReachConfig) -> DeadlockReport {
 ///
 /// Same contract as [`explore_resume`].
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the checkpoint came from a different entry point or a
-/// different [`ReachConfig::reduction`] mode.
+/// A [`ResumeError`] if the checkpoint came from a different entry point
+/// or a different [`ReachConfig::reduction`] mode.
 pub fn find_deadlock_resume(
     sys: &System,
     cfg: &ReachConfig,
     ckpt: ReachCheckpoint,
-) -> DeadlockReport {
-    deadlock_report(run(sys, cfg, Mode::Deadlock, Some(ckpt)))
+) -> Result<DeadlockReport, ResumeError> {
+    resume_run(sys, cfg, Mode::Deadlock, ckpt).map(deadlock_report)
 }
 
 fn deadlock_report(out: EngineOut) -> DeadlockReport {
@@ -2428,7 +2562,7 @@ mod tests {
         assert_eq!(ck.states(), cut.states);
         assert!(ck.frontier_len() > 0);
 
-        let resumed = explore_resume(&sys, &cfg, ck);
+        let resumed = explore_resume(&sys, &cfg, ck).unwrap();
         assert_resumed_matches(&resumed, &reference, "resume to completion");
         assert!(
             resumed.elapsed >= cut.elapsed,
@@ -2444,7 +2578,7 @@ mod tests {
         let cut = explore_with(&sys, &cfg.clone().budget(Budget::unlimited().bytes(1)));
         assert_eq!(cut.stop, StopReason::MemoryBudget);
         assert!(cut.peak_bytes > 1);
-        let resumed = explore_resume(&sys, &cfg, cut.checkpoint.unwrap());
+        let resumed = explore_resume(&sys, &cfg, cut.checkpoint.unwrap()).unwrap();
         assert_resumed_matches(&resumed, &reference, "resume after memory trip");
     }
 
@@ -2473,7 +2607,8 @@ mod tests {
             &sys,
             &ReachConfig::bounded(1_000_000),
             r.checkpoint.unwrap(),
-        );
+        )
+        .unwrap();
         assert_resumed_matches(&resumed, &reference, "resume after cancel");
     }
 
@@ -2499,7 +2634,7 @@ mod tests {
             while let Some(ck) = r.checkpoint.take() {
                 assert_eq!(r.stop, StopReason::StateBudget);
                 let next_budget = Budget::unlimited().states(r.states + 1);
-                r = explore_resume(&sys, &cfg.clone().budget(next_budget), ck);
+                r = explore_resume(&sys, &cfg.clone().budget(next_budget), ck).unwrap();
                 hops += 1;
                 assert!(hops < 10_000, "resume chain must terminate");
             }
@@ -2524,7 +2659,8 @@ mod tests {
             &sys,
             &ReachConfig::bounded(1_000_000),
             dcut.checkpoint.unwrap(),
-        );
+        )
+        .unwrap();
         assert_eq!(dres.witness, dref.witness, "same shortest witness");
         assert_eq!(dres.states, dref.states);
         assert_eq!(dres.stop, dref.stop);
@@ -2539,7 +2675,8 @@ mod tests {
             &inv,
             &ReachConfig::bounded(1_000_000),
             icut.checkpoint.unwrap(),
-        );
+        )
+        .unwrap();
         assert_eq!(ires.violation, iref.violation);
         assert_eq!(ires.states, iref.states);
         assert_eq!(ires.complete, iref.complete);
@@ -2560,39 +2697,60 @@ mod tests {
             &sys,
             &ReachConfig::bounded(1_000_000).budget(Budget::unlimited().states(3)),
         );
-        let resumed = explore_resume(&sys, &ReachConfig::bounded(5), cut.checkpoint.unwrap());
+        let resumed =
+            explore_resume(&sys, &ReachConfig::bounded(5), cut.checkpoint.unwrap()).unwrap();
         assert_eq!(resumed.stop, StopReason::BoundExhausted);
         assert!(!resumed.complete);
         assert!(resumed.states <= 5);
     }
 
     #[test]
-    #[should_panic(expected = "checkpoint was captured by `explore`")]
     fn resume_mode_mismatch_panics() {
+        // Historical name: the mismatch is now a typed error, not a panic.
         let sys = dining_philosophers(3, true).unwrap();
         let cut = explore_with(
             &sys,
             &ReachConfig::bounded(1_000_000).budget(Budget::unlimited().states(1)),
         );
-        let _ = find_deadlock_resume(
+        let err = find_deadlock_resume(
             &sys,
             &ReachConfig::bounded(1_000_000),
             cut.checkpoint.unwrap(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            ResumeError::ModeMismatch {
+                captured: SearchMode::Explore,
+                resumed: SearchMode::Deadlock,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "checkpoint was captured by `explore`, resumed as `find_deadlock`"
         );
     }
 
     #[test]
-    #[should_panic(expected = "captured under reduction mode")]
     fn resume_reduction_mismatch_panics() {
+        // Historical name: the mismatch is now a typed error, not a panic.
         let sys = dining_philosophers(3, true).unwrap();
         let cut = explore_with(
             &sys,
             &ReachConfig::bounded(1_000_000).budget(Budget::unlimited().states(1)),
         );
-        let _ = explore_resume(
+        let err = explore_resume(
             &sys,
             &ReachConfig::bounded(1_000_000).reduction(Reduction::Persistent),
             cut.checkpoint.unwrap(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            ResumeError::ReductionMismatch {
+                captured: Reduction::None,
+                resumed: Reduction::Persistent,
+            }
         );
     }
 
@@ -2611,7 +2769,51 @@ mod tests {
                 .budget(Budget::unlimited().states(1)),
         );
         assert_eq!(cut.stop, StopReason::StateBudget);
-        let resumed = explore_resume(&sys, &ReachConfig::bounded(1000), cut.checkpoint.unwrap());
+        let resumed =
+            explore_resume(&sys, &ReachConfig::bounded(1000), cut.checkpoint.unwrap()).unwrap();
         assert_reports_match(&resumed, &reference, "widen after resume");
+    }
+
+    #[test]
+    fn trace_nodes_stay_small() {
+        // One node per stored state: the parent reference, the ordinal and
+        // the reduction flag — no step, no heap.
+        assert!(std::mem::size_of::<Node>() <= 16);
+    }
+
+    #[test]
+    fn byte_budget_counts_the_trace_arena() {
+        let sys = dining_philosophers(6, true).unwrap();
+        let inv = StatePred::mutex(&sys, [(0, "eating"), (1, "eating")]);
+        let cfg = ReachConfig::bounded(1_000_000);
+        // The invariant holds, so the invariant search stores exactly what
+        // exploration stores — plus one trace node per state.
+        let states = Budget::unlimited().states(40);
+        let seen_only = explore_with(&sys, &cfg.clone().budget(states));
+        let traced = check_invariant_with(&sys, &inv, &cfg.clone().budget(states));
+        assert_eq!(traced.stop, StopReason::StateBudget);
+        assert_eq!(traced.states, seen_only.states);
+        assert_eq!(
+            traced.peak_bytes,
+            seen_only.peak_bytes + traced.states * std::mem::size_of::<Node>()
+        );
+
+        // A byte ceiling at the seen set's footprint of that cut: the
+        // seen set alone only exceeds it a level later, the traced
+        // footprint already does at that boundary.
+        let bytes = Budget::unlimited().bytes(seen_only.peak_bytes);
+        let e = explore_with(&sys, &cfg.clone().budget(bytes));
+        assert!(e.states > seen_only.states);
+        let cut = check_invariant_with(&sys, &inv, &cfg.clone().budget(bytes));
+        assert_eq!(cut.stop, StopReason::MemoryBudget);
+        assert!(cut.states <= traced.states);
+
+        // Resuming the byte-cut run is invisible in the final report.
+        let reference = check_invariant_with(&sys, &inv, &cfg);
+        let resumed = check_invariant_resume(&sys, &inv, &cfg, cut.checkpoint.unwrap()).unwrap();
+        assert!(resumed.holds() && reference.holds());
+        assert_eq!(resumed.states, reference.states);
+        assert_eq!(resumed.peak_bytes, reference.peak_bytes);
+        assert_eq!(resumed.stop, reference.stop);
     }
 }

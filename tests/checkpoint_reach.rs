@@ -16,9 +16,18 @@
 //! and truncating engine bounds (a budget trip and the engine's own
 //! `max_states` bound compose: the final hop ends exactly like the
 //! straight run, `Completed` or `BoundExhausted`, with no checkpoint).
+//!
+//! The witness searches get the same treatment: a chained
+//! `find_deadlock_resume` / `check_invariant_resume` run returns the
+//! straight run's witness (trace included), counts, stop reason and peak
+//! footprint — the footprint that, with the trace arena counted, is what a
+//! `Budget::bytes` ceiling reads.
 
-use bip_core::dining_philosophers;
-use bip_verify::reach::{explore_resume, explore_with, ReachConfig, ReachReport, Reduction};
+use bip_core::{dining_philosophers, State, StatePred, Step};
+use bip_verify::reach::{
+    check_invariant_resume, check_invariant_with, explore_resume, explore_with,
+    find_deadlock_resume, find_deadlock_with, ReachCheckpoint, ReachConfig, ReachReport, Reduction,
+};
 use bip_verify::{Budget, StopReason};
 use proptest::prelude::*;
 
@@ -70,7 +79,7 @@ fn chained_resume(sys: &bip_core::System, cfg: &ReachConfig) -> (ReachReport, us
                 let next = cfg
                     .clone()
                     .budget(Budget::unlimited().states(ck.states() + 1));
-                r = explore_resume(sys, &next, ck);
+                r = explore_resume(sys, &next, ck).expect("same mode and reduction");
             }
         }
     }
@@ -88,6 +97,103 @@ fn configs(bound: usize, threads: usize, reduction: Reduction) -> ReachConfig {
         .threads(threads)
         .min_parallel_level(1)
         .reduction(reduction)
+}
+
+/// What a resumed witness search must reproduce: witness, states,
+/// completeness, stop reason, peak footprint.
+type WitnessKey = (Option<(State, Vec<Step>)>, usize, bool, StopReason, usize);
+
+/// Run a witness search interrupted at every level boundary. `run` takes
+/// the hop's budget and, after the first hop, the checkpoint to resume;
+/// `split` reads a report's key and takes its checkpoint.
+fn chained_witness_search<R>(
+    mut run: impl FnMut(Budget, Option<ReachCheckpoint>) -> R,
+    split: impl Fn(R) -> (WitnessKey, Option<ReachCheckpoint>),
+) -> WitnessKey {
+    let (mut key, mut ck) = split(run(Budget::unlimited().states(1), None));
+    let mut hops = 0usize;
+    while let Some(c) = ck {
+        hops += 1;
+        assert!(hops < 10_000, "resume chain must terminate");
+        assert_eq!(key.3, StopReason::StateBudget, "hop {hops}: stop reason");
+        let budget = Budget::unlimited().states(c.states() + 1);
+        (key, ck) = split(run(budget, Some(c)));
+    }
+    key
+}
+
+/// Straight vs chained deadlock search and invariant check on `sys`.
+fn check_witness_searches(
+    sys: &bip_core::System,
+    inv: &StatePred,
+    cfg: &ReachConfig,
+    ctx: &str,
+) -> Result<(), String> {
+    let dsplit = |r: bip_verify::DeadlockReport| {
+        (
+            (r.witness, r.states, r.complete, r.stop, r.peak_bytes),
+            r.checkpoint,
+        )
+    };
+    let straight = dsplit(find_deadlock_with(sys, cfg)).0;
+    let chained = chained_witness_search(
+        |b, ck| {
+            let cfg = cfg.clone().budget(b);
+            match ck {
+                None => find_deadlock_with(sys, &cfg),
+                Some(ck) => find_deadlock_resume(sys, &cfg, ck).expect("same mode and reduction"),
+            }
+        },
+        dsplit,
+    );
+    if chained != straight {
+        return Err(format!("{ctx}: chained deadlock search diverged"));
+    }
+
+    let isplit = |r: bip_verify::InvariantReport| {
+        (
+            (r.violation, r.states, r.complete, r.stop, r.peak_bytes),
+            r.checkpoint,
+        )
+    };
+    let straight = isplit(check_invariant_with(sys, inv, cfg)).0;
+    let chained = chained_witness_search(
+        |b, ck| {
+            let cfg = cfg.clone().budget(b);
+            match ck {
+                None => check_invariant_with(sys, inv, &cfg),
+                Some(ck) => {
+                    check_invariant_resume(sys, inv, &cfg, ck).expect("same mode and reduction")
+                }
+            }
+        },
+        isplit,
+    );
+    if chained != straight {
+        return Err(format!("{ctx}: chained invariant check diverged"));
+    }
+    Ok(())
+}
+
+#[test]
+fn chained_witness_searches_on_philosophers() {
+    // Deep enough to cross several boundaries before the witness: the
+    // deadlock of two-phase phil-4, and a mutex that holds (so the chain
+    // runs to completion and the peak footprint covers every trace node).
+    let sys = dining_philosophers(4, true).unwrap();
+    let inv = StatePred::mutex(&sys, [(0, "eating"), (1, "eating")]);
+    for reduction in [Reduction::None, Reduction::Persistent] {
+        for threads in [1usize, 2] {
+            let cfg = configs(1_000_000, threads, reduction);
+            check_witness_searches(
+                &sys,
+                &inv,
+                &cfg,
+                &format!("phil 4 t{threads} {reduction:?}"),
+            )
+            .unwrap();
+        }
+    }
 }
 
 proptest! {
@@ -134,6 +240,21 @@ proptest! {
                 if let Err(e) = check(&sys, &cfg, &format!("phil {n} 2p={two_phase} threads {threads} {reduction:?}")) {
                     prop_assert!(false, "{}", e);
                 }
+            }
+        }
+    }
+
+    /// Witness searches: every-boundary resume returns the straight run's
+    /// witness, counts and peak footprint, for both reduction modes and
+    /// thread counts.
+    #[test]
+    fn chained_witness_searches_are_bit_identical_on_random_systems(seed in 0u64..120) {
+        let sys = random_system(seed);
+        let inv = StatePred::at(&sys, 0, "l0");
+        for reduction in [Reduction::None, Reduction::Persistent] {
+            for threads in [1usize, 2] {
+                let cfg = configs(500, threads, reduction);
+                check_witness_searches(&sys, &inv, &cfg, &format!("seed {seed} threads {threads} {reduction:?}"))?;
             }
         }
     }

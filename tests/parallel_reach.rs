@@ -15,6 +15,10 @@
 //! * a deliberately narrowed starting codec ([`CodecMode::Custom`]) forces
 //!   the repack-on-widen path mid-search and must change nothing about the
 //!   reports.
+//!
+//! The two differential properties run in the default suite at a reduced
+//! completing bound; their full-size twins are `#[ignore]`d and run in
+//! release: `cargo test --release --test parallel_reach -- --ignored`.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -198,72 +202,21 @@ proptest! {
 
     /// Differential codec testing: every explorer returns bit-identical
     /// reports under the adaptive and the full-width codec, sequentially
-    /// and in parallel, bounded or not.
+    /// and in parallel, bounded or not (tier-1 size; the full-size twin is
+    /// [`adaptive_and_full_width_codecs_agree_full_size`]).
     #[test]
     fn adaptive_and_full_width_codecs_agree(seed in 0u64..120) {
-        let sys = random_system(seed);
-        for bound in [6_000usize, 31] {
-            let full = explore_with(&sys, &ReachConfig::bounded(bound).full_width_codec());
-            for threads in [1usize, 4] {
-                let cfg = ReachConfig::bounded(bound).threads(threads).min_parallel_level(1);
-                let ad = explore_with(&sys, &cfg);
-                if let Err(e) = assert_reports_equal(&ad, &full, &format!("seed {seed} bound {bound} threads {threads}")) {
-                    prop_assert!(false, "{}", e);
-                }
-
-                let df = find_deadlock_with(&sys, &cfg.clone().full_width_codec());
-                let da = find_deadlock_with(&sys, &cfg);
-                prop_assert_eq!(&da.witness, &df.witness);
-                prop_assert_eq!(da.states, df.states);
-                prop_assert_eq!(da.complete, df.complete);
-
-                let inv = StatePred::at(&sys, 0, "l0");
-                let ifull = check_invariant_with(&sys, &inv, &cfg.clone().full_width_codec());
-                let iad = check_invariant_with(&sys, &inv, &cfg);
-                prop_assert_eq!(&iad.violation, &ifull.violation);
-                prop_assert_eq!(iad.states, ifull.states);
-                prop_assert_eq!(iad.complete, ifull.complete);
-            }
-        }
+        codecs_agree(seed, TIER1_BOUNDS)?;
     }
 
     /// Repack-on-widen: starting from a deliberately narrowed codec (every
     /// variable squeezed to 1 bit), the engine must widen mid-search and
     /// still reproduce the full-width reports exactly, for every thread
-    /// count and under truncating bounds.
+    /// count and under truncating bounds (tier-1 size; the full-size twin
+    /// is [`forced_widen_preserves_reports_full_size`]).
     #[test]
     fn forced_widen_preserves_reports(seed in 0u64..120) {
-        let sys = random_system(seed);
-        let nvars = sys.initial_state().vars.len();
-        let narrowed = || {
-            let mut codec = sys.adaptive_codec();
-            for v in 0..nvars {
-                codec = codec.with_narrowed_var(&sys, v, 1);
-            }
-            codec
-        };
-        if nvars == 0 {
-            // Nothing to narrow: no variables, no widen path to exercise.
-            return Ok(());
-        }
-        for bound in [6_000usize, 31] {
-            let full = explore_with(&sys, &ReachConfig::bounded(bound).full_width_codec());
-            for threads in [1usize, 4] {
-                let cfg = ReachConfig::bounded(bound)
-                    .threads(threads)
-                    .min_parallel_level(1)
-                    .with_codec(narrowed());
-                let r = explore_with(&sys, &cfg);
-                if let Err(e) = assert_reports_equal(&r, &full, &format!("widen seed {seed} bound {bound} threads {threads}")) {
-                    prop_assert!(false, "{}", e);
-                }
-                let df = find_deadlock_with(&sys, &ReachConfig::bounded(bound).threads(threads).min_parallel_level(1).full_width_codec());
-                let dn = find_deadlock_with(&sys, &cfg);
-                prop_assert_eq!(&dn.witness, &df.witness);
-                prop_assert_eq!(dn.states, df.states);
-                prop_assert_eq!(dn.complete, df.complete);
-            }
-        }
+        widen_preserves_reports(seed, TIER1_BOUNDS)?;
     }
 }
 
@@ -282,4 +235,113 @@ fn codec_mode_custom_is_usable() {
     assert_eq!(custom.transitions, default.transitions);
     assert_eq!(custom.deadlocks, default.deadlocks);
     assert_eq!(custom.stored_bytes, default.stored_bytes);
+}
+
+/// Engine bounds of the tier-1 differential properties: one that completes
+/// most random systems and one that truncates nearly all of them.
+const TIER1_BOUNDS: &[usize] = &[1_500, 31];
+
+/// The full-size bounds, run by the `#[ignore]`d twins (in release, by a CI
+/// step of their own: `cargo test --release --test parallel_reach --
+/// --ignored`).
+const FULL_BOUNDS: &[usize] = &[6_000, 31];
+
+/// Every explorer agrees between the adaptive and the full-width codec on
+/// `random_system(seed)`, for 1 and 4 threads, at each bound.
+fn codecs_agree(seed: u64, bounds: &[usize]) -> Result<(), String> {
+    let sys = random_system(seed);
+    for &bound in bounds {
+        let full = explore_with(&sys, &ReachConfig::bounded(bound).full_width_codec());
+        for threads in [1usize, 4] {
+            let cfg = ReachConfig::bounded(bound)
+                .threads(threads)
+                .min_parallel_level(1);
+            let ad = explore_with(&sys, &cfg);
+            assert_reports_equal(
+                &ad,
+                &full,
+                &format!("seed {seed} bound {bound} threads {threads}"),
+            )?;
+
+            let df = find_deadlock_with(&sys, &cfg.clone().full_width_codec());
+            let da = find_deadlock_with(&sys, &cfg);
+            prop_assert_eq!(&da.witness, &df.witness);
+            prop_assert_eq!(da.states, df.states);
+            prop_assert_eq!(da.complete, df.complete);
+
+            let inv = StatePred::at(&sys, 0, "l0");
+            let ifull = check_invariant_with(&sys, &inv, &cfg.clone().full_width_codec());
+            let iad = check_invariant_with(&sys, &inv, &cfg);
+            prop_assert_eq!(&iad.violation, &ifull.violation);
+            prop_assert_eq!(iad.states, ifull.states);
+            prop_assert_eq!(iad.complete, ifull.complete);
+        }
+    }
+    Ok(())
+}
+
+/// Starting from a codec with every variable narrowed to one bit, explore
+/// and deadlock search widen mid-search and still match the full-width
+/// reports, for 1 and 4 threads, at each bound.
+fn widen_preserves_reports(seed: u64, bounds: &[usize]) -> Result<(), String> {
+    let sys = random_system(seed);
+    let nvars = sys.initial_state().vars.len();
+    if nvars == 0 {
+        // Nothing to narrow: no variables, no widen path to exercise.
+        return Ok(());
+    }
+    let narrowed = || {
+        let mut codec = sys.adaptive_codec();
+        for v in 0..nvars {
+            codec = codec.with_narrowed_var(&sys, v, 1);
+        }
+        codec
+    };
+    for &bound in bounds {
+        let full = explore_with(&sys, &ReachConfig::bounded(bound).full_width_codec());
+        for threads in [1usize, 4] {
+            let cfg = ReachConfig::bounded(bound)
+                .threads(threads)
+                .min_parallel_level(1)
+                .with_codec(narrowed());
+            let r = explore_with(&sys, &cfg);
+            assert_reports_equal(
+                &r,
+                &full,
+                &format!("widen seed {seed} bound {bound} threads {threads}"),
+            )?;
+            let df = find_deadlock_with(
+                &sys,
+                &ReachConfig::bounded(bound)
+                    .threads(threads)
+                    .min_parallel_level(1)
+                    .full_width_codec(),
+            );
+            let dn = find_deadlock_with(&sys, &cfg);
+            prop_assert_eq!(&dn.witness, &df.witness);
+            prop_assert_eq!(dn.states, df.states);
+            prop_assert_eq!(dn.complete, df.complete);
+        }
+    }
+    Ok(())
+}
+
+/// [`adaptive_and_full_width_codecs_agree`] at full size, on every seed the
+/// property samples from.
+#[test]
+#[ignore = "full size: run in release with --ignored"]
+fn adaptive_and_full_width_codecs_agree_full_size() {
+    for seed in 0u64..120 {
+        codecs_agree(seed, FULL_BOUNDS).unwrap();
+    }
+}
+
+/// [`forced_widen_preserves_reports`] at full size, on every seed the
+/// property samples from.
+#[test]
+#[ignore = "full size: run in release with --ignored"]
+fn forced_widen_preserves_reports_full_size() {
+    for seed in 0u64..120 {
+        widen_preserves_reports(seed, FULL_BOUNDS).unwrap();
+    }
 }
