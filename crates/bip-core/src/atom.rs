@@ -193,13 +193,16 @@ impl AtomType {
     /// Execute a transition's update action on `vars` (simultaneous
     /// semantics: right-hand sides read the pre-state).
     pub fn apply_updates(&self, tid: TransitionId, vars: &mut [Value]) {
-        let t = self.transition(tid);
-        if t.updates.is_empty() {
-            return;
-        }
-        let pre = vars.to_vec();
-        for (v, e) in &t.updates {
-            vars[v.0 as usize] = e.eval_local(&pre);
+        match self.transition(tid).updates.as_slice() {
+            [] => {}
+            // A single assignment reads the pre-state without a copy.
+            [(v, e)] => vars[v.0 as usize] = e.eval_local(vars),
+            updates => {
+                let pre = vars.to_vec();
+                for (v, e) in updates {
+                    vars[v.0 as usize] = e.eval_local(&pre);
+                }
+            }
         }
     }
 }

@@ -241,6 +241,11 @@ impl CompiledExec {
 pub struct EnabledSet {
     /// Enabled endpoint masks per connector, ascending.
     pub(crate) per_conn: Vec<Vec<u32>>,
+    /// Offered-endpoint bitmask per connector (bit `i` = endpoint `i`'s
+    /// port is offered), recorded by the refresh that computed
+    /// `per_conn`. Valid for connectors of ≤ [`MAX_CONNECTOR_PORTS`]
+    /// endpoints; wider ones leave it 0.
+    pub(crate) offered: Vec<u32>,
     /// Enabled internal transitions per component (empty for components
     /// whose type has none).
     pub(crate) internal: Vec<Vec<TransitionId>>,
@@ -260,6 +265,7 @@ impl EnabledSet {
     pub(crate) fn new(num_connectors: usize, num_components: usize) -> EnabledSet {
         let mut es = EnabledSet {
             per_conn: vec![Vec::new(); num_connectors],
+            offered: vec![0; num_connectors],
             internal: vec![Vec::new(); num_components],
             conn_dirty: vec![false; num_connectors],
             comp_dirty: vec![false; num_components],
@@ -447,7 +453,7 @@ impl System {
             es.conn_dirty[ci] = false;
             es.interactions -= es.per_conn[ci].len();
             let mut buf = std::mem::take(&mut es.per_conn[ci]);
-            self.refresh_connector_into(st, ci, &mut buf);
+            es.offered[ci] = self.refresh_connector_into(st, ci, &mut buf);
             es.per_conn[ci] = buf;
             es.interactions += es.per_conn[ci].len();
         }
@@ -471,8 +477,10 @@ impl System {
         }
     }
 
-    /// Recompute the enabled masks of connector `ci` in `st` into `out`.
-    pub(crate) fn refresh_connector_into(&self, st: &State, ci: usize, out: &mut Vec<u32>) {
+    /// Recompute the enabled masks of connector `ci` in `st` into `out`,
+    /// returning the offered-endpoint bitmask (0 for connectors wider than
+    /// [`MAX_CONNECTOR_PORTS`], which do not build one).
+    pub(crate) fn refresh_connector_into(&self, st: &State, ci: usize, out: &mut Vec<u32>) -> u32 {
         out.clear();
         let eps = &self.resolved[ci];
         let conn = &self.connectors[ci];
@@ -492,7 +500,7 @@ impl System {
             if (0..eps.len()).all(offered_at) && guard_holds() {
                 out.push(FULL_MASK);
             }
-            return;
+            return 0;
         }
         // Offered-endpoint bitmask for this state.
         let mut offered = 0u32;
@@ -502,7 +510,7 @@ impl System {
             }
         }
         if offered == 0 {
-            return;
+            return 0;
         }
         // The guard reads endpoint variables, not the mask (compilation
         // already dropped masks the guard cannot apply to), so evaluate it
@@ -513,6 +521,7 @@ impl System {
                 out.push(mask);
             }
         }
+        offered
     }
 
     /// Visit every enabled step of `st`: priority-surviving interactions

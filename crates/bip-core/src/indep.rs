@@ -46,6 +46,31 @@
 //! selection is a pure function of the state and the system: thread-count-
 //! and codec-invariant by construction.
 //!
+//! The result is defined as "the first seed, in scan order, whose closure
+//! has the fewest enabled members among the closures with no enabled
+//! visible member and fewer members than the enabled set". A seed changes
+//! the running best only if it beats it *strictly*. So a seed that
+//! provably cannot do that can be skipped without changing the selection.
+//! Three prunes do exactly that, and each decides only from the state,
+//! the static tables and the best size found so far, which is itself a
+//! function of the state:
+//!
+//! 1. **Dependency-row pre-filter.** An enabled seed pulls its whole
+//!    dependency row into its closure. So `|dep[seed] ∩ enabled|` is a
+//!    lower bound on the seed's candidate size, and an enabled visible
+//!    action in that row is in the candidate for certain. Either one
+//!    rules the seed out before its closure starts.
+//! 2. **Closures cut at the best size so far.** A closure only grows.
+//!    Once it holds as many enabled actions as the best candidate (or the
+//!    whole enabled set), or any enabled visible action, its final
+//!    candidate can no longer be accepted, so the closure stops there.
+//! 3. **Offered endpoints from the refresh.** The disabled-member rule
+//!    reads the first unoffered endpoint of an interaction from the
+//!    offered-endpoint mask the [`EnabledSet`] refresh already recorded
+//!    for that state. It does not re-evaluate port guards. The bit is the
+//!    same [`System::port_offered`] answer, so the chosen component is the
+//!    same.
+//!
 //! ```
 //! use bip_core::dining_philosophers;
 //!
@@ -63,7 +88,7 @@
 use crate::atom::TransitionId;
 use crate::connector::ConnId;
 use crate::data::Expr;
-use crate::exec::{mask_endpoints, EnabledSet, EnabledStep, InteractionRef};
+use crate::exec::{mask_endpoints, EnabledSet, EnabledStep, InteractionRef, MAX_CONNECTOR_PORTS};
 use crate::placeset::PlaceSet;
 use crate::predicate::{GExpr, StatePred};
 use crate::priority::Priority;
@@ -121,20 +146,18 @@ pub struct AmpleScratch {
     enabled: PlaceSet,
     /// Enabled action ids, ascending.
     enabled_list: Vec<u32>,
-    /// Closure membership.
-    in_t: PlaceSet,
+    /// Enabled visible actions of the current state (empty without a
+    /// visibility row).
+    visible: PlaceSet,
+    /// Closure membership, packed like a [`PlaceSet`]'s words (updated a
+    /// word at a time, so it keeps no member count).
+    in_t: Vec<u64>,
     /// Closure worklist.
     stack: Vec<u32>,
     /// The selected ample action ids, ascending — the selector's output.
     ample: Vec<u32>,
     /// Candidate buffer of the seed currently being closed.
     cand: Vec<u32>,
-    /// Lazily computed offered-endpoint masks per connector (connectors of
-    /// ≤ 64 endpoints; wider ones scan directly), valid when the generation
-    /// stamp matches.
-    offered: Vec<u64>,
-    offered_gen: Vec<u64>,
-    gen: u64,
 }
 
 impl AmpleScratch {
@@ -498,52 +521,39 @@ impl IndepInfo {
     }
 
     /// Fresh selector scratch sized for this system.
-    pub fn new_scratch(&self, sys: &System) -> AmpleScratch {
+    pub fn new_scratch(&self, _sys: &System) -> AmpleScratch {
         AmpleScratch {
             enabled: PlaceSet::new(self.actions.len()),
             enabled_list: Vec::new(),
-            in_t: PlaceSet::new(self.actions.len()),
+            visible: PlaceSet::new(self.actions.len()),
+            in_t: vec![0; self.actions.len().div_ceil(64)],
             stack: Vec::new(),
             ample: Vec::new(),
             cand: Vec::new(),
-            offered: vec![0; sys.num_connectors()],
-            offered_gen: vec![0; sys.num_connectors()],
-            gen: 0,
         }
     }
 
     /// The first endpoint of `mask` (ascending) whose port is not offered
-    /// by its component in `st`, if any. Offered bits are cached per
-    /// selector invocation for connectors of ≤ 64 endpoints; wider (pure
-    /// rendezvous) connectors scan directly.
+    /// by its component in `st`, if any. Connectors of ≤
+    /// [`MAX_CONNECTOR_PORTS`] endpoints read the offered-endpoint mask the
+    /// refresh of `es` recorded; wider (pure rendezvous) ones scan directly.
     fn first_unoffered(
-        &self,
         sys: &System,
         st: &State,
+        es: &EnabledSet,
         ci: usize,
         mask: u32,
-        scratch: &mut AmpleScratch,
     ) -> Option<usize> {
         let eps = &sys.resolved[ci];
-        let offered_at = |i: usize| {
-            let (comp, port, _) = eps[i];
-            sys.port_offered(st, comp, port)
-        };
-        if eps.len() > 64 {
-            return mask_endpoints(mask, eps.len()).find(|&i| !offered_at(i));
+        if eps.len() > MAX_CONNECTOR_PORTS {
+            return mask_endpoints(mask, eps.len()).find(|&i| {
+                let (comp, port, _) = eps[i];
+                !sys.port_offered(st, comp, port)
+            });
         }
-        if scratch.offered_gen[ci] != scratch.gen {
-            let mut offered = 0u64;
-            for i in 0..eps.len() {
-                if offered_at(i) {
-                    offered |= 1 << i;
-                }
-            }
-            scratch.offered[ci] = offered;
-            scratch.offered_gen[ci] = scratch.gen;
-        }
-        let offered = scratch.offered[ci];
-        mask_endpoints(mask, eps.len()).find(|&i| offered & (1 << i) == 0)
+        // Masks of connectors this narrow are exact bitmasks.
+        let missing = mask & !es.offered[ci];
+        (missing != 0).then(|| missing.trailing_zeros() as usize)
     }
 
     /// Select a persistent subset of the enabled actions of `st`, or
@@ -557,14 +567,30 @@ impl IndepInfo {
     ///
     /// `hash` must be the canonical state hash
     /// ([`crate::StateCodec::state_hash`]); it seeds the scan order over
-    /// the enabled actions — every enabled action is tried as a closure
-    /// seed, in rotation order starting at `hash % |enabled|`, and the
-    /// strictly smallest resulting ample set wins (first found on ties).
+    /// the enabled actions — every enabled action is a closure seed, in
+    /// rotation order starting at `hash % |enabled|`, and the strictly
+    /// smallest resulting ample set wins (first found on ties).
     /// The selection is therefore a pure function of the state and the
     /// system: identical for every thread count and codec. `visible`, when
     /// present, is a [`IndepInfo::visible_actions`] row; a candidate ample
     /// set containing a visible action is rejected (another seed may still
     /// produce an invisible one).
+    ///
+    /// Seeds that cannot strictly beat the best candidate so far are cut
+    /// short, which changes the work but not the answer:
+    ///
+    /// * a seed whose dependency row already holds at least as many
+    ///   enabled actions as the best candidate (or all of them), or an
+    ///   enabled visible action, is skipped unclosed — its closure
+    ///   contains that row;
+    /// * a closure stops as soon as it holds that many enabled actions, or
+    ///   one enabled visible action — closures only grow;
+    /// * the first unoffered endpoint of a disabled interaction is read
+    ///   from the offered-endpoint mask `es` recorded at refresh, the same
+    ///   [`System::port_offered`] bits a fresh scan would compute.
+    ///
+    /// Every cut depends only on `st`, the static tables and the best size
+    /// so far, so the selection stays a pure function of the state.
     ///
     /// The selected set is **persistent**: every sequence of actions the
     /// full semantics can take from `st` without firing an ample action
@@ -592,7 +618,6 @@ impl IndepInfo {
         if self.oversized {
             return false;
         }
-        scratch.gen = scratch.gen.wrapping_add(1);
 
         // ---- Enabled actions (post-priority), ascending. ----
         scratch.enabled.clear();
@@ -635,92 +660,38 @@ impl IndepInfo {
         if n_enabled <= 1 {
             return false;
         }
+        scratch.visible.clear();
+        if let Some(vis) = visible {
+            for &a in &scratch.enabled_list {
+                if vis.contains(a as usize) {
+                    scratch.visible.insert(a as usize);
+                }
+            }
+        }
 
         // ---- Stubborn closures, every enabled seed in hash-rotated scan
         // order; the strictly smallest ample wins (first found on ties).
         let mut best_len = usize::MAX;
         for k in 0..n_enabled {
             let seed = scratch.enabled_list[((k as u64 + hash) % n_enabled as u64) as usize];
-            scratch.in_t.clear();
-            scratch.stack.clear();
-            scratch.in_t.insert(seed as usize);
-            scratch.stack.push(seed);
-            // Enabled members swept into the closure so far; reaching
-            // `n_enabled` means this seed yields no reduction.
-            let mut swept = 1usize;
-            'closure: while let Some(t) = scratch.stack.pop() {
-                let t = t as usize;
-                if scratch.enabled.contains(t) {
-                    for j in self.dep[t].iter() {
-                        if scratch.in_t.insert(j) {
-                            scratch.stack.push(j as u32);
-                            if scratch.enabled.contains(j) {
-                                swept += 1;
-                                if swept >= n_enabled {
-                                    break 'closure;
-                                }
-                            }
-                        }
-                    }
-                    continue;
-                }
-                // Disabled member: add the actions touching the components
-                // that must move first.
-                match self.actions[t] {
-                    EnabledStep::Internal { component, .. } => {
-                        swept = self.add_touch(component, swept, scratch);
-                    }
-                    EnabledStep::Interaction(ir) => {
-                        let ci = ir.connector.0 as usize;
-                        let raw_enabled = es.masks(ir.connector).binary_search(&ir.mask).is_ok();
-                        if raw_enabled {
-                            // Dominated by priority: domination ends only
-                            // when a release component moves.
-                            for k in 0..self.prio_comps[ci].len() {
-                                swept = self.add_touch(self.prio_comps[ci][k], swept, scratch);
-                            }
-                            continue;
-                        }
-                        match self.first_unoffered(sys, st, ci, ir.mask, scratch) {
-                            Some(i) => {
-                                // Endpoint i's component must move before
-                                // this interaction can fire.
-                                let (comp, _, _) = sys.resolved[ci][i];
-                                swept = self.add_touch(comp, swept, scratch);
-                            }
-                            None => {
-                                // Every endpoint offered: the connector
-                                // guard is false. A constant-false guard can
-                                // never change; otherwise one of its readers
-                                // must move.
-                                for k in 0..self.guard_comps[ci].len() {
-                                    swept = self.add_touch(self.guard_comps[ci][k], swept, scratch);
-                                }
-                            }
-                        }
-                    }
-                }
-                if swept >= n_enabled {
-                    break 'closure;
-                }
+            // A candidate of `limit` or more enabled actions cannot win.
+            let limit = best_len.min(n_enabled);
+            let row = &self.dep[seed as usize];
+            if row.intersection_len(&scratch.enabled) >= limit || row.intersects(&scratch.visible) {
+                continue; // the seed's closure contains its row
             }
-            if swept >= best_len.min(n_enabled) {
-                continue; // no improvement possible from this seed
-            }
+            let Some(len) = self.close(sys, st, es, seed, limit, scratch) else {
+                continue;
+            };
             // Candidate ample = enabled ∩ closure, ascending.
             scratch.cand.clear();
             for &a in &scratch.enabled_list {
-                if scratch.in_t.contains(a as usize) {
+                if scratch.in_t[a as usize / 64] >> (a % 64) & 1 == 1 {
                     scratch.cand.push(a);
                 }
             }
-            debug_assert_eq!(scratch.cand.len(), swept);
-            if let Some(vis) = visible {
-                if scratch.cand.iter().any(|&a| vis.contains(a as usize)) {
-                    continue; // would hide a predicate flip; try other seeds
-                }
-            }
-            best_len = scratch.cand.len();
+            debug_assert_eq!(scratch.cand.len(), len);
+            best_len = len;
             std::mem::swap(&mut scratch.ample, &mut scratch.cand);
             if best_len == 1 {
                 break; // nothing smaller exists
@@ -729,18 +700,91 @@ impl IndepInfo {
         best_len < n_enabled
     }
 
-    /// Push every action touching `comp` into the closure, returning the
-    /// updated swept-enabled count.
-    fn add_touch(&self, comp: CompId, mut swept: usize, scratch: &mut AmpleScratch) -> usize {
-        for j in self.touch[comp].iter() {
-            if scratch.in_t.insert(j) {
-                scratch.stack.push(j as u32);
-                if scratch.enabled.contains(j) {
-                    swept += 1;
+    /// Close `seed` under the stubborn-set rules into `scratch.in_t`.
+    /// Returns the number of enabled members, or `None` as soon as the
+    /// closure holds `limit` enabled actions or an enabled visible one.
+    fn close(
+        &self,
+        sys: &System,
+        st: &State,
+        es: &EnabledSet,
+        seed: u32,
+        limit: usize,
+        scratch: &mut AmpleScratch,
+    ) -> Option<usize> {
+        scratch.in_t.fill(0);
+        scratch.in_t[seed as usize / 64] = 1 << (seed % 64);
+        scratch.stack.clear();
+        scratch.stack.push(seed);
+        let mut swept = 1usize;
+        while let Some(t) = scratch.stack.pop() {
+            let t = t as usize;
+            if scratch.enabled.contains(t) {
+                Self::absorb(&self.dep[t], &mut swept, limit, scratch)?;
+                continue;
+            }
+            // Disabled member: add the actions touching the components
+            // that must move first.
+            match self.actions[t] {
+                EnabledStep::Internal { component, .. } => {
+                    Self::absorb(&self.touch[component], &mut swept, limit, scratch)?;
+                }
+                EnabledStep::Interaction(ir) => {
+                    let ci = ir.connector.0 as usize;
+                    let raw_enabled = es.masks(ir.connector).binary_search(&ir.mask).is_ok();
+                    // Dominated by priority: domination ends only when a
+                    // release component moves. Every endpoint offered: the
+                    // connector guard is false; a constant-false guard can
+                    // never change, otherwise one of its readers must move.
+                    // Otherwise the first unoffered endpoint's component
+                    // must move before this interaction can fire.
+                    let movers: &[CompId] = if raw_enabled {
+                        &self.prio_comps[ci]
+                    } else {
+                        match Self::first_unoffered(sys, st, es, ci, ir.mask) {
+                            Some(i) => std::slice::from_ref(&sys.resolved[ci][i].0),
+                            None => &self.guard_comps[ci],
+                        }
+                    };
+                    for &comp in movers {
+                        Self::absorb(&self.touch[comp], &mut swept, limit, scratch)?;
+                    }
                 }
             }
         }
-        swept
+        Some(swept)
+    }
+
+    /// Add every action of `row` not yet in the closure, a word at a time,
+    /// counting the enabled ones into `swept`; `None` once `swept` reaches
+    /// `limit` or an enabled visible action enters.
+    fn absorb(
+        row: &PlaceSet,
+        swept: &mut usize,
+        limit: usize,
+        scratch: &mut AmpleScratch,
+    ) -> Option<()> {
+        let enabled = scratch.enabled.words();
+        let visible = scratch.visible.words();
+        for (wi, (&r, member)) in row.words().iter().zip(&mut scratch.in_t).enumerate() {
+            let mut fresh = r & !*member;
+            if fresh == 0 {
+                continue;
+            }
+            *member |= fresh;
+            let fresh_enabled = fresh & enabled[wi];
+            if fresh_enabled != 0 {
+                *swept += fresh_enabled.count_ones() as usize;
+                if *swept >= limit || fresh_enabled & visible[wi] != 0 {
+                    return None;
+                }
+            }
+            while fresh != 0 {
+                scratch.stack.push(wi as u32 * 64 + fresh.trailing_zeros());
+                fresh &= fresh - 1;
+            }
+        }
+        Some(())
     }
 }
 

@@ -149,7 +149,11 @@ impl PlaceSet {
         let bit = 1u64 << (p % 64);
         let had = *w & bit != 0;
         *w &= !bit;
-        self.len -= had as usize;
+        // A branch, not `len -= had as usize`: rustc 1.95 at opt-level 3
+        // drops that decrement (release builds kept `len` unchanged).
+        if had {
+            self.len -= 1;
+        }
         had
     }
 
@@ -172,6 +176,20 @@ impl PlaceSet {
             .iter()
             .zip(other.words.iter())
             .any(|(a, b)| a & b != 0)
+    }
+
+    /// Number of members the sets share (word-wise `AND` and popcount).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a capacity mismatch (see [`PlaceSet::intersects`]).
+    pub fn intersection_len(&self, other: &PlaceSet) -> usize {
+        assert_eq!(self.capacity, other.capacity, "capacity mismatch");
+        self.words
+            .iter()
+            .zip(other.words.iter())
+            .map(|(a, b)| (a & b).count_ones() as usize)
+            .sum()
     }
 
     /// `true` when every member of `self` is in `other`.
@@ -305,6 +323,24 @@ mod tests {
     }
 
     #[test]
+    fn len_tracks_remove_and_reinsert() {
+        // D-Finder's greedy trap minimisation: drop a place, maybe put it
+        // back. `len` must agree with the words after every step.
+        let mut s = PlaceSet::from_places(100, [1, 2, 70]);
+        for p in [1, 70, 2] {
+            assert!(s.remove(p));
+            assert_eq!(s.len(), s.iter().count());
+            assert!(s.insert(p));
+            assert_eq!(s.len(), 3);
+        }
+        for p in [1, 2, 70] {
+            s.remove(p);
+        }
+        assert!(s.is_empty());
+        assert_eq!(s.len(), 0);
+    }
+
+    #[test]
     fn iteration_is_ascending() {
         let s = PlaceSet::from_places(200, [199, 0, 64, 63, 65]);
         assert_eq!(s.to_vec(), vec![0, 63, 64, 65, 199]);
@@ -316,6 +352,8 @@ mod tests {
         let a = PlaceSet::from_places(70, [1, 65]);
         let b = PlaceSet::from_places(70, [65, 66]);
         assert!(a.intersects(&b));
+        assert_eq!(a.intersection_len(&b), 1);
+        assert_eq!(a.intersection_len(&a), 2);
         assert!(!a.is_subset(&b));
         assert!(a.is_subset(&a));
         let mut u = a.clone();

@@ -480,9 +480,7 @@ impl System {
         let ty = self.atom_type(comp);
         let off = self.var_offsets[comp];
         let n = ty.vars().len();
-        let mut local: Vec<Value> = st.vars[off..off + n].to_vec();
-        ty.apply_updates(tid, &mut local);
-        st.vars[off..off + n].copy_from_slice(&local);
+        ty.apply_updates(tid, &mut st.vars[off..off + n]);
         st.locs[comp] = ty.transition(tid).to.0;
     }
 

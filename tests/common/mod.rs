@@ -3,7 +3,11 @@
 
 use std::collections::HashSet;
 
-use bip_core::{AtomBuilder, ConnectorBuilder, Expr, SystemBuilder};
+use bip_core::exec::mask_endpoints;
+use bip_core::{
+    AtomBuilder, CompId, ConnId, ConnectorBuilder, EnabledSet, EnabledStep, Expr, IndepInfo,
+    PlaceSet, State, System, SystemBuilder,
+};
 use bip_verify::dfinder::{Abstraction, LinearInvariant, Place};
 
 /// How a generated variable behaves across transitions.
@@ -345,4 +349,227 @@ pub fn dense_linear_invariants(
         out.push(LinearInvariant { coeffs, value });
     }
     out
+}
+
+/// Which disabled-member rule of the stubborn-set closure ran, counted by
+/// [`AmpleOracle::select`] so a test can show every branch was exercised.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct ClosureBranches {
+    /// A disabled internal action: its component must move.
+    pub internal: u64,
+    /// A raw-enabled interaction dominated by priority.
+    pub dominated: u64,
+    /// An interaction with an unoffered endpoint.
+    pub unoffered: u64,
+    /// An interaction with every endpoint offered and a false guard.
+    pub guard_readers: u64,
+}
+
+/// The persistent-set selector `IndepInfo::select_ample` ran before its
+/// seeds were pruned, kept as the oracle the selector is compared against:
+/// every enabled action closed as a seed to its fixpoint (only a closure
+/// sweeping the whole enabled set stops early), port offers re-evaluated
+/// from the state, the strictly smallest candidate without a visible
+/// action kept. Its tables are rebuilt from the public API alone.
+pub struct AmpleOracle {
+    /// The action table.
+    steps: Vec<EnabledStep>,
+    /// Action id of every compiled step.
+    id_of: std::collections::HashMap<EnabledStep, u32>,
+    /// Per action: the actions it depends on, itself included.
+    dep: Vec<Vec<usize>>,
+    /// Per component: the actions whose component support contains it.
+    touch: Vec<Vec<usize>>,
+    /// Per connector: the components its guard reads.
+    guard_comps: Vec<Vec<CompId>>,
+    /// Per connector: the components that can end a priority domination.
+    prio_comps: Vec<Vec<CompId>>,
+    oversized: bool,
+    pub branches: ClosureBranches,
+}
+
+fn collect_param_endpoints(e: &Expr, out: &mut Vec<usize>) {
+    match e {
+        Expr::Const(_) | Expr::Var(_) => {}
+        Expr::Param(k, _) => out.push(*k as usize),
+        Expr::Unary(_, a) => collect_param_endpoints(a, out),
+        Expr::Binary(_, a, b) => {
+            collect_param_endpoints(a, out);
+            collect_param_endpoints(b, out);
+        }
+        Expr::Ite(c, t, f) => {
+            collect_param_endpoints(c, out);
+            collect_param_endpoints(t, out);
+            collect_param_endpoints(f, out);
+        }
+    }
+}
+
+impl AmpleOracle {
+    pub fn new(sys: &System, indep: &IndepInfo) -> AmpleOracle {
+        let n = indep.num_actions();
+        let steps: Vec<EnabledStep> = (0..n).map(|a| indep.action(a)).collect();
+        let id_of = (0..n).map(|a| (steps[a], a as u32)).collect();
+        let oversized = indep.is_oversized();
+        let dep = if oversized {
+            Vec::new()
+        } else {
+            (0..n)
+                .map(|a| (0..n).filter(|&b| !indep.independent(a, b)).collect())
+                .collect()
+        };
+        let touch = (0..sys.num_components())
+            .map(|c| {
+                (0..n)
+                    .filter(|&a| indep.action_comps(a).contains(c))
+                    .collect()
+            })
+            .collect();
+        let nconns = sys.num_connectors();
+        let mut guard_comps = Vec::with_capacity(nconns);
+        for ci in 0..nconns {
+            let eps = sys.connector_endpoints(ConnId(ci as u32));
+            let mut ks = Vec::new();
+            collect_param_endpoints(&sys.connector(ConnId(ci as u32)).guard, &mut ks);
+            let mut cs: Vec<CompId> = ks.iter().map(|&k| eps[k].0).collect();
+            cs.sort_unstable();
+            cs.dedup();
+            guard_comps.push(cs);
+        }
+        let prio = sys.priority();
+        let mut prio_comps: Vec<Vec<CompId>> = vec![Vec::new(); nconns];
+        for rule in &prio.rules {
+            let low = rule.low.0 as usize;
+            for (comp, _) in sys.connector_endpoints(rule.high) {
+                prio_comps[low].push(comp);
+            }
+            let (comps, _) = bip_core::indep::pred_support(sys, &rule.guard);
+            prio_comps[low].extend(comps.iter());
+        }
+        if prio.maximal_progress {
+            for (ci, row) in prio_comps.iter_mut().enumerate() {
+                for (comp, _) in sys.connector_endpoints(ConnId(ci as u32)) {
+                    row.push(comp);
+                }
+            }
+        }
+        for row in &mut prio_comps {
+            row.sort_unstable();
+            row.dedup();
+        }
+        AmpleOracle {
+            steps,
+            id_of,
+            dep,
+            touch,
+            guard_comps,
+            prio_comps,
+            oversized,
+            branches: ClosureBranches::default(),
+        }
+    }
+
+    /// The ample set `select_ample` must choose for `st` (ascending action
+    /// ids), or `None` where it must decline. `es` must be refreshed for
+    /// `st`.
+    pub fn select(
+        &mut self,
+        sys: &System,
+        st: &State,
+        es: &EnabledSet,
+        hash: u64,
+        visible: Option<&PlaceSet>,
+    ) -> Option<Vec<u32>> {
+        if self.oversized {
+            return None;
+        }
+        let mut enabled_list: Vec<u32> = Vec::new();
+        sys.for_each_enabled(st, es, |step| enabled_list.push(self.id_of[&step]));
+        let n_enabled = enabled_list.len();
+        if n_enabled <= 1 {
+            return None;
+        }
+        let is_enabled = |a: usize| enabled_list.contains(&(a as u32));
+        let mut best: Option<Vec<u32>> = None;
+        for k in 0..n_enabled {
+            let seed = enabled_list[((k as u64 + hash) % n_enabled as u64) as usize] as usize;
+            let mut in_t = vec![false; self.dep.len()];
+            let mut stack = vec![seed];
+            in_t[seed] = true;
+            let mut swept = 1usize;
+            while let Some(t) = stack.pop() {
+                let row: Vec<usize> = if is_enabled(t) {
+                    self.dep[t].clone()
+                } else {
+                    self.movers(sys, st, es, t)
+                        .into_iter()
+                        .flat_map(|c| self.touch[c].iter().copied())
+                        .collect()
+                };
+                for j in row {
+                    if !in_t[j] {
+                        in_t[j] = true;
+                        stack.push(j);
+                        if is_enabled(j) {
+                            swept += 1;
+                        }
+                    }
+                }
+                if swept >= n_enabled {
+                    break;
+                }
+            }
+            let best_len = best.as_ref().map_or(usize::MAX, Vec::len);
+            if swept >= best_len.min(n_enabled) {
+                continue;
+            }
+            let cand: Vec<u32> = enabled_list
+                .iter()
+                .copied()
+                .filter(|&a| in_t[a as usize])
+                .collect();
+            if visible.is_some_and(|vis| cand.iter().any(|&a| vis.contains(a as usize))) {
+                continue;
+            }
+            let done = cand.len() == 1;
+            best = Some(cand);
+            if done {
+                break;
+            }
+        }
+        best
+    }
+
+    /// The components one of which must move before the disabled action
+    /// `t` can fire.
+    fn movers(&mut self, sys: &System, st: &State, es: &EnabledSet, t: usize) -> Vec<CompId> {
+        match self.steps[t] {
+            EnabledStep::Internal { component, .. } => {
+                self.branches.internal += 1;
+                vec![component]
+            }
+            EnabledStep::Interaction(ir) => {
+                let ci = ir.connector.0 as usize;
+                if es.masks(ir.connector).binary_search(&ir.mask).is_ok() {
+                    self.branches.dominated += 1;
+                    return self.prio_comps[ci].clone();
+                }
+                let eps = sys.connector_endpoints(ir.connector);
+                let unoffered = mask_endpoints(ir.mask, eps.len()).find(|&i| {
+                    let (comp, port) = eps[i];
+                    !sys.port_offered(st, comp, port)
+                });
+                match unoffered {
+                    Some(i) => {
+                        self.branches.unoffered += 1;
+                        vec![eps[i].0]
+                    }
+                    None => {
+                        self.branches.guard_readers += 1;
+                        self.guard_comps[ci].clone()
+                    }
+                }
+            }
+        }
+    }
 }

@@ -9,6 +9,10 @@
 //! debug-cheap relatives of the `perf/` workloads `bmc_deep`, `sym_wide`
 //! and `kind_proof`, so a drift shows here before the ledger has to find it.
 //!
+//! The table's last rows are explicit-side counts under persistent-set
+//! reduction (relatives of `reach_por`): the ample selector alone decides
+//! them, so a selector change that is meant to be exact must leave them be.
+//!
 //! The dispatch tests beside the table pin *which* encoder ran
 //! ([`StepEncoder::enumerated_cases`]): a silent fallback from the linear
 //! fragment's circuits to the case split would otherwise only show as a slow
@@ -25,6 +29,7 @@ use bip_core::sym::StepEncoder;
 use bip_core::{dining_philosophers, RecoverSpec, StatePred, System};
 use bip_verify::bmc::BmcConfig;
 use bip_verify::kind::{KindConfig, Verdict};
+use bip_verify::reach::{check_invariant_with, explore_with, ReachConfig, Reduction};
 use satkit::CnfBuilder;
 
 const GOLDEN: &str = include_str!("golden_counts.txt");
@@ -42,7 +47,7 @@ fn kind_rows(out: &mut String, name: &str, sys: &System, inv: &StatePred, max_k:
 }
 
 #[test]
-fn sat_side_counts_match_the_golden_table() {
+fn counts_match_the_golden_table() {
     let mut got = String::new();
 
     // BMC: the planted depth-30 bug behind 10 toggles, last frame's stats.
@@ -81,6 +86,21 @@ fn sat_side_counts_match_the_golden_table() {
         4,
     );
 
+    // Persistent-set reduction: the ample selector decides every count.
+    let por = ReachConfig::bounded(1_000_000).reduction(Reduction::Persistent);
+    let phil8 = dining_philosophers(8, true).unwrap();
+    let r = explore_with(&phil8, &por);
+    assert!(r.complete);
+    writeln!(got, "phil-8-explore-por states {}", r.states).unwrap();
+    writeln!(got, "phil-8-explore-por transitions {}", r.transitions).unwrap();
+    let phil7 = dining_philosophers(7, true).unwrap();
+    let never_both = StatePred::at(&phil7, 0, "eating")
+        .and(StatePred::at(&phil7, 1, "eating"))
+        .not();
+    let r = check_invariant_with(&phil7, &never_both, &por);
+    assert!(r.holds());
+    writeln!(got, "phil-7-mutex-por states {}", r.states).unwrap();
+
     let want: Vec<&str> = GOLDEN
         .lines()
         .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
@@ -88,7 +108,7 @@ fn sat_side_counts_match_the_golden_table() {
     assert_eq!(
         got.lines().collect::<Vec<_>>(),
         want,
-        "\nSAT-side counts moved. If that is intended, re-pin tests/golden_counts.txt \
+        "\nCounts moved. If that is intended, re-pin tests/golden_counts.txt \
          to the table below and give the old values and the reason in CHANGES.md:\n\n{got}"
     );
 }
