@@ -10,8 +10,7 @@
 //! The three explorers — [`explore`], [`check_invariant`],
 //! [`find_deadlock`] — run on one engine: a **level-synchronous
 //! breadth-first search** over bit-packed states (see
-//! [`bip_core::StateCodec`]). The auxiliary collector [`states_where`] is a
-//! plain sequential BFS over the same packed representation.
+//! [`bip_core::StateCodec`]).
 //!
 //! States are packed by the **adaptive codec** by default
 //! ([`ReachConfig::codec`]): bounded variables cost their inferred width,
@@ -40,10 +39,17 @@
 //! ample selector are pure functions of the state, so the rebuilt step is
 //! the one the engine fired.
 //!
-//! Each BFS level is expanded by up to [`ReachConfig::threads`] workers
-//! over chunks of the frontier (each worker reusing its own
-//! [`bip_core::EnabledSet`], successor buffer, and decode scratch), then
-//! merged shard-parallel into the per-shard seen sets.
+//! A BFS level is one **expansion** routine (decode, plan the ample
+//! subset, cycle proviso, fire, then encode, shard and hash each successor
+//! and count its ordinal) feeding one **admission** routine (probe, bound,
+//! insert with trace node, violation check, next-frontier bucket), under
+//! one of two schedulers. The *fused* scheduler runs both in a single
+//! stream-order pass on the calling thread, inserting in place. The
+//! *parallel* one expands chunks of the frontier on up to
+//! [`ReachConfig::threads`] workers against the read-only seen set (phase
+//! A), then merges (phase B): shard-parallel when every candidate will be
+//! stored, otherwise through the same admission in stream order. Every run
+//! ends in one exit, which builds the report.
 //!
 //! # Partial-order reduction
 //!
@@ -423,7 +429,9 @@ pub struct DeadlockReport {
     pub elapsed: Duration,
     /// Largest footprint observed at any level boundary: the `seen` set
     /// plus the trace arena (16 bytes per stored state) — the figure a
-    /// [`Budget::bytes`] ceiling is checked against.
+    /// [`Budget::bytes`] ceiling is checked against. A found witness
+    /// reports the boundary at the entry of its level (like `states`), on
+    /// every thread count.
     pub peak_bytes: usize,
     /// Present iff the run was interrupted; resume it with
     /// [`find_deadlock_resume`].
@@ -452,11 +460,24 @@ struct PorCtx<'a> {
     visible: Option<PlaceSet>,
 }
 
-/// Reusable per-worker scratch: the compiled enabled-set, the
-/// allocation-free successor scratch, a decode target, and — under
-/// partial-order reduction — the ample-selector scratch. A warmed worker
-/// allocates nothing per expanded edge; what grows per *stored* state is
-/// the arena words and, when tracing, one fixed-size trace node.
+/// What one engine run searches: the system, the mode, and the reduction
+/// context.
+struct Ctx<'a> {
+    sys: &'a System,
+    mode: Mode<'a>,
+    por: Option<PorCtx<'a>>,
+}
+
+impl Ctx<'_> {
+    /// Invariant mode: whether `st` violates the predicate.
+    fn violates(&self, st: &State) -> bool {
+        matches!(self.mode, Mode::Invariant(inv) if !inv.eval(self.sys, st))
+    }
+}
+
+/// The successor generator: the compiled enabled-set, the allocation-free
+/// successor scratch, a decode target, and — under partial-order reduction
+/// — the ample-selector scratch.
 struct Expander {
     es: EnabledSet,
     scratch: SuccScratch,
@@ -474,87 +495,43 @@ impl Expander {
         }
     }
 
-    /// Visit the successors of a packed state given as its raw arena words.
-    /// BFS visits arbitrary states, so the enabled set is fully
-    /// invalidated; the win over the legacy path is the compiled
-    /// feasibility/guard tables and the reused buffers. Returns whether the
-    /// state had any successor.
-    fn for_each<F>(&mut self, sys: &System, codec: &StateCodec, words: &[u64], mut f: F) -> bool
-    where
-        F: FnMut(bip_core::SuccStep<'_>, &State),
-    {
+    /// Decode `words` and, under partial-order reduction, refresh the
+    /// enabled set and run the ample selector. BFS visits arbitrary states,
+    /// so the enabled set is fully invalidated. Returns whether a strict
+    /// reduction was selected; the decoded state and enabled set stay in
+    /// `self` for [`Expander::fire`].
+    fn plan(
+        &mut self,
+        sys: &System,
+        codec: &StateCodec,
+        words: &[u64],
+        por: Option<&PorCtx<'_>>,
+    ) -> bool {
         codec.decode_words_into(words, &mut self.state);
         self.es.invalidate_all();
-        let mut any = false;
-        sys.for_each_successor(&self.state, &mut self.es, &mut self.scratch, |s, next| {
-            any = true;
-            f(s, next);
-        });
-        any
-    }
-
-    /// Decode `words`, refresh the enabled set, and run the ample selector.
-    /// Returns whether a strict reduction was selected; the decoded state
-    /// and refreshed enabled set stay in `self` for [`Expander::fire`].
-    fn plan(&mut self, sys: &System, codec: &StateCodec, words: &[u64], por: &PorCtx<'_>) -> bool {
-        codec.decode_words_into(words, &mut self.state);
-        self.es.invalidate_all();
+        let Some(por) = por else {
+            return false;
+        };
         sys.refresh_enabled(&self.state, &mut self.es);
-        let hash = codec.state_hash(&self.state);
         por.indep.select_ample(
             sys,
             &self.state,
             &self.es,
-            hash,
+            codec.state_hash(&self.state),
             por.visible.as_ref(),
             self.ample.as_mut().expect("POR worker carries a selector"),
         )
     }
 
-    /// Cycle-proviso pre-pass over the planned ample successors: `true`
-    /// when any of them satisfies `probe` (the callers probe for "already
-    /// stored at this level's entry", the canonical back-edge test that is
-    /// identical between the fused and the phase-A paths).
-    ///
-    /// The pre-pass re-enumerates the ample successors that
-    /// [`Expander::fire`] will generate again — a deliberate trade-off: it
-    /// runs only for *reduced* states in invariant mode, where the shrunk
-    /// graph already amortizes the duplicate enumeration, and buffering
-    /// packed successors across the passes would put an allocation on the
-    /// common path to save work on the reduced one.
-    fn ample_hits<P>(&mut self, sys: &System, por: &PorCtx<'_>, mut probe: P) -> bool
-    where
-        P: FnMut(&State) -> bool,
-    {
-        let ample = self.ample.as_ref().expect("planned before probing");
-        let mut hit = false;
-        for &aid in ample.ample() {
-            if hit {
-                break;
-            }
-            sys.for_each_step_successor(
-                &self.state,
-                &mut self.scratch,
-                por.indep.action(aid as usize),
-                |_, next| {
-                    if !hit && probe(next) {
-                        hit = true;
-                    }
-                },
-            );
-        }
-        hit
-    }
-
     /// Fire the planned expansion: the ample subset when `reduced`, the
-    /// full successor set otherwise (the enabled set is already refreshed,
-    /// so nothing is recomputed). Returns whether the state had any
+    /// full successor set otherwise. Returns whether the state had any
     /// successor.
-    fn fire<F>(&mut self, sys: &System, por: &PorCtx<'_>, reduced: bool, mut f: F) -> bool
+    fn fire<F>(&mut self, sys: &System, por: Option<&PorCtx<'_>>, reduced: bool, mut f: F) -> bool
     where
         F: FnMut(bip_core::SuccStep<'_>, &State),
     {
         if reduced {
+            let por = por.expect("a reduction implies POR");
             let ample = self.ample.as_ref().expect("planned before firing");
             for &aid in ample.ample() {
                 sys.for_each_step_successor(
@@ -575,6 +552,123 @@ impl Expander {
             });
             any
         }
+    }
+}
+
+/// One successor handed to an expansion's visitor.
+struct Succ<'a> {
+    next: &'a State,
+    packed: &'a PackedState,
+    /// Owning shard (canonical hash).
+    shard: usize,
+    /// Membership hash of `packed`.
+    hash: u64,
+    /// The trace node the successor gets if it is stored.
+    node: Node,
+}
+
+/// A search worker: the successor generator plus the packing buffers of
+/// the expansion routine. A warmed worker allocates nothing per expanded
+/// edge; what grows per *stored* state is the arena words and, when
+/// tracing, one fixed-size trace node.
+struct Worker {
+    ex: Expander,
+    enc: PackedState,
+    probe: PackedState,
+}
+
+impl Worker {
+    fn new(sys: &System, por: bool) -> Worker {
+        Worker {
+            ex: Expander::new(sys, por),
+            enc: PackedState::zeroed(0),
+            probe: PackedState::zeroed(0),
+        }
+    }
+
+    /// Expand the stored state `sref` — the one expansion routine both
+    /// level schedulers run.
+    ///
+    /// Decode and plan; then, in invariant mode, the cycle proviso: a
+    /// reduced state with an ample successor stored at an arena index below
+    /// `entry` (its shard's length at the level's entry) could close a
+    /// cycle, so it expands fully. Same-level inserts are next-level states
+    /// and never close one, so the fused level, which inserts as it goes,
+    /// decides exactly as phase A, which only reads. The pre-pass
+    /// re-enumerates the ample successors: it runs only for reduced states
+    /// in invariant mode, where the shrunk graph amortizes it.
+    ///
+    /// Then fire, and hand each successor to `visit` — encoded, sharded,
+    /// hashed, and with the trace node it gets if stored — until `visit`
+    /// returns `false`. `store` holds the shards — phase A's read-only
+    /// slice, or the seen set the fused level admits into — and goes to
+    /// `visit` with each successor. Returns whether the state had any
+    /// successor, or the widen request of the first successor that
+    /// overflows the codec.
+    fn expand<S, V>(
+        &mut self,
+        cx: &Ctx<'_>,
+        codec: &StateCodec,
+        store: &mut S,
+        entry: &[usize],
+        sref: u64,
+        mut visit: V,
+    ) -> Result<bool, WidenReq>
+    where
+        S: AsRef<[Shard]>,
+        V: FnMut(&mut S, Succ<'_>) -> bool,
+    {
+        let por = cx.por.as_ref();
+        let mut reduced = self
+            .ex
+            .plan(cx.sys, codec, ref_words(store.as_ref(), sref), por);
+        if reduced && por.is_some_and(|pc| pc.visible.is_some()) {
+            let shards = store.as_ref();
+            let probe = &mut self.probe;
+            let mut hit = false;
+            self.ex.fire(cx.sys, por, true, |_, next| {
+                // An overflow surfaces in the main pass.
+                if !hit && codec.try_encode_into(next, probe).is_ok() {
+                    let si = shard_index(codec, next);
+                    hit = shards[si]
+                        .find(probe.words(), word_hash(probe.words()))
+                        .is_some_and(|idx| idx < entry[si]);
+                }
+            });
+            reduced = !hit;
+        }
+        let (mut ordinal, mut live, mut widen) = (0u32, true, None);
+        let enc = &mut self.enc;
+        let any = self.ex.fire(cx.sys, por, reduced, |_, next| {
+            let succ = ordinal;
+            ordinal += 1;
+            if !live {
+                return;
+            }
+            if let Err(r) = codec.try_encode_into(next, enc) {
+                widen = Some(r);
+                live = false;
+                return;
+            }
+            let node = Node {
+                src: sref,
+                succ,
+                reduced,
+            };
+            let shard = shard_index(codec, next);
+            let hash = word_hash(enc.words());
+            live = visit(
+                store,
+                Succ {
+                    next,
+                    packed: enc,
+                    shard,
+                    hash,
+                    node,
+                },
+            );
+        });
+        widen.map_or(Ok(any), Err)
     }
 }
 
@@ -810,12 +904,13 @@ impl Shard {
         self.find(words, hash).is_some()
     }
 
-    /// Insert if absent; returns the new state's index, or `None` when the
-    /// state was already stored. The table only grows on an actual insert
-    /// (never on a duplicate probe), so its capacity — and therefore
+    /// Insert if absent, with its trace node in the tracing modes; returns
+    /// the new state's index, or `None` when the state was already stored.
+    /// The table only grows on an actual insert (never on a duplicate
+    /// probe), so its capacity — and therefore
     /// [`ReachReport::stored_bytes`] — depends only on the stored set, not
     /// on which engine path filtered the duplicates.
-    fn insert(&mut self, words: &[u64], hash: u64) -> Option<usize> {
+    fn insert(&mut self, words: &[u64], hash: u64, node: Option<Node>) -> Option<usize> {
         let mask = self.slots.len() - 1;
         let fp = (hash >> 32) as u32;
         let mut i = hash as usize & mask;
@@ -843,6 +938,10 @@ impl Shard {
         assert!(idx < u32::MAX as usize, "shard state index overflow");
         self.slots[i] = ((fp as u64) << 32) | idx as u64;
         self.arena.extend_from_slice(words);
+        if let Some(node) = node {
+            debug_assert_eq!(self.nodes.len(), idx, "node index = state index");
+            self.nodes.push(node);
+        }
         self.len += 1;
         Some(idx)
     }
@@ -860,13 +959,6 @@ impl Shard {
             slots[i] = ((h >> 32) << 32) | idx as u64;
         }
         self.slots = slots;
-    }
-
-    /// Record the trace node of the just-inserted state `idx`.
-    #[inline]
-    fn push_node(&mut self, idx: usize, node: Node) {
-        debug_assert_eq!(self.nodes.len(), idx, "node index = state index");
-        self.nodes.push(node);
     }
 
     /// Bytes this shard occupies: arena words, table slots and trace nodes
@@ -895,36 +987,24 @@ fn ref_words(shards: &[Shard], sref: u64) -> &[u64] {
 /// functions of the (decoded, codec-independent) state, so the rebuilt step
 /// is the one the engine fired, whatever the thread count, codec, widen
 /// history or checkpoint resumes in between.
-fn rebuild_trace(
-    sys: &System,
-    codec: &StateCodec,
-    por: Option<&PorCtx<'_>>,
-    shards: &[Shard],
-    mut sref: u64,
-) -> Vec<Step> {
-    let mut ex = Expander::new(sys, por.is_some());
+fn rebuild_trace(cx: &Ctx<'_>, codec: &StateCodec, shards: &[Shard], mut sref: u64) -> Vec<Step> {
+    let por = cx.por.as_ref();
+    let mut ex = Expander::new(cx.sys, por.is_some());
     let mut trace = Vec::new();
     loop {
         let node = shards[(sref >> 48) as usize].nodes[(sref & REF_MASK) as usize];
         if node.src == NO_NODE {
             break;
         }
-        let words = ref_words(shards, node.src);
         let mut step = None;
         let mut ordinal = 0u32;
-        let pick = |s: bip_core::SuccStep<'_>, _: &State| {
+        ex.plan(cx.sys, codec, ref_words(shards, node.src), por);
+        ex.fire(cx.sys, por, node.reduced, |s, _| {
             if ordinal == node.succ {
-                step = Some(s.to_step(sys));
+                step = Some(s.to_step(cx.sys));
             }
             ordinal += 1;
-        };
-        match por {
-            None => ex.for_each(sys, codec, words, pick),
-            Some(pc) => {
-                ex.plan(sys, codec, words, pc);
-                ex.fire(sys, pc, node.reduced, pick)
-            }
-        };
+        });
         trace.push(step.expect("a recorded ordinal lies in its parent's successor stream"));
         sref = node.src;
     }
@@ -969,7 +1049,7 @@ fn widen_and_migrate(
                         continue 'retry;
                     }
                 }
-                let inserted = ns.insert(enc.words(), word_hash(enc.words()));
+                let inserted = ns.insert(enc.words(), word_hash(enc.words()), None);
                 debug_assert_eq!(inserted, Some(idx), "migration must preserve indices");
             }
             out.push(ns);
@@ -980,10 +1060,138 @@ fn widen_and_migrate(
     }
 }
 
-/// Next-frontier entries plus insert count produced by one shard merge.
-type MergeOut = (Vec<u64>, usize);
+/// The sharded seen set and the run counters that admission updates.
+struct Seen {
+    shards: Vec<Shard>,
+    /// Next-frontier references per shard, filled while a level runs and
+    /// drained shard-major into the next frontier.
+    buckets: Vec<Vec<u64>>,
+    stored: usize,
+    transitions: usize,
+    complete: bool,
+    /// Explore mode: deadlock states in BFS order.
+    deadlocks: Vec<State>,
+    max_states: usize,
+    tracing: bool,
+}
 
-/// A successor produced during expansion, waiting to be merged.
+impl AsRef<[Shard]> for Seen {
+    fn as_ref(&self) -> &[Shard] {
+        &self.shards
+    }
+}
+
+/// A level's entry: what a widen rolls the level back to, and what a
+/// deadlock found in the level reports.
+struct Entry {
+    stored: usize,
+    transitions: usize,
+    complete: bool,
+    deadlocks: usize,
+    /// Per-shard stored-state counts (bump arenas: this level's inserts
+    /// occupy each arena's tail).
+    lens: Vec<usize>,
+}
+
+impl Seen {
+    fn entry(&self) -> Entry {
+        Entry {
+            stored: self.stored,
+            transitions: self.transitions,
+            complete: self.complete,
+            deadlocks: self.deadlocks.len(),
+            lens: self.shards.iter().map(|s| s.len).collect(),
+        }
+    }
+
+    /// Reset the counters and the next frontier to `entry` (the caller
+    /// migrates or abandons the shards).
+    fn rollback(&mut self, entry: &Entry) {
+        self.stored = entry.stored;
+        self.transitions = entry.transitions;
+        self.complete = entry.complete;
+        self.deadlocks.truncate(entry.deadlocks);
+        self.buckets.iter_mut().for_each(Vec::clear);
+    }
+
+    /// Admit one edge, in stream order — the one admission routine of the
+    /// fused level and the ordered merge. An already-stored target only
+    /// counts the edge; past the bound a new target is dropped and the run
+    /// marked incomplete; otherwise the target is stored with its trace
+    /// node and, unless `violates()`, queued for the next level. Returns
+    /// the reference of a stored violating target.
+    fn admit(
+        &mut self,
+        si: usize,
+        words: &[u64],
+        hash: u64,
+        node: Node,
+        violates: impl FnOnce() -> bool,
+    ) -> Option<u64> {
+        let shard = &mut self.shards[si];
+        let idx = if self.stored < self.max_states {
+            shard.insert(words, hash, self.tracing.then_some(node))
+        } else if shard.contains(words, hash) {
+            None
+        } else {
+            self.complete = false;
+            return None;
+        };
+        self.transitions += 1;
+        let sref = node_ref(si, idx?);
+        self.stored += 1;
+        if violates() {
+            return Some(sref);
+        }
+        self.buckets[si].push(sref);
+        None
+    }
+
+    /// A frontier state `sref` without successors: listed in explore mode;
+    /// in deadlock mode it ends the search, reporting the level's entry
+    /// (the parallel level finds it before merging anything).
+    fn deadlock(
+        &mut self,
+        mode: Mode<'_>,
+        codec: &StateCodec,
+        sref: u64,
+        entry: &Entry,
+    ) -> Option<End> {
+        match mode {
+            Mode::Explore => {
+                let st = codec.decode_words(ref_words(&self.shards, sref));
+                self.deadlocks.push(st);
+                None
+            }
+            Mode::Deadlock => {
+                self.rollback(entry);
+                Some(End::Deadlock(sref))
+            }
+            Mode::Invariant(_) => None,
+        }
+    }
+}
+
+/// Why a search ended.
+enum End {
+    /// The frontier ran dry (`complete` tells whether the bound cut it).
+    Drained,
+    /// A budget or the cancel token tripped at a level boundary.
+    Interrupted(StopReason),
+    /// The stored frontier state is a deadlock.
+    Deadlock(u64),
+    /// The stored state violates the invariant.
+    Violation(u64),
+}
+
+/// A level either completes (`Ok(None)`: its inserts wait in the buckets),
+/// ends the search, or asks for a wider codec before it can be replayed.
+type Level = Result<Option<End>, WidenReq>;
+
+/// A witness state with a shortest trace from the initial state.
+type Witness = (State, Vec<Step>);
+
+/// A successor produced by phase A, waiting to be merged.
 struct Candidate {
     packed: PackedState,
     /// Membership hash of `packed` (computed once at expansion).
@@ -997,6 +1205,7 @@ struct Candidate {
 }
 
 /// Expansion output of one contiguous frontier chunk.
+#[derive(Default)]
 struct ChunkOut {
     /// Candidates whose target was *not* already stored at expansion time
     /// (already-seen targets are only counted — their edge verdict can
@@ -1004,139 +1213,183 @@ struct ChunkOut {
     cands: Vec<Candidate>,
     /// Edges into states already stored when the chunk was expanded.
     dup_transitions: usize,
-    /// Frontier indices (global) of chunk states with no successors.
-    deadlocks: Vec<usize>,
+    /// Chunk states with no successors, in frontier order.
+    deadlocks: Vec<u64>,
 }
 
-/// What the engine hands back; the public report types are views of this.
-struct EngineOut {
-    states: usize,
-    transitions: usize,
-    deadlocks: Vec<State>,
-    complete: bool,
-    witness: Option<(State, Vec<Step>)>,
-    stored_bytes: usize,
-    stop: StopReason,
-    elapsed: Duration,
-    peak_bytes: usize,
-    checkpoint: Option<ReachCheckpoint>,
-}
-
-/// Expand one chunk of the frontier: decode, enumerate successors, encode,
-/// pre-hash each candidate to its shard, and drop (but count) successors
-/// that are already stored — phase A holds the seen sets read-only, so the
-/// probe is safe and saves materializing the duplicate majority. A value
-/// overflowing the codec aborts the chunk with the widen request; phase A
-/// commits nothing, so the caller simply migrates and re-runs the level.
-#[allow(clippy::too_many_arguments)] // one engine-internal call site
+/// Phase A on one chunk of the frontier: expand each state, drop (but
+/// count) successors already stored — phase A holds the seen sets
+/// read-only, so the probe is safe and saves materializing the duplicate
+/// majority — and keep the rest as candidates.
 fn expand_chunk(
-    sys: &System,
+    cx: &Ctx<'_>,
     codec: &StateCodec,
-    shards: &[Shard],
-    mode: Mode<'_>,
-    por: Option<&PorCtx<'_>>,
-    entries: &[u64],
-    base: usize,
-    ex: &mut Expander,
+    mut shards: &[Shard],
+    entry: &[usize],
+    refs: &[u64],
+    w: &mut Worker,
 ) -> Result<ChunkOut, WidenReq> {
-    let mut cands = Vec::new();
-    let mut deadlocks = Vec::new();
-    let mut dup_transitions = 0usize;
-    let mut enc = codec.new_packed();
-    let mut enc_probe = codec.new_packed();
-    let mut req: Option<WidenReq> = None;
-    for (i, sref) in entries.iter().enumerate() {
-        // Partial-order reduction: plan the ample subset; in invariant mode
-        // a reduced state with a successor already stored (phase A reads
-        // the level-entry seen set, so this is exactly the fused path's
-        // back-edge test) re-expands fully — the cycle proviso.
-        let reduced = match por {
-            None => None,
-            Some(pc) => {
-                let mut r = ex.plan(sys, codec, ref_words(shards, *sref), pc);
-                if r && pc.visible.is_some() {
-                    let hit = ex.ample_hits(sys, pc, |next| {
-                        if codec.try_encode_into(next, &mut enc_probe).is_err() {
-                            return false; // the widen surfaces in the main pass
-                        }
-                        let si = shard_index(codec, next);
-                        shards[si].contains(enc_probe.words(), word_hash(enc_probe.words()))
-                    });
-                    if hit {
-                        r = false;
-                    }
-                }
-                Some(r)
+    let mut out = ChunkOut::default();
+    for &sref in refs {
+        let any = w.expand(cx, codec, &mut shards, entry, sref, |shards, s| {
+            if shards[s.shard].contains(s.packed.words(), s.hash) {
+                out.dup_transitions += 1;
+            } else {
+                out.cands.push(Candidate {
+                    packed: s.packed.clone(),
+                    hash: s.hash,
+                    shard: s.shard as u32,
+                    node: s.node,
+                    violates: cx.violates(s.next),
+                });
             }
-        };
-        let mut ordinal = 0u32;
-        let body = |_: bip_core::SuccStep<'_>, next: &State| {
-            let succ = ordinal;
-            ordinal += 1;
-            if req.is_some() {
-                return;
-            }
-            if let Err(r) = codec.try_encode_into(next, &mut enc) {
-                req = Some(r);
-                return;
-            }
-            let si = shard_index(codec, next);
-            let h = word_hash(enc.words());
-            if shards[si].contains(enc.words(), h) {
-                dup_transitions += 1;
-                return;
-            }
-            let violates = match mode {
-                Mode::Invariant(inv) => !inv.eval(sys, next),
-                _ => false,
-            };
-            cands.push(Candidate {
-                shard: si as u32,
-                hash: h,
-                packed: enc.clone(),
-                node: Node {
-                    src: *sref,
-                    succ,
-                    reduced: reduced == Some(true),
-                },
-                violates,
+            true
+        })?;
+        if !any {
+            out.deadlocks.push(sref);
+        }
+    }
+    Ok(out)
+}
+
+/// The sequential scheduler: expansion and admission in one stream-order
+/// pass. Semantically this *is* the parallel level's ordered merge (same
+/// stream order, same bound and violation rules, same shard-major next
+/// frontier), with no candidate materialized at all — a duplicate edge
+/// costs one encode and one probe, zero allocations.
+fn fused_level(
+    cx: &Ctx<'_>,
+    codec: &StateCodec,
+    seen: &mut Seen,
+    frontier: &[u64],
+    entry: &Entry,
+    w: &mut Worker,
+) -> Level {
+    for &sref in frontier {
+        let mut violation = None;
+        let any = w.expand(cx, codec, seen, &entry.lens, sref, |seen, s| {
+            violation = seen.admit(s.shard, s.packed.words(), s.hash, s.node, || {
+                cx.violates(s.next)
             });
-        };
-        let any = match reduced {
-            None => ex.for_each(sys, codec, ref_words(shards, *sref), body),
-            Some(r) => ex.fire(sys, por.expect("reduced implies POR"), r, body),
-        };
-        if let Some(r) = req {
-            return Err(r);
+            violation.is_none()
+        })?;
+        if let Some(v) = violation {
+            return Ok(Some(End::Violation(v)));
         }
         if !any {
-            deadlocks.push(base + i);
+            if let Some(end) = seen.deadlock(cx.mode, codec, sref, entry) {
+                return Ok(Some(end));
+            }
         }
     }
-    Ok(ChunkOut {
-        cands,
-        dup_transitions,
-        deadlocks,
-    })
+    Ok(None)
 }
 
-/// Merge one shard's candidates (already in deterministic stream order):
-/// insert unseen states, extend the arenas, and emit next-frontier entries.
-/// Only valid when the level cannot cross the bound (the caller checked).
-fn merge_shard(shard: &mut Shard, si: usize, cands: Vec<Candidate>, tracing: bool) -> MergeOut {
-    let mut front = Vec::new();
-    let mut inserted = 0usize;
-    for cand in cands {
-        let Some(idx) = shard.insert(cand.packed.words(), cand.hash) else {
-            continue;
-        };
-        inserted += 1;
-        if tracing {
-            shard.push_node(idx, cand.node);
+/// The parallel scheduler. Phase A expands the frontier in chunks on every
+/// worker against the read-only seen set; chunk geometry affects only load
+/// balancing, since the candidate stream is read back in frontier order.
+/// Phase B merges: shard-parallel when every candidate's target will be
+/// stored (no bound crossing, no violation — then the merge is
+/// order-independent across shards, and each shard receives its candidates
+/// in stream order, so the arenas and frontier match the fused level's),
+/// otherwise through the ordered admission of the fused level.
+fn parallel_level(
+    cx: &Ctx<'_>,
+    codec: &StateCodec,
+    seen: &mut Seen,
+    frontier: &[u64],
+    entry: &Entry,
+    workers: &mut [Worker],
+) -> Level {
+    let threads = workers.len();
+    let chunk = frontier.len().div_ceil(threads * 4).max(16);
+    let nchunks = frontier.len().div_ceil(chunk);
+    let next = &AtomicUsize::new(0);
+    let shards = &seen.shards[..];
+    let mut outs: Vec<(usize, ChunkOut)> = Vec::with_capacity(nchunks);
+    let mut widen = None;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = workers
+            .iter_mut()
+            .map(|w| {
+                s.spawn(move || {
+                    let mut local = Vec::new();
+                    loop {
+                        let c = next.fetch_add(1, Ordering::Relaxed);
+                        if c >= nchunks {
+                            break Ok(local);
+                        }
+                        let refs = &frontier[c * chunk..((c + 1) * chunk).min(frontier.len())];
+                        match expand_chunk(cx, codec, shards, &entry.lens, refs, w) {
+                            Ok(out) => local.push((c, out)),
+                            Err(r) => break Err(r),
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            match h.join().expect("expansion worker panicked") {
+                Ok(local) => outs.extend(local),
+                Err(r) => widen = Some(r),
+            }
         }
-        front.push(node_ref(si, idx));
+    });
+    if let Some(r) = widen {
+        return Err(r);
     }
-    (front, inserted)
+    outs.sort_unstable_by_key(|(c, _)| *c);
+    for &sref in outs.iter().flat_map(|(_, o)| &o.deadlocks) {
+        if let Some(end) = seen.deadlock(cx.mode, codec, sref, entry) {
+            return Ok(Some(end));
+        }
+    }
+
+    // Edges into already-stored targets were fully resolved in phase A.
+    seen.transitions += outs.iter().map(|(_, o)| o.dup_transitions).sum::<usize>();
+    let total: usize = outs.iter().map(|(_, o)| o.cands.len()).sum();
+    let violating = outs.iter().any(|(_, o)| o.cands.iter().any(|c| c.violates));
+    if seen.stored + total > seen.max_states || violating {
+        for c in outs.into_iter().flat_map(|(_, o)| o.cands) {
+            let v = seen.admit(c.shard as usize, c.packed.words(), c.hash, c.node, || {
+                c.violates
+            });
+            if let Some(v) = v {
+                return Ok(Some(End::Violation(v)));
+            }
+        }
+        return Ok(None);
+    }
+    seen.transitions += total;
+    let mut per_shard: Vec<Vec<Candidate>> = (0..SHARDS).map(|_| Vec::new()).collect();
+    for c in outs.into_iter().flat_map(|(_, o)| o.cands) {
+        per_shard[c.shard as usize].push(c);
+    }
+    let tracing = seen.tracing;
+    // Whole shards go to the workers in contiguous batches; each batch owns
+    // its shards and buckets, so no locking is needed.
+    let mut work: Vec<_> = (seen.shards.iter_mut().zip(&mut seen.buckets))
+        .zip(per_shard)
+        .enumerate()
+        .collect();
+    let per = work.len().div_ceil(threads);
+    std::thread::scope(|s| {
+        while !work.is_empty() {
+            let batch: Vec<_> = work.drain(..per.min(work.len())).collect();
+            s.spawn(move || {
+                for (si, ((shard, bucket), cands)) in batch {
+                    for c in cands {
+                        let node = tracing.then_some(c.node);
+                        if let Some(idx) = shard.insert(c.packed.words(), c.hash, node) {
+                            bucket.push(node_ref(si, idx));
+                        }
+                    }
+                }
+            });
+        }
+    });
+    seen.stored += seen.buckets.iter().map(Vec::len).sum::<usize>();
+    Ok(None)
 }
 
 /// Resume `mode` from `ck` under `cfg`, after checking that the checkpoint
@@ -1146,7 +1399,7 @@ fn resume_run(
     cfg: &ReachConfig,
     mode: Mode<'_>,
     ck: ReachCheckpoint,
-) -> Result<EngineOut, ResumeError> {
+) -> Result<(ReachReport, Option<Witness>), ResumeError> {
     if ck.mode != mode.tag() {
         return Err(ResumeError::ModeMismatch {
             captured: ck.mode,
@@ -1165,25 +1418,15 @@ fn resume_run(
 /// The level-synchronous sharded BFS all public explorers run on. With
 /// `resume`, the engine restarts from a captured level boundary instead of
 /// the initial state (the checkpoint's codec overrides `cfg.codec`; its
-/// mode and reduction were checked by [`resume_run`]).
+/// mode and reduction were checked by [`resume_run`]). Every run ends in
+/// one exit: the explore report, plus the witness of the searching modes.
 fn run(
     sys: &System,
     cfg: &ReachConfig,
     mode: Mode<'_>,
     resume: Option<ReachCheckpoint>,
-) -> EngineOut {
+) -> (ReachReport, Option<Witness>) {
     let start = Instant::now();
-    let threads = cfg.threads.max(1);
-    let max_states = cfg.max_states;
-    let tracing = mode.tracing();
-    let mut codec = match &resume {
-        Some(ck) => StateCodec::restore(sys, &ck.codec),
-        None => match &cfg.codec {
-            CodecMode::Adaptive => StateCodec::adaptive(sys),
-            CodecMode::FullWidth => StateCodec::new(sys),
-            CodecMode::Custom(c) => c.clone(),
-        },
-    };
     // Partial-order reduction context. Deadlock search and plain
     // exploration are deadlock-preserving under any persistent selection;
     // invariant checking additionally carries the predicate's
@@ -1191,7 +1434,7 @@ fn run(
     // violation and switches on the cycle proviso. An oversized action
     // table (no dependency matrix) means the selector always declines, so
     // the whole POR dispatch is skipped rather than paid per state.
-    let por: Option<PorCtx<'_>> = match (cfg.reduction, mode) {
+    let por = match (cfg.reduction, mode) {
         (Reduction::None, _) => None,
         (Reduction::Persistent, _) if sys.indep().is_oversized() => None,
         (Reduction::Persistent, Mode::Invariant(inv)) => Some(PorCtx {
@@ -1203,531 +1446,159 @@ fn run(
             visible: None,
         }),
     };
-    let mut base_elapsed = Duration::ZERO;
-    let mut peak_bytes = 0usize;
-    let mut shards: Vec<Shard>;
-    let mut frontier: Vec<u64>;
-    let mut stored: usize;
-    let mut transitions: usize;
-    let mut complete: bool;
-    let mut deadlock_states: Vec<State>;
+    let cx = Ctx { sys, mode, por };
+    let mut seen = Seen {
+        shards: Vec::new(),
+        buckets: (0..SHARDS).map(|_| Vec::new()).collect(),
+        stored: 1,
+        transitions: 0,
+        complete: true,
+        deadlocks: Vec::new(),
+        max_states: cfg.max_states,
+        tracing: mode.tracing(),
+    };
+    let (mut codec, mut frontier, base_elapsed, mut peak_bytes);
+    let mut root_violation = None;
     if let Some(ck) = resume {
         // Continue from a captured level boundary: the sharded seen set,
         // trace nodes, frontier, and counters verbatim; the restored codec
         // decodes the arenas bit-identically (see `StateCodec::restore`).
         debug_assert!(ck.mode == mode.tag() && ck.reduction == cfg.reduction);
-        shards = ck.shards;
-        frontier = ck.frontier;
-        stored = ck.stored;
-        transitions = ck.transitions;
-        complete = ck.complete;
-        deadlock_states = ck.deadlocks;
-        base_elapsed = ck.elapsed;
-        peak_bytes = ck.peak_bytes;
+        codec = StateCodec::restore(sys, &ck.codec);
+        seen.shards = ck.shards;
+        seen.stored = ck.stored;
+        seen.transitions = ck.transitions;
+        seen.complete = ck.complete;
+        seen.deadlocks = ck.deadlocks;
+        (frontier, base_elapsed, peak_bytes) = (ck.frontier, ck.elapsed, ck.peak_bytes);
     } else {
-        let init = sys.initial_state();
-
-        // The initial state is checked (and stored) unconditionally,
-        // matching the classical sequential semantics even for degenerate
-        // bounds.
-        if let Mode::Invariant(inv) = mode {
-            if !inv.eval(sys, &init) {
-                return EngineOut {
-                    states: 1,
-                    transitions: 0,
-                    deadlocks: Vec::new(),
-                    complete: true,
-                    witness: Some((init, Vec::new())),
-                    stored_bytes: 0,
-                    stop: StopReason::Completed,
-                    elapsed: start.elapsed(),
-                    peak_bytes: 0,
-                    checkpoint: None,
-                };
-            }
-        }
-
+        codec = match &cfg.codec {
+            CodecMode::Adaptive => StateCodec::adaptive(sys),
+            CodecMode::FullWidth => StateCodec::new(sys),
+            CodecMode::Custom(c) => c.clone(),
+        };
         // Encode the initial state, climbing the widening ladder until it
         // fits.
+        let init = sys.initial_state();
         let pinit = loop {
             match codec.try_encode(&init) {
                 Ok(p) => break p,
                 Err(r) => codec = codec.widen(sys, r),
             }
         };
-        shards = (0..SHARDS).map(|_| Shard::new(codec.words())).collect();
-        let si0 = shard_index(&codec, &init);
-        let idx0 = shards[si0]
-            .insert(pinit.words(), word_hash(pinit.words()))
-            .expect("fresh table");
-        if tracing {
-            shards[si0].push_node(idx0, ROOT);
+        seen.shards = (0..SHARDS).map(|_| Shard::new(codec.words())).collect();
+        let si = shard_index(&codec, &init);
+        let node = seen.tracing.then_some(ROOT);
+        let idx = seen.shards[si].insert(pinit.words(), word_hash(pinit.words()), node);
+        let root = node_ref(si, idx.expect("fresh table"));
+        // The initial state is checked (and stored) unconditionally,
+        // matching the classical sequential semantics even for degenerate
+        // bounds.
+        if cx.violates(&init) {
+            root_violation = Some(End::Violation(root));
         }
-        stored = 1;
-        transitions = 0;
-        complete = true;
-        deadlock_states = Vec::new();
-        frontier = vec![node_ref(si0, idx0)];
+        (frontier, base_elapsed, peak_bytes) = (vec![root], Duration::ZERO, 0);
     }
-    let mut workers: Vec<Expander> = (0..threads)
-        .map(|_| Expander::new(sys, por.is_some()))
+    let mut workers: Vec<Worker> = (0..cfg.threads.max(1))
+        .map(|_| Worker::new(sys, cx.por.is_some()))
         .collect();
-    // Reused per-shard next-frontier buckets for the sequential fast path.
-    let mut buckets: Vec<Vec<u64>> = (0..SHARDS).map(|_| Vec::new()).collect();
 
-    // Scratch for the fused sequential path (`enc_probe` is the cycle
-    // proviso's, so the pre-pass never clobbers the insert buffer).
-    let mut enc = codec.new_packed();
-    let mut enc_probe = codec.new_packed();
-    let mut cur: Vec<u64> = Vec::new();
+    let end = match root_violation {
+        Some(end) => end,
+        None => loop {
+            if frontier.is_empty() {
+                break End::Drained;
+            }
+            // Budget/cancel check at the level boundary — the one point
+            // where the sharded seen set, counters, and frontier are
+            // mutually consistent, so the checkpoint captured here resumes
+            // bit-identically (see `ReachCheckpoint`).
+            let bytes = shard_bytes(&seen.shards);
+            peak_bytes = peak_bytes.max(bytes);
+            let trip = cfg
+                .budget
+                .interrupted(&cfg.cancel)
+                .or_else(|| cfg.budget.exceeded(seen.stored, bytes));
+            if let Some(stop) = trip {
+                break End::Interrupted(stop);
+            }
+            let entry = seen.entry();
+            // Small levels run on the calling thread whatever the
+            // configured count — spawning would cost more than the work,
+            // and results are thread-count-invariant either way.
+            let level = if workers.len() == 1 || frontier.len() < cfg.min_parallel_level.max(1) {
+                fused_level(&cx, &codec, &mut seen, &frontier, &entry, &mut workers[0])
+            } else {
+                parallel_level(&cx, &codec, &mut seen, &frontier, &entry, &mut workers)
+            };
+            match level {
+                Ok(None) => {
+                    frontier.clear();
+                    for b in &mut seen.buckets {
+                        frontier.append(b);
+                    }
+                }
+                Ok(Some(end)) => break end,
+                // Repack-on-widen: roll the level back to its entry,
+                // migrate the kept prefix to the widened codec, and replay
+                // the level. The replay is deterministic, so any witness
+                // skipped by the abort is re-found in the same stream
+                // position.
+                Err(req) => {
+                    widen_and_migrate(sys, &mut codec, &mut seen.shards, &entry.lens, req);
+                    seen.rollback(&entry);
+                }
+            }
+        },
+    };
 
-    'level: while !frontier.is_empty() {
-        // Budget/cancel check at the level boundary — the one point where
-        // the sharded seen set, counters, and frontier are mutually
-        // consistent, so the checkpoint captured here resumes
-        // bit-identically (see `ReachCheckpoint`).
-        let bytes = shard_bytes(&shards);
-        peak_bytes = peak_bytes.max(bytes);
-        let trip = cfg
-            .budget
-            .interrupted(&cfg.cancel)
-            .or_else(|| cfg.budget.exceeded(stored, bytes));
-        if let Some(stop) = trip {
-            let elapsed = base_elapsed + start.elapsed();
-            return EngineOut {
-                states: stored,
-                transitions,
-                deadlocks: deadlock_states.clone(),
-                complete: false,
-                witness: None,
-                stored_bytes: bytes,
-                stop,
+    // The one exit. A deadlock reports its level's entry, so its footprint
+    // is the peak measured there; every other end reports the seen set as
+    // it stands.
+    let elapsed = base_elapsed + start.elapsed();
+    let stored_bytes = shard_bytes(&seen.shards);
+    if !matches!(end, End::Deadlock(_)) {
+        peak_bytes = peak_bytes.max(stored_bytes);
+    }
+    let witness = match end {
+        End::Deadlock(w) | End::Violation(w) => Some((
+            codec.decode_words(ref_words(&seen.shards, w)),
+            rebuild_trace(&cx, &codec, &seen.shards, w),
+        )),
+        End::Drained | End::Interrupted(_) => None,
+    };
+    let (stop, checkpoint) = match end {
+        End::Interrupted(stop) => (
+            stop,
+            Some(ReachCheckpoint {
+                codec: codec.snapshot(),
+                shards: seen.shards,
+                frontier,
+                stored: seen.stored,
+                transitions: seen.transitions,
+                complete: seen.complete,
+                deadlocks: seen.deadlocks.clone(),
+                mode: mode.tag(),
+                reduction: cfg.reduction,
                 elapsed,
                 peak_bytes,
-                checkpoint: Some(ReachCheckpoint {
-                    codec: codec.snapshot(),
-                    shards,
-                    frontier,
-                    stored,
-                    transitions,
-                    complete,
-                    deadlocks: deadlock_states,
-                    mode: mode.tag(),
-                    reduction: cfg.reduction,
-                    elapsed,
-                    peak_bytes,
-                }),
-            };
-        }
-
-        // Small levels run on the calling thread whatever the configured
-        // count — spawning would cost more than the work, and results are
-        // thread-count-invariant either way.
-        let threads = if frontier.len() < cfg.min_parallel_level.max(1) {
-            1
-        } else {
-            threads
-        };
-
-        // Level-entry snapshot: everything a repack must roll back. The
-        // bump arenas make rollback cheap — states (and their trace nodes)
-        // inserted this level occupy each arena's tail, so the snapshot is
-        // one length per shard.
-        let snap_stored = stored;
-        let snap_transitions = transitions;
-        let snap_complete = complete;
-        let snap_deadlocks = deadlock_states.len();
-        let snap_lens: Vec<usize> = shards.iter().map(|s| s.len).collect();
-
-        if threads == 1 {
-            // ---- Fused sequential level. ----
-            // Expansion and merging in one stream-order pass: semantically
-            // this *is* the deterministic ordered merge below (same stream
-            // order, same bound/violation rules, same shard-major next
-            // frontier), but with no candidate materialization at all — a
-            // duplicate edge costs one encode and one probe, zero
-            // allocations.
-            let mut widen_req: Option<WidenReq> = None;
-            let mut violation: Option<(State, u64)> = None;
-            let ex = &mut workers[0];
-            for &sref in &frontier {
-                // Copy the source words out of the arena: the closure below
-                // appends to the same arenas.
-                cur.clear();
-                cur.extend_from_slice(ref_words(&shards, sref));
-                // Partial-order reduction: plan the ample subset, then — in
-                // invariant mode — run the cycle-proviso pre-pass: a
-                // reduced state with a successor already stored at this
-                // level's entry could close a cycle, so it expands fully.
-                // Same-level inserts (arena index at or past the snapshot)
-                // are next-level states and never close a cycle; skipping
-                // them keeps the decision identical to phase A's read-only
-                // probe.
-                let reduced = match &por {
-                    None => None,
-                    Some(pc) => {
-                        let mut r = ex.plan(sys, &codec, &cur, pc);
-                        if r && pc.visible.is_some() {
-                            let hit = ex.ample_hits(sys, pc, |next| {
-                                if codec.try_encode_into(next, &mut enc_probe).is_err() {
-                                    // The widen surfaces in the main pass.
-                                    return false;
-                                }
-                                let si = shard_index(&codec, next);
-                                let h = word_hash(enc_probe.words());
-                                shards[si]
-                                    .find(enc_probe.words(), h)
-                                    .is_some_and(|idx| idx < snap_lens[si])
-                            });
-                            if hit {
-                                r = false;
-                            }
-                        }
-                        Some(r)
-                    }
-                };
-                let mut ordinal = 0u32;
-                let body = |_: bip_core::SuccStep<'_>, next: &State| {
-                    let succ = ordinal;
-                    ordinal += 1;
-                    if widen_req.is_some() || violation.is_some() {
-                        return;
-                    }
-                    if let Err(r) = codec.try_encode_into(next, &mut enc) {
-                        widen_req = Some(r);
-                        return;
-                    }
-                    let si = shard_index(&codec, next);
-                    let h = word_hash(enc.words());
-                    let shard = &mut shards[si];
-                    if shard.contains(enc.words(), h) {
-                        transitions += 1;
-                        return;
-                    }
-                    if stored >= max_states {
-                        complete = false;
-                        return;
-                    }
-                    let idx = shard.insert(enc.words(), h).expect("probed absent");
-                    stored += 1;
-                    transitions += 1;
-                    if tracing {
-                        shard.push_node(
-                            idx,
-                            Node {
-                                src: sref,
-                                succ,
-                                reduced: reduced == Some(true),
-                            },
-                        );
-                    }
-                    if let Mode::Invariant(inv) = mode {
-                        if !inv.eval(sys, next) {
-                            violation = Some((next.clone(), node_ref(si, idx)));
-                            return;
-                        }
-                    }
-                    buckets[si].push(node_ref(si, idx));
-                };
-                let any = match reduced {
-                    None => ex.for_each(sys, &codec, &cur, body),
-                    Some(r) => ex.fire(sys, por.as_ref().expect("reduced implies POR"), r, body),
-                };
-                if let Some(r) = widen_req {
-                    // Repack-on-widen: roll the level back to its entry
-                    // snapshot, migrate the kept prefix to the widened
-                    // codec, and replay the level. The replay is
-                    // deterministic, so any witness skipped by the abort is
-                    // re-found in the same stream position.
-                    widen_and_migrate(sys, &mut codec, &mut shards, &snap_lens, r);
-                    stored = snap_stored;
-                    transitions = snap_transitions;
-                    complete = snap_complete;
-                    deadlock_states.truncate(snap_deadlocks);
-                    for b in &mut buckets {
-                        b.clear();
-                    }
-                    continue 'level;
-                }
-                if let Some((bad, bref)) = violation {
-                    return EngineOut {
-                        states: stored,
-                        transitions,
-                        deadlocks: Vec::new(),
-                        complete,
-                        witness: Some((
-                            bad,
-                            rebuild_trace(sys, &codec, por.as_ref(), &shards, bref),
-                        )),
-                        stored_bytes: shard_bytes(&shards),
-                        stop: StopReason::Completed,
-                        elapsed: base_elapsed + start.elapsed(),
-                        peak_bytes: peak_bytes.max(shard_bytes(&shards)),
-                        checkpoint: None,
-                    };
-                }
-                if !any {
-                    match mode {
-                        Mode::Explore => deadlock_states.push(codec.decode_words(&cur)),
-                        // Report the level-entry counters: the parallel
-                        // phases return before merging the level, and the
-                        // two paths must agree exactly.
-                        Mode::Deadlock => {
-                            return EngineOut {
-                                states: snap_stored,
-                                transitions,
-                                deadlocks: Vec::new(),
-                                complete: snap_complete,
-                                witness: Some((
-                                    codec.decode_words(&cur),
-                                    rebuild_trace(sys, &codec, por.as_ref(), &shards, sref),
-                                )),
-                                stored_bytes: shard_bytes(&shards),
-                                stop: StopReason::Completed,
-                                elapsed: base_elapsed + start.elapsed(),
-                                peak_bytes: peak_bytes.max(shard_bytes(&shards)),
-                                checkpoint: None,
-                            };
-                        }
-                        Mode::Invariant(_) => {}
-                    }
-                }
-            }
-            frontier.clear();
-            for b in &mut buckets {
-                frontier.append(b);
-            }
-            continue;
-        }
-
-        // ---- Phase A: expand the frontier in parallel chunks. ----
-        // Chunk geometry affects only load balancing, never results: the
-        // candidate stream is always read back in frontier order. Phase A
-        // is read-only, so a widen request simply discards the phase,
-        // migrates, and re-runs the level.
-        let chunk_size = frontier.len().div_ceil(threads * 4).max(16);
-        let nchunks = frontier.len().div_ceil(chunk_size);
-        let mut outs: Vec<(usize, ChunkOut)> = Vec::with_capacity(nchunks);
-        let mut widen_req: Option<WidenReq> = None;
-        {
-            let next = AtomicUsize::new(0);
-            let frontier_ref = &frontier;
-            let codec_ref = &codec;
-            let next_ref = &next;
-            let shards_ref = &shards;
-            let por_ref = por.as_ref();
-            std::thread::scope(|s| {
-                let handles: Vec<_> = workers
-                    .iter_mut()
-                    .map(|ex| {
-                        s.spawn(move || {
-                            let mut local = Vec::new();
-                            loop {
-                                let c = next_ref.fetch_add(1, Ordering::Relaxed);
-                                if c >= nchunks {
-                                    break Ok(local);
-                                }
-                                let lo = c * chunk_size;
-                                let hi = ((c + 1) * chunk_size).min(frontier_ref.len());
-                                match expand_chunk(
-                                    sys,
-                                    codec_ref,
-                                    shards_ref,
-                                    mode,
-                                    por_ref,
-                                    &frontier_ref[lo..hi],
-                                    lo,
-                                    ex,
-                                ) {
-                                    Ok(out) => local.push((c, out)),
-                                    Err(r) => break Err(r),
-                                }
-                            }
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    match h.join().expect("expansion worker panicked") {
-                        Ok(local) => outs.extend(local),
-                        Err(r) => widen_req = Some(r),
-                    }
-                }
-            });
-            outs.sort_unstable_by_key(|(c, _)| *c);
-        }
-        if let Some(r) = widen_req {
-            widen_and_migrate(sys, &mut codec, &mut shards, &snap_lens, r);
-            continue 'level;
-        }
-
-        // ---- Deadlock handling (states of the *previous* merge). ----
-        match mode {
-            Mode::Explore => {
-                for (_, out) in &outs {
-                    for &fi in &out.deadlocks {
-                        deadlock_states.push(codec.decode_words(ref_words(&shards, frontier[fi])));
-                    }
-                }
-            }
-            Mode::Deadlock => {
-                if let Some(&fi) = outs.iter().flat_map(|(_, o)| o.deadlocks.first()).min() {
-                    let sref = frontier[fi];
-                    return EngineOut {
-                        states: stored,
-                        transitions,
-                        deadlocks: Vec::new(),
-                        complete,
-                        witness: Some((
-                            codec.decode_words(ref_words(&shards, sref)),
-                            rebuild_trace(sys, &codec, por.as_ref(), &shards, sref),
-                        )),
-                        stored_bytes: shard_bytes(&shards),
-                        stop: StopReason::Completed,
-                        elapsed: base_elapsed + start.elapsed(),
-                        peak_bytes: peak_bytes.max(shard_bytes(&shards)),
-                        checkpoint: None,
-                    };
-                }
-            }
-            Mode::Invariant(_) => {}
-        }
-
-        // ---- Phase B: merge candidates into the sharded seen set. ----
-        // Edges into already-stored targets were fully resolved in phase A.
-        transitions += outs.iter().map(|(_, o)| o.dup_transitions).sum::<usize>();
-        let total: usize = outs.iter().map(|(_, o)| o.cands.len()).sum();
-        let crossing = stored + total > max_states;
-        let violating = outs.iter().any(|(_, o)| o.cands.iter().any(|c| c.violates));
-
-        if !crossing && !violating {
-            // Fast path: every candidate's target ends up stored, so the
-            // merge is order-independent across shards (each shard receives
-            // its candidates in stream order under both strategies, so the
-            // arenas and frontier are bit-identical).
-            transitions += total;
-            let mut per_shard: Vec<Vec<Candidate>> = (0..SHARDS).map(|_| Vec::new()).collect();
-            for (_, out) in &mut outs {
-                for cand in out.cands.drain(..) {
-                    per_shard[cand.shard as usize].push(cand);
-                }
-            }
-            let mut parts: Vec<MergeOut> = Vec::with_capacity(SHARDS);
-            {
-                let mut slots: Vec<Option<MergeOut>> = (0..SHARDS).map(|_| None).collect();
-                std::thread::scope(|s| {
-                    // Distribute whole shards over the workers in
-                    // contiguous batches; each batch owns its shards and
-                    // result slots, so no locking is needed.
-                    let mut work: Vec<_> = shards
-                        .iter_mut()
-                        .zip(per_shard)
-                        .zip(slots.iter_mut())
-                        .enumerate()
-                        .map(|(si, ((shard, cands), slot))| (si, shard, cands, slot))
-                        .collect();
-                    let per = work.len().div_ceil(threads);
-                    let mut spawned = Vec::new();
-                    while !work.is_empty() {
-                        let take = per.min(work.len());
-                        let batch: Vec<_> = work.drain(..take).collect();
-                        spawned.push(s.spawn(move || {
-                            for (si, shard, cands, slot) in batch {
-                                *slot = Some(merge_shard(shard, si, cands, tracing));
-                            }
-                        }));
-                    }
-                    for h in spawned {
-                        h.join().expect("merge worker panicked");
-                    }
-                });
-                for slot in slots {
-                    parts.push(slot.expect("every shard merged"));
-                }
-            }
-            frontier.clear();
-            for (part, inserted) in parts {
-                stored += inserted;
-                frontier.extend(part);
-            }
-        } else {
-            // Deterministic slow path: replay the candidate stream in
-            // frontier order with the exact sequential bound/violation
-            // rules. Taken only for levels that might cross the bound or
-            // contain a violation, so the common case stays parallel. The
-            // next frontier is assembled shard-major, like every other
-            // path, so later levels see the same stream order regardless
-            // of which path built this one.
-            for (_, out) in &mut outs {
-                for cand in out.cands.drain(..) {
-                    let si = cand.shard as usize;
-                    let shard = &mut shards[si];
-                    if stored >= max_states && shard.contains(cand.packed.words(), cand.hash) {
-                        transitions += 1;
-                        continue;
-                    }
-                    if stored >= max_states {
-                        complete = false;
-                        continue;
-                    }
-                    let Some(idx) = shard.insert(cand.packed.words(), cand.hash) else {
-                        transitions += 1;
-                        continue;
-                    };
-                    stored += 1;
-                    transitions += 1;
-                    if tracing {
-                        shard.push_node(idx, cand.node);
-                    }
-                    if cand.violates {
-                        return EngineOut {
-                            states: stored,
-                            transitions,
-                            deadlocks: Vec::new(),
-                            complete,
-                            witness: Some((
-                                codec.decode(&cand.packed),
-                                rebuild_trace(
-                                    sys,
-                                    &codec,
-                                    por.as_ref(),
-                                    &shards,
-                                    node_ref(si, idx),
-                                ),
-                            )),
-                            stored_bytes: shard_bytes(&shards),
-                            stop: StopReason::Completed,
-                            elapsed: base_elapsed + start.elapsed(),
-                            peak_bytes: peak_bytes.max(shard_bytes(&shards)),
-                            checkpoint: None,
-                        };
-                    }
-                    buckets[si].push(node_ref(si, idx));
-                }
-            }
-            frontier.clear();
-            for b in &mut buckets {
-                frontier.append(b);
-            }
-        }
-    }
-
-    let bytes = shard_bytes(&shards);
-    EngineOut {
-        states: stored,
-        transitions,
-        deadlocks: deadlock_states,
-        complete,
-        witness: None,
-        stored_bytes: bytes,
-        stop: if complete {
-            StopReason::Completed
-        } else {
-            StopReason::BoundExhausted
-        },
-        elapsed: base_elapsed + start.elapsed(),
-        peak_bytes: peak_bytes.max(bytes),
-        checkpoint: None,
-    }
+            }),
+        ),
+        End::Drained if !seen.complete => (StopReason::BoundExhausted, None),
+        _ => (StopReason::Completed, None),
+    };
+    let report = ReachReport {
+        states: seen.stored,
+        transitions: seen.transitions,
+        deadlocks: seen.deadlocks,
+        complete: seen.complete && checkpoint.is_none(),
+        stored_bytes,
+        stop,
+        elapsed,
+        peak_bytes,
+        checkpoint,
+    };
+    (report, witness)
 }
 
 /// Exhaustively explore the reachable states of `sys`, up to `max_states`,
@@ -1743,7 +1614,7 @@ pub fn explore(sys: &System, max_states: usize) -> ReachReport {
 /// only the visited region. The report is identical for every
 /// `cfg.threads` value and every `cfg.codec` choice.
 pub fn explore_with(sys: &System, cfg: &ReachConfig) -> ReachReport {
-    reach_report(run(sys, cfg, Mode::Explore, None))
+    run(sys, cfg, Mode::Explore, None).0
 }
 
 /// Resume an interrupted [`explore_with`] run from its checkpoint.
@@ -1766,21 +1637,7 @@ pub fn explore_resume(
     cfg: &ReachConfig,
     ckpt: ReachCheckpoint,
 ) -> Result<ReachReport, ResumeError> {
-    resume_run(sys, cfg, Mode::Explore, ckpt).map(reach_report)
-}
-
-fn reach_report(out: EngineOut) -> ReachReport {
-    ReachReport {
-        states: out.states,
-        transitions: out.transitions,
-        deadlocks: out.deadlocks,
-        complete: out.complete,
-        stored_bytes: out.stored_bytes,
-        stop: out.stop,
-        elapsed: out.elapsed,
-        peak_bytes: out.peak_bytes,
-        checkpoint: out.checkpoint,
-    }
+    resume_run(sys, cfg, Mode::Explore, ckpt).map(|(r, _)| r)
 }
 
 /// Check a state invariant on all reachable states, sequentially; on
@@ -1820,15 +1677,15 @@ pub fn check_invariant_resume(
     resume_run(sys, cfg, Mode::Invariant(inv), ckpt).map(invariant_report)
 }
 
-fn invariant_report(out: EngineOut) -> InvariantReport {
+fn invariant_report((r, violation): (ReachReport, Option<Witness>)) -> InvariantReport {
     InvariantReport {
-        states: out.states,
-        violation: out.witness,
-        complete: out.complete,
-        stop: out.stop,
-        elapsed: out.elapsed,
-        peak_bytes: out.peak_bytes,
-        checkpoint: out.checkpoint,
+        states: r.states,
+        violation,
+        complete: r.complete,
+        stop: r.stop,
+        elapsed: r.elapsed,
+        peak_bytes: r.peak_bytes,
+        checkpoint: r.checkpoint,
     }
 }
 
@@ -1864,79 +1721,15 @@ pub fn find_deadlock_resume(
     resume_run(sys, cfg, Mode::Deadlock, ckpt).map(deadlock_report)
 }
 
-fn deadlock_report(out: EngineOut) -> DeadlockReport {
+fn deadlock_report((r, witness): (ReachReport, Option<Witness>)) -> DeadlockReport {
     DeadlockReport {
-        states: out.states,
-        witness: out.witness,
-        complete: out.complete,
-        stop: out.stop,
-        elapsed: out.elapsed,
-        peak_bytes: out.peak_bytes,
-        checkpoint: out.checkpoint,
-    }
-}
-
-/// Collect every reachable state satisfying `pred` (bounded, sequential,
-/// packed `seen` set under the adaptive codec, widened on demand).
-///
-/// Returns the hits and a completeness flag: `false` means the search hit
-/// `max_states` and the hit list covers only the visited region (same
-/// bounded-soundness contract as the other explorers).
-pub fn states_where(sys: &System, pred: &StatePred, max_states: usize) -> (Vec<State>, bool) {
-    let mut codec = StateCodec::adaptive(sys);
-    'retry: loop {
-        let mut seen: bip_core::FxHashSet<PackedState> = bip_core::FxHashSet::default();
-        let mut queue = std::collections::VecDeque::new();
-        let mut hits = Vec::new();
-        let mut complete = true;
-        let mut ex = Expander::new(sys, false);
-        let init = sys.initial_state();
-        let pinit = match codec.try_encode(&init) {
-            Ok(p) => p,
-            Err(r) => {
-                codec = codec.widen(sys, r);
-                continue 'retry;
-            }
-        };
-        if pred.eval(sys, &init) {
-            hits.push(init);
-        }
-        seen.insert(pinit.clone());
-        queue.push_back(pinit);
-        let mut enc = codec.new_packed();
-        let mut widen_req: Option<WidenReq> = None;
-        while let Some(packed) = queue.pop_front() {
-            ex.for_each(sys, &codec, packed.words(), |_, next| {
-                if widen_req.is_some() {
-                    return;
-                }
-                if let Err(r) = codec.try_encode_into(next, &mut enc) {
-                    widen_req = Some(r);
-                    return;
-                }
-                if seen.contains(&enc) {
-                    return;
-                }
-                if seen.len() >= max_states {
-                    complete = false;
-                    return;
-                }
-                if pred.eval(sys, next) {
-                    hits.push(next.clone());
-                }
-                let p = enc.clone();
-                seen.insert(p.clone());
-                queue.push_back(p);
-            });
-            if widen_req.is_some() {
-                break;
-            }
-        }
-        if let Some(r) = widen_req {
-            codec = codec.widen(sys, r);
-            continue 'retry;
-        }
-        return (hits, complete);
+        states: r.states,
+        witness,
+        complete: r.complete,
+        stop: r.stop,
+        elapsed: r.elapsed,
+        peak_bytes: r.peak_bytes,
+        checkpoint: r.checkpoint,
     }
 }
 
@@ -2019,19 +1812,6 @@ mod tests {
         let inv = StatePred::mutex(&sys, [(0, "eating"), (1, "eating")]);
         let r = check_invariant(&sys, &inv, 100_000);
         assert!(r.holds(), "adjacent philosophers share a fork");
-    }
-
-    #[test]
-    fn states_where_finds_targets() {
-        let sys = dining_philosophers(2, false).unwrap();
-        let eating0 = bip_core::StatePred::at(&sys, 0, "eating");
-        let (hits, complete) = states_where(&sys, &eating0, 100_000);
-        assert!(!hits.is_empty());
-        assert!(complete);
-        // At the bound the partial hit list is flagged, not silently
-        // returned as if exhaustive.
-        let (_, complete) = states_where(&sys, &eating0, 2);
-        assert!(!complete);
     }
 
     #[test]

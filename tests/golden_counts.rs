@@ -9,9 +9,11 @@
 //! debug-cheap relatives of the `perf/` workloads `bmc_deep`, `sym_wide`
 //! and `kind_proof`, so a drift shows here before the ledger has to find it.
 //!
-//! The table's last rows are explicit-side counts under persistent-set
-//! reduction (relatives of `reach_por`): the ample selector alone decides
-//! them, so a selector change that is meant to be exact must leave them be.
+//! The table's last rows are the explicit engine's counts and footprints
+//! (relatives of `reach_full`, `reach_por` and `reach_intern`). Under
+//! persistent-set reduction (the `-por` rows) the ample selector alone
+//! decides them, so a selector change that is meant to be exact must leave
+//! them be; a restructuring of `reach` must leave every one of them be.
 //!
 //! The dispatch tests beside the table pin *which* encoder ran
 //! ([`StepEncoder::enumerated_cases`]): a silent fallback from the linear
@@ -22,14 +24,16 @@ use std::fmt::Write as _;
 
 use bench::{
     adjacent_mutex, counter_ring, crash_recovery_philosophers, planted, planted_invariant,
-    ring_token_mutex,
+    ring_token_mutex, unbounded_ring,
 };
 use bip_core::fault::single_fault_invariant;
 use bip_core::sym::StepEncoder;
 use bip_core::{dining_philosophers, RecoverSpec, StatePred, System};
 use bip_verify::bmc::BmcConfig;
 use bip_verify::kind::{KindConfig, Verdict};
-use bip_verify::reach::{check_invariant_with, explore_with, ReachConfig, Reduction};
+use bip_verify::reach::{
+    check_invariant_with, explore_with, find_deadlock_with, ReachConfig, Reduction,
+};
 use satkit::CnfBuilder;
 
 const GOLDEN: &str = include_str!("golden_counts.txt");
@@ -86,20 +90,40 @@ fn counts_match_the_golden_table() {
         4,
     );
 
-    // Persistent-set reduction: the ample selector decides every count.
-    let por = ReachConfig::bounded(1_000_000).reduction(Reduction::Persistent);
+    // The explicit engine on two-phase philosophers, exhaustive and under
+    // persistent-set reduction (the `-por` rows, which the ample selector
+    // alone decides): counts and footprints, which a restructuring of the
+    // level loop must leave be.
     let phil8 = dining_philosophers(8, true).unwrap();
-    let r = explore_with(&phil8, &por);
-    assert!(r.complete);
-    writeln!(got, "phil-8-explore-por states {}", r.states).unwrap();
-    writeln!(got, "phil-8-explore-por transitions {}", r.transitions).unwrap();
     let phil7 = dining_philosophers(7, true).unwrap();
     let never_both = StatePred::at(&phil7, 0, "eating")
         .and(StatePred::at(&phil7, 1, "eating"))
         .not();
-    let r = check_invariant_with(&phil7, &never_both, &por);
-    assert!(r.holds());
-    writeln!(got, "phil-7-mutex-por states {}", r.states).unwrap();
+    let phil6 = dining_philosophers(6, true).unwrap();
+    for (tag, red) in [("", Reduction::None), ("-por", Reduction::Persistent)] {
+        let cfg = ReachConfig::bounded(1_000_000).reduction(red);
+        let r = explore_with(&phil8, &cfg);
+        assert!(r.complete);
+        writeln!(got, "phil-8-explore{tag} states {}", r.states).unwrap();
+        writeln!(got, "phil-8-explore{tag} transitions {}", r.transitions).unwrap();
+        writeln!(got, "phil-8-explore{tag} stored_bytes {}", r.stored_bytes).unwrap();
+        writeln!(got, "phil-8-explore{tag} peak_bytes {}", r.peak_bytes).unwrap();
+        let r = check_invariant_with(&phil7, &never_both, &cfg);
+        assert!(r.holds());
+        writeln!(got, "phil-7-mutex{tag} states {}", r.states).unwrap();
+        writeln!(got, "phil-7-mutex{tag} peak_bytes {}", r.peak_bytes).unwrap();
+        let r = find_deadlock_with(&phil6, &cfg);
+        let (_, trace) = r.witness.expect("two-phase philosophers deadlock");
+        writeln!(got, "phil-6-deadlock{tag} states {}", r.states).unwrap();
+        writeln!(got, "phil-6-deadlock{tag} peak_bytes {}", r.peak_bytes).unwrap();
+        writeln!(got, "phil-6-deadlock{tag} trace_len {}", trace.len()).unwrap();
+    }
+    // An infinite-state ring under a bound: every encode interns values.
+    let r = explore_with(&unbounded_ring(3), &ReachConfig::bounded(3_000));
+    assert!(!r.complete);
+    writeln!(got, "uring-3-explore states {}", r.states).unwrap();
+    writeln!(got, "uring-3-explore transitions {}", r.transitions).unwrap();
+    writeln!(got, "uring-3-explore stored_bytes {}", r.stored_bytes).unwrap();
 
     let want: Vec<&str> = GOLDEN
         .lines()

@@ -105,6 +105,8 @@ proptest! {
             prop_assert_eq!(&ds.witness, &dp.witness);
             prop_assert_eq!(ds.states, dp.states);
             prop_assert_eq!(ds.complete, dp.complete);
+            prop_assert_eq!(ds.peak_bytes, dp.peak_bytes);
+            prop_assert_eq!(ds.stop, dp.stop);
 
             let inv = StatePred::at(&sys, 0, "l0");
             let is = check_invariant_with(&sys, &inv, &ReachConfig::bounded(bound));
@@ -112,6 +114,8 @@ proptest! {
             prop_assert_eq!(&is.violation, &ip.violation);
             prop_assert_eq!(is.states, ip.states);
             prop_assert_eq!(is.complete, ip.complete);
+            prop_assert_eq!(is.peak_bytes, ip.peak_bytes);
+            prop_assert_eq!(is.stop, ip.stop);
         }
     }
 
@@ -235,6 +239,28 @@ fn codec_mode_custom_is_usable() {
     assert_eq!(custom.transitions, default.transitions);
     assert_eq!(custom.deadlocks, default.deadlocks);
     assert_eq!(custom.stored_bytes, default.stored_bytes);
+}
+
+/// A deadlock search reports the footprint of the level the deadlock was
+/// found at on entry, whichever scheduler ran that level: on these seeds
+/// the sequential level stores successors of earlier frontier states before
+/// it reaches the deadlock, which must not count.
+#[test]
+fn deadlock_peak_bytes_is_thread_count_invariant() {
+    for seed in [63u64, 165, 166, 197] {
+        let sys = random_system(seed);
+        let seq = find_deadlock_with(&sys, &ReachConfig::bounded(100_000));
+        let par = find_deadlock_with(
+            &sys,
+            &ReachConfig::bounded(100_000)
+                .threads(2)
+                .min_parallel_level(1),
+        );
+        assert!(seq.found(), "seed {seed} deadlocks");
+        assert_eq!(seq.witness, par.witness, "seed {seed}: witness");
+        assert_eq!(seq.states, par.states, "seed {seed}: states");
+        assert_eq!(seq.peak_bytes, par.peak_bytes, "seed {seed}: peak_bytes");
+    }
 }
 
 /// Engine bounds of the tier-1 differential properties: one that completes
