@@ -12,9 +12,8 @@
 //!
 //! [`PlaceSet`] packs the universe into `u64` words: membership is one
 //! shift-and-mask, intersection tests are word-wise `AND`s, and a whole set
-//! is a contiguous word slice that can live inline in an arena (the
-//! parallel trap enumerator stores deduplicated traps exactly that way —
-//! fixed `words_per_set` stride, `shard << 48 | index` references). The
+//! is a contiguous word slice that can live inline in an arena at a fixed
+//! `words_per_set` stride. The
 //! capacity is part of the value: sets of different capacities compare
 //! unequal and must not be mixed, mirroring how packed states of different
 //! codecs must not be mixed.

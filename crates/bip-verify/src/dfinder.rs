@@ -24,12 +24,18 @@
 //! probes. Trap enumeration is **partitioned by minimum place**: every
 //! initially-marked trap has a unique smallest place, so the subspace
 //! "traps whose minimum is `p`" can be enumerated by an independent SAT
-//! instance per seed place. [`DFinderConfig::threads`] workers drain the
-//! seed queue in parallel; results are deduplicated through a sharded
-//! bump-arena trap store (`shard << 48 | index` references, the same
-//! pattern as `reach`'s seen set) and merged **in seed order**, so the trap
-//! list — and therefore the whole [`DFinderReport`], down to
-//! `sat_conflicts` — is bit-identical for every thread count.
+//! instance per seed place. One worker loop serves every
+//! [`DFinderConfig::threads`] value (at one thread the caller runs it and
+//! nothing is spawned): workers claim seeds in index order, each seed may
+//! find as many traps as the cap leaves after the completed seed prefix,
+//! and seeds still running once that prefix fills the cap are aborted as
+//! past the merge horizon. The merge concatenates the seed outputs **in
+//! seed order** up to the cap; the partition makes them distinct, so
+//! nothing is deduplicated. A per-solve conflict cut counts only if it came
+//! before its seed filled its room in the merge, which is when a one-thread
+//! run makes the same solve. So the trap list — and therefore the whole
+//! [`DFinderReport`], down to `sat_conflicts` and `stop` — is bit-identical
+//! for every thread count.
 //!
 //! ```
 //! use bip_core::dining_philosophers;
@@ -43,12 +49,11 @@
 //! assert_eq!(seq, par, "reports are thread-count invariant");
 //! ```
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
-use bip_core::hash::FxHasher;
 use bip_core::FxHashSet;
-use std::hash::Hasher;
 
 use crate::control::{Budget, CancelToken, StopReason, Wall};
 use bip_core::{PlaceSet, StatePred, System};
@@ -729,13 +734,6 @@ pub struct DFinderConfig {
     /// Cancellation token, installed as every solver's interrupt flag, so
     /// even a worker buried in a hard SAT instance stops mid-solve.
     pub cancel: CancelToken,
-    /// Restart policy for every solver the run creates (per-seed trap
-    /// iterates and the final DIS check). Defaults to
-    /// [`RestartPolicy::luby`]: D-Finder fires many *short* solves, too
-    /// brief for glucose's LBD averages to stabilise, so plain Luby is the
-    /// predictable choice (BMC's one persistent solver defaults to
-    /// [`RestartPolicy::hybrid`] instead).
-    pub restart_policy: RestartPolicy,
 }
 
 impl DFinderConfig {
@@ -747,7 +745,6 @@ impl DFinderConfig {
             max_traps: DFinder::DEFAULT_MAX_TRAPS,
             budget: Budget::unlimited(),
             cancel: CancelToken::new(),
-            restart_policy: RestartPolicy::luby(),
         }
     }
 
@@ -776,13 +773,6 @@ impl DFinderConfig {
     #[must_use]
     pub fn cancel(mut self, token: &CancelToken) -> DFinderConfig {
         self.cancel = token.clone();
-        self
-    }
-
-    /// Set the restart policy (see [`DFinderConfig::restart_policy`]).
-    #[must_use]
-    pub fn restart_policy(mut self, policy: RestartPolicy) -> DFinderConfig {
-        self.restart_policy = policy;
         self
     }
 }
@@ -1013,8 +1003,7 @@ impl DFinder {
     /// Encode `CI ∧ II` into a fresh CNF builder; returns the at-place
     /// literals.
     fn encode_ci_ii(&self) -> (CnfBuilder, Vec<Lit>) {
-        let mut b = CnfBuilder::new();
-        b.solver_mut().set_restart_policy(self.cfg.restart_policy);
+        let mut b = query_builder();
         let at: Vec<Lit> = (0..self.abs.num_places)
             .map(|_| Lit::pos(b.fresh()))
             .collect();
@@ -1085,122 +1074,14 @@ fn encode_pred(b: &mut CnfBuilder, abs: &Abstraction, at: &[Lit], pred: &StatePr
     }
 }
 
-/// Shards of the trap dedup store.
-const TRAP_SHARDS: usize = 16;
-
-/// Empty slot sentinel of the trap store's open-addressing tables.
-const TRAP_EMPTY_SLOT: u64 = u64::MAX;
-
-/// Hash of a packed place-set word slice (fingerprint in the high 32 bits,
-/// probe start in the low bits).
-#[inline]
-fn trap_word_hash(words: &[u64]) -> u64 {
-    let mut h = FxHasher::default();
-    for &w in words {
-        h.write_u64(w);
-    }
-    h.finish()
-}
-
-/// Deduplicating store for fixed-width place sets: `TRAP_SHARDS` shards,
-/// each an open-addressing table over a bump arena holding `stride` packed
-/// words per stored set — the `shard << 48 | index` pattern of `reach`'s
-/// seen set, scaled down to trap counts. The arena is the canonical
-/// storage; the merge reads sets back out of it by reference.
-struct TrapStore {
-    capacity: usize,
-    stride: usize,
-    shards: Vec<TrapShard>,
-}
-
-struct TrapShard {
-    slots: Vec<u64>,
-    arena: Vec<u64>,
-    len: usize,
-}
-
-impl TrapStore {
-    fn new(capacity: usize) -> TrapStore {
-        TrapStore {
-            capacity,
-            stride: capacity.div_ceil(64).max(1),
-            // Tables start tiny: trap counts are small, and routine growth
-            // keeps the rehash path exercised by ordinary runs.
-            shards: (0..TRAP_SHARDS)
-                .map(|_| TrapShard {
-                    slots: vec![TRAP_EMPTY_SLOT; 8],
-                    arena: Vec::new(),
-                    len: 0,
-                })
-                .collect(),
-        }
-    }
-
-    fn set_words<'a>(&'a self, shard: &'a TrapShard, idx: usize) -> &'a [u64] {
-        &shard.arena[idx * self.stride..(idx + 1) * self.stride]
-    }
-
-    /// Insert `set` if absent; returns its `shard << 48 | index` reference
-    /// and whether this call stored it.
-    ///
-    /// The shard index consumes the low 4 hash bits, so the probe start
-    /// must come from the bits *above* them — otherwise every entry of a
-    /// shard would share one probe sequence and the table would degenerate
-    /// into a single linear cluster.
-    fn insert(&mut self, set: &PlaceSet) -> (u64, bool) {
-        debug_assert_eq!(set.capacity(), self.capacity);
-        let words = set.words();
-        let h = trap_word_hash(words);
-        let si = (h % TRAP_SHARDS as u64) as usize;
-        let stride = self.stride;
-        let fp = h >> 32;
-        loop {
-            let shard = &self.shards[si];
-            let mask = shard.slots.len() - 1;
-            let mut i = (h / TRAP_SHARDS as u64) as usize & mask;
-            loop {
-                let s = shard.slots[i];
-                if s == TRAP_EMPTY_SLOT {
-                    break;
-                }
-                let idx = (s & 0xffff_ffff) as usize;
-                if s >> 32 == fp && self.set_words(shard, idx) == words {
-                    return (((si as u64) << 48) | idx as u64, false);
-                }
-                i = (i + 1) & mask;
-            }
-            let shard = &mut self.shards[si];
-            if (shard.len + 1) * 4 > shard.slots.len() * 3 {
-                // Rehash in place and retry the probe on the grown table.
-                let ncap = shard.slots.len() * 2;
-                let mut slots = vec![TRAP_EMPTY_SLOT; ncap];
-                for idx in 0..shard.len {
-                    let hh = trap_word_hash(&shard.arena[idx * stride..(idx + 1) * stride]);
-                    let mut j = (hh / TRAP_SHARDS as u64) as usize & (ncap - 1);
-                    while slots[j] != TRAP_EMPTY_SLOT {
-                        j = (j + 1) & (ncap - 1);
-                    }
-                    slots[j] = (hh >> 32 << 32) | idx as u64;
-                }
-                shard.slots = slots;
-                continue;
-            }
-            let idx = shard.len;
-            shard.slots[i] = (fp << 32) | idx as u64;
-            shard.arena.extend_from_slice(words);
-            shard.len += 1;
-            return (((si as u64) << 48) | idx as u64, true);
-        }
-    }
-
-    /// Rebuild the [`PlaceSet`] behind a reference returned by `insert`.
-    fn get(&self, sref: u64) -> PlaceSet {
-        let shard = &self.shards[(sref >> 48) as usize];
-        PlaceSet::from_words(
-            self.capacity,
-            self.set_words(shard, (sref & 0xffff_ffff_ffff) as usize),
-        )
-    }
+/// A fresh CNF builder for one D-Finder query. D-Finder fires many *short*
+/// solves, too brief for glucose's LBD averages to stabilise, so every one
+/// restarts on plain Luby (BMC's one persistent solver keeps the hybrid
+/// default).
+fn query_builder() -> CnfBuilder {
+    let mut b = CnfBuilder::new();
+    b.solver_mut().set_restart_policy(RestartPolicy::luby());
+    b
 }
 
 /// Build the trap CNF for one seed place: trap condition per (packed)
@@ -1211,7 +1092,7 @@ impl TrapStore {
 /// one with a larger minimum belongs to that seed's subspace: a from-scratch
 /// enumeration never sees it either.)
 fn seed_cnf(abs: &Abstraction, seed: Place, known: &[PlaceSet]) -> (CnfBuilder, Vec<Lit>) {
-    let mut b = CnfBuilder::new();
+    let mut b = query_builder();
     let s: Vec<Lit> = (0..abs.num_places).map(|_| Lit::pos(b.fresh())).collect();
     for (pre, post) in &abs.packed {
         for p in pre.iter() {
@@ -1236,41 +1117,46 @@ fn seed_cnf(abs: &Abstraction, seed: Place, known: &[PlaceSet]) -> (CnfBuilder, 
     (b, s)
 }
 
-/// Enumerate (approximately minimal) initially-marked traps whose minimum
-/// place is `seed`, blocking supersets of found traps and of the `known`
-/// traps of this seed.
+/// What one seed's enumeration produced.
+#[derive(Default)]
+struct SeedTraps {
+    /// The traps found, in discovery order.
+    traps: Vec<PlaceSet>,
+    /// A solve went over the conflict budget before the seed had filled its
+    /// allowance or exhausted its subspace.
+    cut: bool,
+}
+
+/// Enumerate up to `allowance` (approximately minimal) initially-marked
+/// traps whose minimum place is `seed`, blocking supersets of found traps
+/// and of the `known` traps of this seed.
 ///
-/// `cancel` aborts between SAT iterations: the parallel driver raises it
-/// once the completed seed prefix has filled the trap budget, at which
-/// point every still-running seed lies beyond the merge horizon and its
-/// output is discarded — so an abort can never change the result.
+/// `held` counts the traps of the completed seed prefix. Once they fill the
+/// cap, a seed still running lies beyond the merge horizon: it aborts
+/// between SAT iterations, and its output is dropped unread.
 fn enumerate_seed(
     abs: &Abstraction,
     seed: Place,
     known: &[PlaceSet],
-    cap: usize,
-    cancel: &std::sync::atomic::AtomicBool,
+    allowance: usize,
+    held: &AtomicUsize,
     cfg: &DFinderConfig,
-    solver_cut: &AtomicBool,
-) -> Vec<PlaceSet> {
+) -> SeedTraps {
     let (mut b, s) = seed_cnf(abs, seed, known);
-    let mut out = Vec::new();
+    let mut out = SeedTraps::default();
     let solver = b.solver_mut();
     // The config's cancel token interrupts even mid-solve; the budget's
     // conflict ceiling applies per solve call (deterministic, so a
     // budget-cut seed yields the same traps on every thread count).
     solver.set_interrupt(Some(cfg.cancel.flag()));
-    solver.set_restart_policy(cfg.restart_policy);
     let limits = cfg.budget.solve_limits(0);
-    while out.len() < cap && !cancel.load(Ordering::Acquire) {
+    while out.traps.len() < allowance && held.load(Ordering::Acquire) < cfg.max_traps {
         if cfg.budget.interrupted(&cfg.cancel).is_some() {
             break;
         }
         let v = solver.solve_limited(&[], limits);
         if v.is_unknown() {
-            if !cfg.cancel.is_cancelled() {
-                solver_cut.store(true, Ordering::Release);
-            }
+            out.cut = !cfg.cancel.is_cancelled();
             break;
         }
         if v.is_unsat() {
@@ -1284,8 +1170,7 @@ fn enumerate_seed(
         }
         // Greedy minimization in ascending place order, preserving trap-ness
         // and the initial marking. The seed stays put: it witnesses the
-        // partition (no other worker can rediscover this trap), which is
-        // what makes the parallel merge duplicate-free by construction.
+        // partition, so no other seed can rediscover this trap.
         for p in set.to_vec() {
             if p == seed {
                 continue;
@@ -1296,9 +1181,11 @@ fn enumerate_seed(
                 set.insert(p);
             }
         }
-        // Block this trap and all supersets (within this seed's subspace).
+        // Block this trap and all its supersets. Minimization only removes
+        // places, so a later model — a superset of no listed trap — cannot
+        // shrink to a listed one: the seed's list is duplicate-free.
         solver.add_clause(set.iter().map(|p| !s[p]));
-        out.push(set);
+        out.traps.push(set);
     }
     out
 }
@@ -1317,146 +1204,86 @@ pub fn enumerate_traps_with(abs: &Abstraction, cfg: &DFinderConfig) -> Vec<Place
     enumerate_traps_inner(abs, &[], &abs.seeds(), cfg).0
 }
 
+/// Seed outputs as they complete, and the contiguous completed prefix.
+struct SeedOutputs {
+    /// Per seed index, its output once it completed inside the horizon.
+    by_seed: Vec<Option<SeedTraps>>,
+    /// Seeds `0..prefix` have all completed.
+    prefix: usize,
+}
+
 /// Core enumeration over the subspaces of `seeds` (ascending), each blocking
-/// the `known` traps it owns: traps plus why it stopped
-/// ([`StopReason::Completed`] unless a budget/deadline/cancellation
-/// truncated the sweep). Truncation is sound — a shorter trap list only
-/// weakens II.
+/// the `known` traps it owns: at most `cfg.max_traps` traps in seed order,
+/// and why it stopped ([`StopReason::Completed`] unless a budget, deadline
+/// or cancellation truncated the sweep). Truncation is sound — a shorter
+/// trap list only weakens II.
+///
+/// The [module docs](self) give the one worker loop, the per-seed
+/// allowance, the merge horizon and the cut rule. At one thread a seed's
+/// allowance is exactly the room the merge leaves it, so a one-thread run
+/// makes precisely the solves the merge reads.
 pub(crate) fn enumerate_traps_inner(
     abs: &Abstraction,
     known: &[PlaceSet],
     seeds: &[Place],
     cfg: &DFinderConfig,
 ) -> (Vec<PlaceSet>, StopReason) {
-    let solver_cut = AtomicBool::new(false);
-    let traps = enumerate_traps_impl(abs, known, seeds, cfg, &solver_cut);
-    let cut = solver_cut.load(Ordering::Acquire);
-    let interrupted = cfg.budget.interrupted(&cfg.cancel);
-    let stop = interrupted.or(cut.then_some(StopReason::SolverBudget));
-    (traps, stop.unwrap_or(StopReason::Completed))
-}
-
-fn enumerate_traps_impl(
-    abs: &Abstraction,
-    known: &[PlaceSet],
-    seeds: &[Place],
-    cfg: &DFinderConfig,
-    solver_cut: &AtomicBool,
-) -> Vec<PlaceSet> {
-    // The per-seed subspaces partition the initially-marked traps, so
-    // workers never contend and never duplicate.
-    if cfg.max_traps == 0 || seeds.is_empty() {
-        return Vec::new();
-    }
-    let threads = cfg.threads.max(1).min(seeds.len());
     let cap = cfg.max_traps;
-    let mut per_seed: Vec<(usize, Vec<PlaceSet>)> = if threads == 1 {
-        // Sequential fast path: merge consumes seeds in order, so once the
-        // budget is spent no later seed can contribute — stop enumerating.
-        // The per-seed budget shrinks the same way; SAT iteration order is
-        // deterministic, so a budget-cut enumeration is exactly the prefix
-        // the merge would have kept.
-        let never = std::sync::atomic::AtomicBool::new(false);
-        let mut all = Vec::new();
-        let mut found = 0usize;
-        for (i, &p) in seeds.iter().enumerate() {
-            // The merge horizon honors the deadline and cancellation: no
-            // new seed starts once either has tripped.
-            if cfg.budget.interrupted(&cfg.cancel).is_some() {
-                break;
-            }
-            let traps = enumerate_seed(abs, p, known, cap - found, &never, cfg, solver_cut);
-            found += traps.len();
-            all.push((i, traps));
-            if found >= cap {
-                break;
-            }
+    let next = AtomicUsize::new(0);
+    // Traps of the completed seed prefix. Written and re-read under the
+    // lock, so no seed completing past the horizon is recorded; the
+    // lock-free reads only abort early.
+    let held = AtomicUsize::new(0);
+    let outputs = Mutex::new(SeedOutputs {
+        by_seed: seeds.iter().map(|_| None).collect(),
+        prefix: 0,
+    });
+    let work = || loop {
+        // The deadline and cancellation also stop new seeds from starting.
+        if held.load(Ordering::Acquire) >= cap || cfg.budget.interrupted(&cfg.cancel).is_some() {
+            break;
         }
-        all
-    } else {
-        // Workers drain the seed queue; chunk assignment affects only load
-        // balancing — results are reassembled in seed order below. Early
-        // cancellation is deterministic: seeds are claimed in index order,
-        // so once the *contiguous completed prefix* of seeds already holds
-        // `cap` traps, every unclaimed seed is beyond the merge's horizon
-        // and can be skipped without changing the output.
-        let next = AtomicUsize::new(0);
-        let done = std::sync::atomic::AtomicBool::new(false);
-        let counts: Vec<AtomicUsize> = seeds.iter().map(|_| AtomicUsize::new(usize::MAX)).collect();
-        let counts_ref = &counts;
-        let done_ref = &done;
-        let mut all = Vec::with_capacity(seeds.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let next = &next;
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            if done_ref.load(Ordering::Acquire)
-                                || cfg.budget.interrupted(&cfg.cancel).is_some()
-                            {
-                                break local;
-                            }
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= seeds.len() {
-                                break local;
-                            }
-                            let traps = enumerate_seed(
-                                abs, seeds[i], known, cap, done_ref, cfg, solver_cut,
-                            );
-                            if done_ref.load(Ordering::Acquire) {
-                                // Aborted mid-seed: this seed is beyond the
-                                // merge horizon (the done flag only rises
-                                // when the *completed prefix* filled the
-                                // budget, and prefix seeds are claimed in
-                                // order), so its partial output is dropped.
-                                break local;
-                            }
-                            counts_ref[i].store(traps.len(), Ordering::Release);
-                            local.push((i, traps));
-                            // Has the completed prefix filled the budget?
-                            let mut prefix = 0usize;
-                            for c in counts_ref.iter() {
-                                let n = c.load(Ordering::Acquire);
-                                if n == usize::MAX {
-                                    break;
-                                }
-                                prefix += n;
-                                if prefix >= cap {
-                                    done_ref.store(true, Ordering::Release);
-                                    break;
-                                }
-                            }
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                all.extend(h.join().expect("trap worker panicked"));
-            }
-        });
-        all.sort_unstable_by_key(|(i, _)| *i);
-        all
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= seeds.len() {
+            break;
+        }
+        let allowance = cap.saturating_sub(held.load(Ordering::Acquire));
+        let out = enumerate_seed(abs, seeds[i], known, allowance, &held, cfg);
+        let mut guard = outputs.lock().expect("a trap worker panicked");
+        if held.load(Ordering::Acquire) >= cap {
+            break; // past the horizon: the merge never reads this seed
+        }
+        let o = &mut *guard;
+        o.by_seed[i] = Some(out);
+        while let Some(Some(done)) = o.by_seed.get(o.prefix) {
+            held.fetch_add(done.traps.len(), Ordering::Release);
+            o.prefix += 1;
+        }
     };
-    // Deterministic merge in seed order through the sharded arena store.
-    // The partition makes cross-seed duplicates impossible, so dedup here
-    // is defense in depth — but the arena is also the canonical storage the
-    // final list is read back from, mirroring `reach`'s seen set.
-    let mut store = TrapStore::new(abs.num_places);
-    let mut refs = Vec::new();
-    'merge: for (_, traps) in per_seed.drain(..) {
-        for t in traps {
-            let (sref, fresh) = store.insert(&t);
-            if fresh {
-                refs.push(sref);
-                if refs.len() >= cap {
-                    break 'merge;
-                }
-            }
+    let threads = cfg.threads.min(seeds.len()).max(1);
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(work);
+        }
+        work();
+    });
+    let by_seed = outputs
+        .into_inner()
+        .expect("a trap worker panicked")
+        .by_seed;
+    let mut traps = Vec::new();
+    let mut cut = false;
+    for out in by_seed.into_iter().flatten() {
+        let room = cap - traps.len();
+        cut |= out.cut && out.traps.len() < room;
+        traps.extend(out.traps.into_iter().take(room));
+        if traps.len() >= cap {
+            break;
         }
     }
-    refs.into_iter().map(|r| store.get(r)).collect()
+    let stop = cfg.budget.interrupted(&cfg.cancel);
+    let stop = stop.or(cut.then_some(StopReason::SolverBudget));
+    (traps, stop.unwrap_or(StopReason::Completed))
 }
 
 #[cfg(test)]
@@ -1732,7 +1559,7 @@ mod tests {
     #[test]
     fn traps_partition_by_minimum_place() {
         // Every enumerated trap's minimum place is its seed: distinct traps
-        // never collide across seeds, which is what makes the parallel
+        // never collide across seeds, which is what makes the seed-order
         // merge deduplication-free by construction.
         let sys = dining_philosophers(4, true).unwrap();
         let abs = Abstraction::new(&sys);
@@ -1741,6 +1568,7 @@ mod tests {
         for t in &traps {
             assert!(seen.insert(t.clone()), "duplicate trap {t:?}");
         }
+        assert!(traps.windows(2).all(|w| w[0].min() <= w[1].min()));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use std::collections::{BTreeSet, VecDeque};
 use std::time::{Duration, Instant};
 
-use bip_core::{FxHashMap, PackedState, StateCodec, System};
+use bip_core::{FxHashMap, FxHashSet, PackedState, StateCodec, System};
 
 use crate::control::{Budget, CancelToken, StopReason};
 
@@ -271,53 +271,20 @@ where
         cancel,
     );
     let c = obs_lts(concrete_sys, &rename_concrete, max_states, budget, cancel);
-    // Determinized simulation: explore pairs (concrete subset, abstract
-    // subset); inclusion fails if the concrete side offers a label the
-    // abstract side cannot match.
-    let c0 = closure(&c, &BTreeSet::from([0usize]));
-    let a0 = closure(&a, &BTreeSet::from([0usize]));
-    let mut seen: FxHashMap<(BTreeSet<usize>, BTreeSet<usize>), ()> = FxHashMap::default();
-    let mut queue: VecDeque<(BTreeSet<usize>, BTreeSet<usize>, Vec<String>)> = VecDeque::new();
-    seen.insert((c0.clone(), a0.clone()), ());
-    queue.push_back((c0, a0, Vec::new()));
-    let mut counterexample = None;
-    let mut product_stop = StopReason::Completed;
-    'bfs: while let Some((cs, as_, trace)) = queue.pop_front() {
-        let trip = budget
-            .interrupted(cancel)
-            .or_else(|| budget.exceeded(seen.len(), 0));
-        if let Some(reason) = trip {
-            product_stop = reason;
-            break 'bfs;
-        }
-        for label in obs_labels(&c, &cs) {
-            let an = obs_step(&a, &as_, &label);
-            let mut t2 = trace.clone();
-            t2.push(label.clone());
-            if an.is_empty() {
-                counterexample = Some(t2);
-                break 'bfs;
-            }
-            let cn = obs_step(&c, &cs, &label);
-            let key = (cn.clone(), an.clone());
-            if seen.insert(key, ()).is_none() {
-                queue.push_back((cn, an, t2));
-            }
-        }
-    }
+    let incl = inclusion(&c, &a, budget, cancel);
     // First interrupted stage wins: extraction order (abstract, concrete)
     // then the product search — the earliest truncation is the one that
     // invalidated everything after it.
-    let stop = [a.stop, c.stop, product_stop]
+    let stop = [a.stop, c.stop, incl.stop]
         .into_iter()
         .find(|s| *s != StopReason::Completed)
         .unwrap_or(StopReason::Completed);
     RefinementReport {
-        trace_included: counterexample.is_none(),
-        counterexample,
+        trace_included: incl.counterexample.is_none(),
+        counterexample: incl.counterexample,
         abstract_deadlock_free: a.complete && !a.has_deadlock,
         concrete_deadlock_free: c.complete && !c.has_deadlock,
-        product_states: seen.len(),
+        product_states: incl.product_states,
         stop,
         elapsed: start.elapsed(),
     }
@@ -334,14 +301,7 @@ pub fn weak_trace_equivalent<F>(
 where
     F: Fn(&str) -> Option<String> + Copy,
 {
-    let fwd = refines(abstract_sys, concrete_sys, rename_concrete, max_states);
-    if !fwd.trace_included {
-        return false;
-    }
-    // Reverse: abstract traces must be realizable by the concrete system.
-    // Swap roles: treat the concrete system (renamed) as the "abstract" side.
-    let unlimited = Budget::unlimited();
-    let run = CancelToken::new();
+    let (unlimited, run) = (Budget::unlimited(), CancelToken::new());
     let a = obs_lts(
         abstract_sys,
         &|l: &str| Some(l.to_string()),
@@ -350,31 +310,65 @@ where
         &run,
     );
     let c = obs_lts(concrete_sys, &rename_concrete, max_states, &unlimited, &run);
-    inclusion(&a, &c)
+    // Concrete traces are abstract traces, and abstract traces are
+    // realizable by the concrete system.
+    let included = |left, right| {
+        inclusion(left, right, &unlimited, &run)
+            .counterexample
+            .is_none()
+    };
+    included(&c, &a) && included(&a, &c)
 }
 
-/// Raw trace inclusion between two observable LTSs (left ⊆ right).
-fn inclusion(left: &ObsLts, right: &ObsLts) -> bool {
+/// What a trace-inclusion search found.
+struct Inclusion {
+    /// A shortest observable trace of the left LTS that the right one
+    /// cannot perform.
+    counterexample: Option<Vec<String>>,
+    /// Product states explored.
+    product_states: usize,
+    /// `Completed` unless the budget or token cut the search short.
+    stop: StopReason,
+}
+
+/// Weak trace inclusion `left ⊆ right` by determinized simulation: explore
+/// pairs (left subset, right subset) breadth first; inclusion fails at the
+/// first label the left side offers that the right side cannot match.
+fn inclusion(left: &ObsLts, right: &ObsLts, budget: &Budget, cancel: &CancelToken) -> Inclusion {
     let l0 = closure(left, &BTreeSet::from([0usize]));
     let r0 = closure(right, &BTreeSet::from([0usize]));
-    let mut seen: FxHashMap<(BTreeSet<usize>, BTreeSet<usize>), ()> = FxHashMap::default();
-    let mut queue = VecDeque::new();
-    seen.insert((l0.clone(), r0.clone()), ());
-    queue.push_back((l0, r0));
-    while let Some((ls, rs)) = queue.pop_front() {
+    let mut seen = FxHashSet::default();
+    seen.insert((l0.clone(), r0.clone()));
+    let mut queue = VecDeque::from([(l0, r0, Vec::new())]);
+    let mut counterexample = None;
+    let mut stop = StopReason::Completed;
+    'bfs: while let Some((ls, rs, trace)) = queue.pop_front() {
+        let trip = budget
+            .interrupted(cancel)
+            .or_else(|| budget.exceeded(seen.len(), 0));
+        if let Some(reason) = trip {
+            stop = reason;
+            break;
+        }
         for label in obs_labels(left, &ls) {
             let rn = obs_step(right, &rs, &label);
+            let mut t2 = trace.clone();
+            t2.push(label.clone());
             if rn.is_empty() {
-                return false;
+                counterexample = Some(t2);
+                break 'bfs;
             }
             let ln = obs_step(left, &ls, &label);
-            let key = (ln.clone(), rn.clone());
-            if seen.insert(key, ()).is_none() {
-                queue.push_back((ln, rn));
+            if seen.insert((ln.clone(), rn.clone())) {
+                queue.push_back((ln, rn, t2));
             }
         }
     }
-    true
+    Inclusion {
+        counterexample,
+        product_states: seen.len(),
+        stop,
+    }
 }
 
 #[cfg(test)]

@@ -191,6 +191,32 @@ pub fn random_system(seed: u64) -> bip_core::System {
     sys
 }
 
+/// No trap is listed twice.
+pub fn assert_duplicate_free(traps: &[PlaceSet], ctx: &str) {
+    let mut seen = HashSet::new();
+    for t in traps {
+        assert!(seen.insert(t), "{ctx}: duplicate trap {t:?}");
+    }
+}
+
+/// The shape the seed partition gives every enumerated trap list:
+/// duplicate-free and non-decreasing in minimum place. Each trap holds its
+/// seed and no smaller place, seeds are merged in order, and within a seed
+/// a listed trap is blocked with its supersets — which is what lets trap
+/// enumeration merge without a dedup store. (An incremental verifier's list
+/// is its kept traps followed by one such enumeration.)
+pub fn assert_seed_ordered(traps: &[PlaceSet], ctx: &str) {
+    assert_duplicate_free(traps, ctx);
+    for w in traps.windows(2) {
+        assert!(
+            w[0].min() <= w[1].min(),
+            "{ctx}: minimum places out of order: {:?} before {:?}",
+            w[0],
+            w[1]
+        );
+    }
+}
+
 /// Exact rational for the dense oracle's elimination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Rat {

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 mod common;
-use common::{dense_linear_invariants, random_system};
+use common::{assert_duplicate_free, assert_seed_ordered, dense_linear_invariants, random_system};
 
 /// The default `(max_coeff, max_support)` filter and no filter at all.
 const FILTERS: [(i64, usize); 2] = [
@@ -80,17 +80,18 @@ fn incremental_linear_set_equals_from_scratch_after_every_addition() {
             let mut inc = IncrementalVerifier::with_config(without_connectors(&full), cfg.clone());
             for conn in order {
                 let added = conn.name.clone();
-                inc.add_interaction(conn).unwrap();
+                let st = inc.add_interaction(conn).unwrap();
                 let scratch = DFinder::with_config(inc.system(), &cfg);
-                assert_eq!(
-                    inc.linear(),
-                    scratch.linear(),
-                    "{name}, shuffle {shuffle}, after {added}"
-                );
+                let ctx = format!("{name}, shuffle {shuffle}, after {added}");
+                let traps = inc.traps();
+                assert_duplicate_free(traps, &ctx);
+                assert_seed_ordered(&traps[traps.len() - st.traps_added..], &ctx);
+                assert_seed_ordered(scratch.traps(), &ctx);
+                assert_eq!(inc.linear(), scratch.linear(), "{ctx}");
                 assert_eq!(
                     inc.check_deadlock_freedom().verdict.is_deadlock_free(),
                     scratch.check_deadlock_freedom().verdict.is_deadlock_free(),
-                    "{name}, shuffle {shuffle}, after {added}"
+                    "{ctx}"
                 );
             }
         }

@@ -1,22 +1,39 @@
 //! Parallel compositional verification: the deterministic-parallelism
 //! contract of `bip-verify::dfinder` (reports bit-identical for every
-//! thread count) on hand-written and random systems, plus invariant
-//! preservation across incremental growth.
+//! thread count, budget-cut runs included) on hand-written and random
+//! systems, plus invariant preservation across incremental growth.
 
 use bip_core::dining_philosophers;
 use bip_verify::dfinder::{enumerate_traps_with, Abstraction, DFinder, DFinderConfig};
-use bip_verify::IncrementalVerifier;
+use bip_verify::{Budget, IncrementalVerifier};
 use proptest::prelude::*;
 
 mod common;
-use common::random_system;
+use common::{assert_duplicate_free, assert_seed_ordered, random_system};
+
+/// Trap list and report of one `DFinder` run.
+fn run(
+    sys: &bip_core::System,
+    cfg: &DFinderConfig,
+) -> (Vec<bip_core::PlaceSet>, bip_verify::DFinderReport) {
+    let df = DFinder::with_config(sys, cfg);
+    (df.traps().to_vec(), df.check_deadlock_freedom())
+}
+
+/// Three traps at most, one conflict per solve: budget cuts land inside
+/// the merge horizon and beyond it.
+fn cut() -> DFinderConfig {
+    DFinderConfig::new()
+        .max_traps(3)
+        .budget(Budget::unlimited().conflicts(1))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Parallel trap enumeration ≡ sequential on random systems: the trap
     /// list — order included — and the full `DFinderReport` must be
-    /// bit-identical for `threads ∈ {1, 2, 8}`.
+    /// bit-identical for `threads ∈ {1, 2, 8}`, unbudgeted and cut.
     #[test]
     fn parallel_trap_enumeration_matches_sequential(seed in 0u64..200) {
         let sys = random_system(seed);
@@ -34,10 +51,15 @@ proptest! {
                 "seed {}: unmarked trap {:?}", seed, t
             );
         }
+        assert_seed_ordered(&seq, &format!("seed {seed}"));
         let r1 = DFinder::with_config(&sys, &DFinderConfig::new()).check_deadlock_freedom();
         let r8 = DFinder::with_config(&sys, &DFinderConfig::new().threads(8))
             .check_deadlock_freedom();
         prop_assert_eq!(r1, r8);
+        let one = run(&sys, &cut());
+        for threads in [2usize, 8] {
+            prop_assert_eq!(&run(&sys, &cut().threads(threads)), &one);
+        }
     }
 }
 
@@ -59,14 +81,47 @@ fn reports_bit_identical_across_thread_counts_on_philosophers() {
     }
 }
 
-/// Regression: `IncrementalVerifier::add_interaction` preserves every
-/// previously-found trap that satisfies the sufficient condition, across
-/// additions that force the sharded trap arena to grow (the store starts
-/// with tiny 8-slot shard tables precisely so this path is routinely
-/// exercised; a `max_traps` of 512 on 8 philosophers overflows several
-/// shards).
+/// Regression: under a conflict budget `DFinderReport::stop` must not
+/// depend on the thread count. Parallel seeds used to enumerate up to the
+/// whole cap, and a conflict cut counted even where the merge dropped the
+/// traps after it, or in a seed past the merge horizon: these four runs
+/// said `Completed` at 1 thread and `SolverBudget` at 2 and 8.
 #[test]
-fn incremental_preserves_traps_across_arena_growth() {
+fn budget_cut_stop_is_thread_count_invariant() {
+    for (seed, cap) in [(8u64, 3usize), (21, 4), (41, 2), (44, 3)] {
+        let sys = random_system(seed);
+        let cfg = cut().max_traps(cap);
+        let one = run(&sys, &cfg);
+        for threads in [2usize, 8] {
+            assert_eq!(
+                run(&sys, &cfg.clone().threads(threads)),
+                one,
+                "seed {seed}, cap {cap}, threads {threads}"
+            );
+        }
+    }
+}
+
+/// Two-phase philosophers: the trap lists of every size are seed-ordered
+/// and duplicate-free, with no dedup store behind the merge.
+#[test]
+fn philosopher_trap_lists_are_seed_ordered() {
+    for n in [3usize, 4, 6] {
+        let abs = Abstraction::new(&dining_philosophers(n, true).unwrap());
+        for threads in [1usize, 2] {
+            let cfg = DFinderConfig::new().max_traps(512).threads(threads);
+            assert_seed_ordered(&enumerate_traps_with(&abs, &cfg), &format!("phil-{n}"));
+        }
+    }
+}
+
+/// `IncrementalVerifier::add_interaction` keeps exactly the traps the new
+/// abstract transitions preserve (the sufficient condition), over many
+/// additions on a trap list a few hundred long, run on two workers. After
+/// every addition the list is duplicate-free, and the traps the
+/// re-enumeration appended are seed-ordered.
+#[test]
+fn incremental_preserves_traps_across_additions() {
     let n = 8;
     let full = dining_philosophers(n, false).unwrap();
     // Start from the release connectors only; add the eat interactions one
@@ -119,9 +174,13 @@ fn incremental_preserves_traps_across_arena_growth() {
         for t in &expected_kept {
             assert!(
                 inc.traps().contains(t),
-                "preserved trap lost across arena growth: {t:?}"
+                "preserved trap lost after {}: {t:?}",
+                conn.name
             );
         }
+        let (traps, ctx) = (inc.traps(), format!("after {}", conn.name));
+        assert_duplicate_free(traps, &ctx);
+        assert_seed_ordered(&traps[traps.len() - stats.traps_added..], &ctx);
     }
     // The grown invariant set still proves the conservative family safe.
     assert!(inc.check_deadlock_freedom().verdict.is_deadlock_free());

@@ -14,6 +14,10 @@
 //! persistent-set reduction (the `-por` rows) the ample selector alone
 //! decides them, so a selector change that is meant to be exact must leave
 //! them be; a restructuring of `reach` must leave every one of them be.
+//! The D-Finder rows close the table (relatives of `dfinder_comp`): trap,
+//! invariant and net counts, a conflict-budget cut, and the trap reuse of
+//! an incremental build-up, which a restructuring of trap enumeration must
+//! leave be.
 //!
 //! The dispatch tests beside the table pin *which* encoder ran
 //! ([`StepEncoder::enumerated_cases`]): a silent fallback from the linear
@@ -23,17 +27,19 @@
 use std::fmt::Write as _;
 
 use bench::{
-    adjacent_mutex, counter_ring, crash_recovery_philosophers, planted, planted_invariant,
-    ring_token_mutex, unbounded_ring,
+    adjacent_mutex, counter_ring, crash_recovery_philosophers, gas_station, planted,
+    planted_invariant, ring_token_mutex, unbounded_ring,
 };
 use bip_core::fault::single_fault_invariant;
 use bip_core::sym::StepEncoder;
-use bip_core::{dining_philosophers, RecoverSpec, StatePred, System};
+use bip_core::{dining_philosophers, RecoverSpec, StatePred, System, SystemBuilder};
 use bip_verify::bmc::BmcConfig;
+use bip_verify::dfinder::{DFinder, DFinderConfig};
 use bip_verify::kind::{KindConfig, Verdict};
 use bip_verify::reach::{
     check_invariant_with, explore_with, find_deadlock_with, ReachConfig, Reduction,
 };
+use bip_verify::{Budget, IncrementalVerifier};
 use satkit::CnfBuilder;
 
 const GOLDEN: &str = include_str!("golden_counts.txt");
@@ -124,6 +130,68 @@ fn counts_match_the_golden_table() {
     writeln!(got, "uring-3-explore states {}", r.states).unwrap();
     writeln!(got, "uring-3-explore transitions {}", r.transitions).unwrap();
     writeln!(got, "uring-3-explore stored_bytes {}", r.stored_bytes).unwrap();
+
+    // D-Finder (relatives of `dfinder_comp`): a whole gas station, a
+    // budget-cut two-phase run, and the reuse of an incremental build-up.
+    let r = DFinder::new(&gas_station(20)).check_deadlock_freedom();
+    assert!(r.verdict.is_deadlock_free());
+    writeln!(got, "gas-20-dfinder traps {}", r.traps).unwrap();
+    writeln!(
+        got,
+        "gas-20-dfinder linear_invariants {}",
+        r.linear_invariants
+    )
+    .unwrap();
+    writeln!(got, "gas-20-dfinder places {}", r.places).unwrap();
+    writeln!(
+        got,
+        "gas-20-dfinder abstract_transitions {}",
+        r.abstract_transitions
+    )
+    .unwrap();
+    writeln!(got, "gas-20-dfinder sat_conflicts {}", r.sat_conflicts).unwrap();
+    let cut = DFinderConfig::new()
+        .max_traps(4)
+        .budget(Budget::unlimited().conflicts(1));
+    let r = DFinder::with_config(&phil6, &cut).check_deadlock_freedom();
+    writeln!(got, "phil-6-dfinder-cut traps {}", r.traps).unwrap();
+    writeln!(got, "phil-6-dfinder-cut stop {:?}", r.stop).unwrap();
+    let cphil6 = dining_philosophers(6, false).unwrap();
+    let mut base = SystemBuilder::new();
+    for c in 0..cphil6.num_components() {
+        base.add_instance(cphil6.instance_name(c).to_string(), cphil6.atom_type(c));
+    }
+    let (eat, rel): (Vec<_>, Vec<_>) = cphil6
+        .connectors()
+        .iter()
+        .partition(|c| c.name.starts_with("eat"));
+    for conn in rel {
+        base.add_connector(conn.clone());
+    }
+    let mut inc = IncrementalVerifier::new(base.build().unwrap());
+    let mut sum = [0usize; 4];
+    for conn in eat {
+        let st = inc.add_interaction(conn.clone()).unwrap();
+        for (s, v) in sum.iter_mut().zip([
+            st.traps_reused,
+            st.traps_dropped,
+            st.traps_added,
+            st.seeds_swept,
+        ]) {
+            *s += v;
+        }
+    }
+    for (metric, v) in [
+        "traps_reused",
+        "traps_dropped",
+        "traps_added",
+        "seeds_swept",
+    ]
+    .iter()
+    .zip(sum)
+    {
+        writeln!(got, "cphil-6-increment {metric} {v}").unwrap();
+    }
 
     let want: Vec<&str> = GOLDEN
         .lines()
