@@ -64,6 +64,78 @@ pub struct AtomType {
     initial: LocId,
     /// transitions_from[loc] = transition ids ordered as declared.
     transitions_from: Vec<Vec<TransitionId>>,
+    /// The port-offer tables; see [`PortTables`].
+    offers: PortTables,
+}
+
+/// Number of ports the offer tables cover: ports `0..TABLE_PORTS` are one
+/// bit of a `u64` word; higher-numbered ports fall back to scanning
+/// `transitions_from`.
+pub(crate) const TABLE_PORTS: usize = 64;
+
+/// The port-offer tables of an [`AtomType`], derived once from its
+/// transitions (all indexed by location; ports `< TABLE_PORTS` only).
+///
+/// A transition whose guard is a nonzero constant offers its port
+/// unconditionally; one whose guard is the constant 0 never fires and is
+/// left out; any other guard must be evaluated.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct PortTables {
+    /// Ports the table covers: `min(ports, TABLE_PORTS)`.
+    ports: usize,
+    /// Per location: ports offered by some transition with a nonzero
+    /// constant guard.
+    always: Vec<u64>,
+    /// Per location: ports with some transition whose guard is not
+    /// constant.
+    guarded: Vec<u64>,
+    /// `trans[start[s]..start[s + 1]]` for slot `s = loc * ports + port`:
+    /// that port's transitions from that location, declared order,
+    /// constant-false guards dropped.
+    start: Vec<u32>,
+    trans: Vec<TransitionId>,
+}
+
+impl PortTables {
+    fn build(nlocs: usize, nports: usize, transitions: &[Transition]) -> PortTables {
+        let ports = nports.min(TABLE_PORTS);
+        // The `(location, port)` of a tabled transition that can ever fire.
+        let tabled = |t: &Transition| match (t.port, &t.guard) {
+            (_, Expr::Const(0)) => None,
+            (Some(p), _) if (p.0 as usize) < ports => Some((t.from.0 as usize, p.0 as usize)),
+            _ => None,
+        };
+        let mut always = vec![0u64; nlocs];
+        let mut guarded = vec![0u64; nlocs];
+        let mut start = vec![0u32; nlocs * ports + 1];
+        for t in transitions {
+            let Some((l, p)) = tabled(t) else { continue };
+            match t.guard {
+                Expr::Const(_) => always[l] |= 1 << p,
+                _ => guarded[l] |= 1 << p,
+            }
+            start[l * ports + p + 1] += 1;
+        }
+        for s in 1..start.len() {
+            start[s] += start[s - 1];
+        }
+        let mut trans = vec![TransitionId(0); start[nlocs * ports] as usize];
+        let mut fill = start.clone();
+        for (i, t) in transitions.iter().enumerate() {
+            if let Some((l, p)) = tabled(t) {
+                let s = l * ports + p;
+                trans[fill[s] as usize] = TransitionId(i as u32);
+                fill[s] += 1;
+            }
+        }
+        PortTables {
+            ports,
+            always,
+            guarded,
+            start,
+            trans,
+        }
+    }
 }
 
 impl AtomType {
@@ -159,14 +231,7 @@ impl AtomType {
         port: PortId,
         vars: &[Value],
     ) -> Vec<TransitionId> {
-        self.transitions_from(loc)
-            .iter()
-            .copied()
-            .filter(|&tid| {
-                let t = self.transition(tid);
-                t.port == Some(port) && t.guard.eval_local(vars) != 0
-            })
-            .collect()
+        self.enabled_on_port(loc, port, vars).collect()
     }
 
     /// Internal (silent) transitions enabled at `loc` under `vars`.
@@ -184,10 +249,77 @@ impl AtomType {
     /// `true` if some transition from `loc` is labelled by `port` and its
     /// guard holds — i.e. the port is *offered* in this local state.
     pub fn port_enabled(&self, loc: LocId, port: PortId, vars: &[Value]) -> bool {
-        self.transitions_from(loc).iter().any(|&tid| {
-            let t = self.transition(tid);
-            t.port == Some(port) && t.guard.eval_local(vars) != 0
+        if (port.0 as usize) < self.offers.ports {
+            let bit = 1u64 << port.0;
+            let l = loc.0 as usize;
+            if self.offers.always[l] & bit != 0 {
+                return true;
+            }
+            if self.offers.guarded[l] & bit == 0 {
+                return false;
+            }
+        }
+        self.enabled_on_port(loc, port, vars).next().is_some()
+    }
+
+    /// The transitions from `loc` labelled by `port` whose guard holds in
+    /// `vars`, in declared order. Ports below [`TABLE_PORTS`] read their
+    /// candidates from the offer tables and evaluate guards only when some
+    /// candidate's guard is not constant; higher ports scan
+    /// `transitions_from(loc)`.
+    pub(crate) fn enabled_on_port<'a>(
+        &'a self,
+        loc: LocId,
+        port: PortId,
+        vars: &'a [Value],
+    ) -> impl Iterator<Item = TransitionId> + 'a {
+        let p = port.0 as usize;
+        // A scan also evaluates: it must filter by port.
+        let (cands, scan, eval) = if p < self.offers.ports {
+            let l = loc.0 as usize;
+            let s = l * self.offers.ports + p;
+            let range = self.offers.start[s] as usize..self.offers.start[s + 1] as usize;
+            let eval = self.offers.guarded[l] & (1u64 << p) != 0;
+            (&self.offers.trans[range], false, eval)
+        } else {
+            (self.transitions_from(loc), true, true)
+        };
+        cands.iter().copied().filter(move |&tid| {
+            !eval || {
+                let t = self.transition(tid);
+                (!scan || t.port == Some(port)) && t.guard.eval_local(vars) != 0
+            }
         })
+    }
+
+    /// The offered-port word of the local state `(loc, vars())`: bit `p`
+    /// is set iff port `p < TABLE_PORTS` is offered
+    /// ([`AtomType::port_enabled`]). Only ports with a non-constant guard
+    /// and no constant-true alternative are evaluated; `vars` is called
+    /// only if there is one.
+    #[inline]
+    pub(crate) fn offered_ports<'v>(&self, loc: LocId, vars: impl FnOnce() -> &'v [Value]) -> u64 {
+        let l = loc.0 as usize;
+        let word = self.offers.always[l];
+        let pending = self.offers.guarded[l] & !word;
+        if pending == 0 {
+            word
+        } else {
+            self.offered_guarded(loc, vars(), word, pending)
+        }
+    }
+
+    /// [`AtomType::offered_ports`] past the constant ports: evaluate each
+    /// `pending` port's candidates.
+    fn offered_guarded(&self, loc: LocId, vars: &[Value], mut word: u64, mut pending: u64) -> u64 {
+        while pending != 0 {
+            let p = pending.trailing_zeros();
+            pending &= pending - 1;
+            if self.enabled_on_port(loc, PortId(p), vars).next().is_some() {
+                word |= 1u64 << p;
+            }
+        }
+        word
     }
 
     /// Execute a transition's update action on `vars` (simultaneous
@@ -495,6 +627,7 @@ impl AtomBuilder {
         for (i, t) in resolved.iter().enumerate() {
             transitions_from[t.from.0 as usize].push(TransitionId(i as u32));
         }
+        let offers = PortTables::build(locations.len(), ports.len(), &resolved);
 
         Ok(AtomType {
             name,
@@ -504,6 +637,7 @@ impl AtomBuilder {
             transitions: resolved,
             initial,
             transitions_from,
+            offers,
         })
     }
 }

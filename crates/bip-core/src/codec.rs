@@ -42,6 +42,24 @@
 //! exactly this, so their reports are bit-identical whether or not a widen
 //! occurred, and identical between the adaptive and full-width codecs.
 //!
+//! # Patch encode
+//!
+//! A step changes only its participants — one to three components in
+//! typical models — yet a full encode rewrites every field.
+//! [`StateCodec::try_encode_patch_into`] encodes a successor as a patch of
+//! its parent instead: it copies the parent's packed words and overwrites
+//! the location and variable fields of the touched components only, each
+//! field cleared before it is set. The result is exactly the full
+//! encode's, words and [`WidenReq`] alike, because:
+//!
+//! * an untouched field holds the same value as in the parent, which this
+//!   codec already packed — so it cannot overflow, and an interned value
+//!   already has its index;
+//! * touched fields are encoded in flat-variable order, the order in which
+//!   the full encode interns values and reports the first overflow;
+//! * the parent's words are only valid under the codec that packed them,
+//!   which is why callers re-encode stored states after a widen.
+//!
 //! Packed states from different codecs (including a codec and its widened
 //! successor) must never be mixed: equality compares raw bit layouts. For a
 //! layout-independent identity — shard assignment in the parallel explorer,
@@ -87,9 +105,10 @@
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+use crate::data::Value;
 use crate::hash::FxHasher;
 use crate::intern::InternTable;
-use crate::system::{State, System};
+use crate::system::{CompId, State, System};
 use crate::width::infer_ranges;
 
 /// How many words a [`PackedState`] can hold without heap allocation.
@@ -204,6 +223,26 @@ impl std::fmt::Debug for PackedState {
     }
 }
 
+/// Overwrite the `width` bits at bit offset `off` with `val`: clear the
+/// field, then set it (the patch encode writes over a copied parent).
+fn set_bits(words: &mut [u64], off: u32, width: u32, val: u64) {
+    if width == 0 {
+        return;
+    }
+    debug_assert!(width == 64 || val < (1u64 << width));
+    let field = if width == 64 {
+        u64::MAX
+    } else {
+        (1u64 << width) - 1
+    };
+    let w = (off / 64) as usize;
+    let b = off % 64;
+    words[w] = (words[w] & !(field << b)) | (val << b);
+    if b + width > 64 {
+        words[w + 1] = (words[w + 1] & !(field >> (64 - b))) | (val >> (64 - b));
+    }
+}
+
 /// Write `width` bits of `val` at bit offset `off`. The destination bits
 /// must currently be zero (states are encoded into cleared buffers).
 fn put_bits(words: &mut [u64], off: u32, width: u32, val: u64) {
@@ -289,6 +328,9 @@ pub struct StateCodec {
     kinds: Vec<VarKind>,
     /// Bit offset per flat variable.
     var_offsets: Vec<u32>,
+    /// Component `c`'s variables are the flat variables
+    /// `comp_vars[c]..comp_vars[c + 1]`.
+    comp_vars: Vec<u32>,
     /// Width of interned index fields.
     intern_bits: u8,
     /// Shared overflow table (present iff some variable is interned).
@@ -308,8 +350,10 @@ impl StateCodec {
     ) -> StateCodec {
         let mut loc_offsets = Vec::with_capacity(sys.num_components());
         let mut loc_widths = Vec::with_capacity(sys.num_components());
+        let mut comp_vars = Vec::with_capacity(sys.num_components() + 1);
         let mut bits = 0u32;
         for c in 0..sys.num_components() {
+            comp_vars.push(sys.global_var(c, 0) as u32);
             let nlocs = sys.atom_type(c).locations().len();
             let width = if nlocs <= 1 {
                 0
@@ -320,6 +364,7 @@ impl StateCodec {
             loc_widths.push(width as u8);
             bits += width;
         }
+        comp_vars.push(kinds.len() as u32);
         let mut var_offsets = Vec::with_capacity(kinds.len());
         for k in &kinds {
             var_offsets.push(bits);
@@ -340,6 +385,7 @@ impl StateCodec {
             loc_widths,
             kinds,
             var_offsets,
+            comp_vars,
             intern_bits,
             intern,
             total_bits: bits,
@@ -550,32 +596,90 @@ impl StateCodec {
             );
         }
         for (i, &v) in st.vars.iter().enumerate() {
-            let off = self.var_offsets[i];
-            match self.kinds[i] {
-                VarKind::Inline { width, bias } => {
-                    let d = v as i128 - bias as i128;
-                    if d < 0 || (width < 64 && d >= 1i128 << width) {
-                        out.clear();
-                        return Err(WidenReq::Var(i));
-                    }
-                    put_bits(words, off, width as u32, d as u64);
-                }
-                VarKind::Wide => put_bits(words, off, 64, v as u64),
-                VarKind::Interned => {
-                    let idx = self
-                        .intern
-                        .as_ref()
-                        .expect("interned plan has table")
-                        .intern(v);
-                    if self.intern_bits < 64 && (idx as u64) >= 1u64 << self.intern_bits {
-                        out.clear();
-                        return Err(WidenReq::Intern);
-                    }
-                    put_bits(words, off, self.intern_bits as u32, idx as u64);
+            match self.var_field(i, v) {
+                Ok((width, bits)) => put_bits(words, self.var_offsets[i], width, bits),
+                Err(req) => {
+                    out.clear();
+                    return Err(req);
                 }
             }
         }
         Ok(())
+    }
+
+    /// Encode `st` into `out` as a patch of its parent: copy `parent` — the
+    /// parent state's words under this codec — then overwrite the location
+    /// and variable fields of the `touched` components only.
+    ///
+    /// `touched` lists, ascending and without repeats, every component
+    /// whose location or variables may differ between the parent and `st`
+    /// (the participants of the step that led from one to the other). The
+    /// result is exactly [`StateCodec::try_encode_into`]'s: the same words,
+    /// or the same [`WidenReq`] with `out` left cleared. Untouched fields
+    /// hold the parent's values, which this codec already packed, so they
+    /// can neither overflow nor intern anything new; the touched fields are
+    /// encoded in flat-variable order, the order the full encode interns
+    /// and reports in.
+    pub fn try_encode_patch_into(
+        &self,
+        parent: &[u64],
+        st: &State,
+        touched: &[CompId],
+        out: &mut PackedState,
+    ) -> Result<(), WidenReq> {
+        debug_assert_eq!(parent.len(), self.words);
+        debug_assert!(touched.windows(2).all(|w| w[0] < w[1]));
+        if out.words().len() != self.words {
+            *out = self.new_packed();
+        }
+        let words = out.words_mut();
+        words.copy_from_slice(parent);
+        for &c in touched {
+            set_bits(
+                words,
+                self.loc_offsets[c],
+                self.loc_widths[c] as u32,
+                st.locs[c] as u64,
+            );
+            for i in self.comp_vars[c] as usize..self.comp_vars[c + 1] as usize {
+                match self.var_field(i, st.vars[i]) {
+                    Ok((width, bits)) => set_bits(words, self.var_offsets[i], width, bits),
+                    Err(req) => {
+                        out.clear();
+                        return Err(req);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The packed field of flat variable `i` holding `v`: its width and
+    /// bits, or the widen it needs first. Interns `v` under an interned
+    /// plan.
+    #[inline]
+    fn var_field(&self, i: usize, v: Value) -> Result<(u32, u64), WidenReq> {
+        match self.kinds[i] {
+            VarKind::Inline { width, bias } => {
+                let d = v as i128 - bias as i128;
+                if d < 0 || (width < 64 && d >= 1i128 << width) {
+                    return Err(WidenReq::Var(i));
+                }
+                Ok((width as u32, d as u64))
+            }
+            VarKind::Wide => Ok((64, v as u64)),
+            VarKind::Interned => {
+                let idx = self
+                    .intern
+                    .as_ref()
+                    .expect("interned plan has table")
+                    .intern(v);
+                if self.intern_bits < 64 && (idx as u64) >= 1u64 << self.intern_bits {
+                    return Err(WidenReq::Intern);
+                }
+                Ok((self.intern_bits as u32, idx as u64))
+            }
+        }
     }
 
     /// Encode `st` into a fresh packed state.
@@ -956,6 +1060,135 @@ mod tests {
         let st = sys.initial_state();
         assert_eq!(restored.encode(&st), codec.encode(&st));
         assert_eq!(restored.bits(), codec.bits());
+    }
+
+    /// Patch-encode `next` over `parent`'s words and check the result
+    /// against the full encode: the same words, or the same widen request.
+    fn assert_patch_exact(codec: &StateCodec, parent: &State, next: &State, touched: &[CompId]) {
+        let parent_words = codec.encode(parent);
+        let mut patched = codec.encode(parent);
+        let got = codec.try_encode_patch_into(parent_words.words(), next, touched, &mut patched);
+        let mut full = codec.new_packed();
+        let want = codec.try_encode_into(next, &mut full);
+        assert_eq!(got, want, "same widen request");
+        assert_eq!(patched, full, "same words");
+    }
+
+    /// `n` two-location toggles (one location bit each), then one atom
+    /// with a two-location control and one counter variable `v`.
+    fn toggles_then_counter(n: usize) -> System {
+        let toggle = AtomBuilder::new("toggle")
+            .port("t")
+            .location("a")
+            .location("b")
+            .initial("a")
+            .transition("a", "t", "b")
+            .transition("b", "t", "a")
+            .build()
+            .unwrap();
+        let counter = AtomBuilder::new("counter")
+            .port("p")
+            .var("v", 0)
+            .location("l0")
+            .location("l1")
+            .initial("l0")
+            .guarded_transition(
+                "l0",
+                "p",
+                Expr::t(),
+                vec![("v", Expr::var(0).add(Expr::int(1)))],
+                "l1",
+            )
+            .build()
+            .unwrap();
+        let mut sb = SystemBuilder::new();
+        for i in 0..n {
+            let c = sb.add_instance(format!("t{i}"), &toggle);
+            sb.add_connector(ConnectorBuilder::singleton(format!("t{i}"), c, "t"));
+        }
+        let c = sb.add_instance("c", &counter);
+        sb.add_connector(ConnectorBuilder::singleton("p", c, "p"));
+        sb.build().unwrap()
+    }
+
+    #[test]
+    fn patch_overwrites_a_field_straddling_a_word_boundary() {
+        // 62 toggle bits, the counter's location bit at 62, and its 10-bit
+        // variable at bits 63..73: across the first word boundary.
+        let sys = toggles_then_counter(62);
+        let c = 62;
+        let codec = sys.adaptive_codec().with_narrowed_var(&sys, 0, 10);
+        assert_eq!(codec.bits(), 73);
+        let mut parent = sys.initial_state();
+        parent.locs[5] = 1;
+        sys.set_var(&mut parent, c, 0, 0b10_1010_1010);
+        let mut next = parent.clone();
+        next.locs[c] = 1;
+        sys.set_var(&mut next, c, 0, 0b01_0101_0101);
+        assert_patch_exact(&codec, &parent, &next, &[c]);
+        // An overflow of the straddling field reports the full encode's
+        // request and clears the buffer.
+        sys.set_var(&mut next, c, 0, 1 << 10);
+        assert_patch_exact(&codec, &parent, &next, &[c]);
+    }
+
+    #[test]
+    fn patch_overwrites_wide_fields() {
+        // Full-width: the variable is a 64-bit image after `n` toggle bits
+        // and the counter's location bit — at bits 1 and 63 it straddles a
+        // word boundary, at bit 64 it fills the second word.
+        for n in [0usize, 62, 63] {
+            let sys = toggles_then_counter(n);
+            let codec = sys.state_codec();
+            let mut parent = sys.initial_state();
+            sys.set_var(&mut parent, n, 0, -1);
+            for v in [i64::MIN, 0x0123_4567_89ab_cdef, 0, i64::MAX] {
+                let mut next = parent.clone();
+                next.locs[n] = 1;
+                sys.set_var(&mut next, n, 0, v);
+                assert_patch_exact(&codec, &parent, &next, &[n]);
+            }
+        }
+    }
+
+    #[test]
+    fn patch_clears_a_field_going_to_zero() {
+        // A patch that ORed instead of overwriting would keep the parent's
+        // bits of every field below.
+        let sys = toggles_then_counter(3);
+        let codec = sys.adaptive_codec().with_narrowed_var(&sys, 0, 4);
+        let mut parent = sys.initial_state();
+        parent.locs = vec![1, 1, 1, 1];
+        sys.set_var(&mut parent, 3, 0, 15);
+        let mut next = parent.clone();
+        next.locs = vec![1, 0, 1, 0];
+        sys.set_var(&mut next, 3, 0, 0);
+        assert_patch_exact(&codec, &parent, &next, &[1, 3]);
+        assert_eq!(codec.encode(&next).words(), &[0b101]);
+    }
+
+    #[test]
+    fn patch_interns_like_the_full_encode() {
+        // A 1-bit intern index holds two values: the third new value asks
+        // for an intern widen through the patch exactly as through the full
+        // encode, and the widened codec patches it in.
+        let sys = counter_sys();
+        let mut codec = sys.adaptive_codec().widen(&sys, WidenReq::Var(0));
+        codec.intern_bits = 1;
+        let parent = sys.initial_state();
+        let mut next = parent.clone();
+        for v in [7i64, 0, 9] {
+            sys.set_var(&mut next, 0, 0, v);
+            assert_patch_exact(&codec, &parent, &next, &[0]);
+        }
+        let mut out = codec.new_packed();
+        let pw = codec.encode(&parent);
+        assert_eq!(
+            codec.try_encode_patch_into(pw.words(), &next, &[0], &mut out),
+            Err(WidenReq::Intern)
+        );
+        let codec = codec.widen(&sys, WidenReq::Intern);
+        assert_patch_exact(&codec, &parent, &next, &[0]);
     }
 
     #[test]

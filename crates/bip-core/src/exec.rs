@@ -6,27 +6,54 @@
 //! * per connector, the **feasible endpoint masks** — the subsets allowed by
 //!   the trigger/synchron typing *and* by guard applicability (a guard that
 //!   reads endpoint `k` rules out subsets without `k`), as `u32` bitmasks in
-//!   ascending order;
+//!   ascending order, stored flat, and whether its guard is a nonzero
+//!   constant;
 //! * per component, the **watch list** — the connectors whose enabledness
 //!   can change when that component moves (exactly the connectors it
 //!   participates in, since connector guards only read participant
 //!   variables);
 //! * which components can ever take internal (silent) steps.
 //!
-//! At run time an [`EnabledSet`] scratch buffer holds, per connector, the
-//! currently enabled masks, and per component, the enabled internal
-//! transitions. After firing a step, only the connectors watching the
-//! components that moved are marked dirty and re-evaluated on the next
-//! [`System::refresh_enabled`] — the hot loop allocates nothing once the
+//! Each [`crate::AtomType`] adds its **port-offer tables**, built with the
+//! type: per location, the word of ports offered by a transition whose
+//! guard is a nonzero constant, the word of ports with a guard to
+//! evaluate, and per (location, port) that port's transitions in declared
+//! order (constant-false guards dropped).
+//!
+//! At run time an [`EnabledSet`] scratch buffer holds, per component, its
+//! **offered-port word** and enabled internal transitions, and per
+//! connector, the currently enabled masks and the offered-endpoint mask.
+//! [`System::refresh_enabled`] brings it up to date with one kernel per
+//! component and one per connector:
+//!
+//! * a component's kernel reads its offered-port word off the tables,
+//!   evaluating only ports with a guard and no constant-true alternative;
+//! * a connector's kernel tests one bit of its endpoints' words per
+//!   endpoint, keeps the feasible masks inside the offered set, and
+//!   evaluates its guard at most once — never when it is constant-true.
+//!
+//! Two drivers run those kernels. After [`EnabledSet::invalidate_all`]
+//! (every state of a breadth-first search) the refresh is one straight
+//! pass over all components, then all connectors. After firing a step,
+//! only the components that moved and the connectors watching them are
+//! queued, and the refresh re-evaluates those — components first, since
+//! connectors read their words. The hot loop allocates nothing once the
 //! buffers have warmed up.
+//!
+//! Two shapes fall back to scanning a location's transitions: ports
+//! numbered 64 and up, which have no bit in the offer words, and
+//! rendezvous wider than [`MAX_CONNECTOR_PORTS`], which record no
+//! offered-endpoint mask. Successor expansion draws each participant's
+//! candidate transitions from the same (location, port) lists.
 //!
 //! The legacy [`System::enabled`] / [`System::successors`] APIs are thin
 //! wrappers over this machinery, so both protocols always agree.
 
 use std::collections::HashMap;
 
-use crate::atom::TransitionId;
+use crate::atom::{LocId, PortId, TransitionId, TABLE_PORTS};
 use crate::connector::{ConnId, Connector};
+use crate::data::Expr;
 use crate::error::ModelError;
 use crate::system::{CompId, Interaction, State, Step, System};
 
@@ -137,11 +164,29 @@ pub enum EnabledStep {
     },
 }
 
+/// Where one connector's feasible masks live in [`CompiledExec`]'s flat
+/// table, and whether its guard must be evaluated.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ConnPlan {
+    /// First feasible mask in [`CompiledExec::feasible`].
+    feas: u32,
+    /// Number of feasible masks.
+    nfeas: u32,
+    /// The connector's guard is a nonzero constant (never evaluated).
+    guard_true: bool,
+    /// Every endpoint's port is below [`TABLE_PORTS`]: the offered
+    /// endpoints are read off the components' offer words alone.
+    tabled: bool,
+}
+
 /// The per-system compiled schedule, built once at construction.
 #[derive(Debug, Clone)]
 pub struct CompiledExec {
-    /// Feasible ∧ guard-applicable endpoint masks per connector, ascending.
-    pub(crate) feasible: Vec<Vec<u32>>,
+    /// Per connector, its slice of `feasible` and its guard flag.
+    pub(crate) plans: Vec<ConnPlan>,
+    /// Feasible ∧ guard-applicable endpoint masks, connector-major,
+    /// ascending within a connector.
+    pub(crate) feasible: Vec<u32>,
     /// Connectors watching each component (the connectors it participates
     /// in), ascending.
     pub(crate) watch: Vec<Vec<ConnId>>,
@@ -158,11 +203,12 @@ pub struct CompiledExec {
 impl CompiledExec {
     pub(crate) fn build(
         connectors: &[Connector],
-        resolved: &[Vec<(CompId, crate::atom::PortId, bool)>],
+        resolved: &[Vec<(CompId, PortId, bool)>],
         num_components: usize,
         has_internal_type: impl Fn(CompId) -> bool,
     ) -> Result<CompiledExec, ModelError> {
-        let mut feasible = Vec::with_capacity(connectors.len());
+        let mut plans = Vec::with_capacity(connectors.len());
+        let mut feasible = Vec::new();
         let mut watch: Vec<Vec<ConnId>> = vec![Vec::new(); num_components];
         for (ci, conn) in connectors.iter().enumerate() {
             // Only pure rendezvous can be arbitrarily wide: its single
@@ -177,21 +223,32 @@ impl CompiledExec {
                     limit: MAX_CONNECTOR_PORTS - 1,
                 });
             }
+            let feas = feasible.len() as u32;
             if conn.ports.len() > MAX_CONNECTOR_PORTS {
-                feasible.push(vec![FULL_MASK]);
+                feasible.push(FULL_MASK);
             } else {
-                let masks: Vec<u32> = conn
-                    .feasible_subsets()
-                    .into_iter()
-                    .filter(|subset| conn.guard_applies(subset))
-                    .map(|subset| subset.iter().fold(0u32, |m, &i| m | (1 << i)))
-                    .collect();
-                debug_assert!(masks.windows(2).all(|w| w[0] < w[1]), "masks must ascend");
-                feasible.push(masks);
+                feasible.extend(
+                    conn.feasible_subsets()
+                        .into_iter()
+                        .filter(|subset| conn.guard_applies(subset))
+                        .map(|subset| subset.iter().fold(0u32, |m, &i| m | (1 << i))),
+                );
+                debug_assert!(
+                    feasible[feas as usize..].windows(2).all(|w| w[0] < w[1]),
+                    "masks must ascend"
+                );
             }
             for &(comp, _, _) in &resolved[ci] {
                 watch[comp].push(ConnId(ci as u32));
             }
+            plans.push(ConnPlan {
+                feas,
+                nfeas: feasible.len() as u32 - feas,
+                guard_true: matches!(conn.guard, Expr::Const(v) if v != 0),
+                tabled: resolved[ci]
+                    .iter()
+                    .all(|&(_, port, _)| (port.0 as usize) < TABLE_PORTS),
+            });
         }
         let watch_map = watch
             .iter()
@@ -206,6 +263,7 @@ impl CompiledExec {
             has_internal[c] = true;
         }
         Ok(CompiledExec {
+            plans,
             feasible,
             watch,
             watch_map,
@@ -216,7 +274,8 @@ impl CompiledExec {
 
     /// Feasible endpoint masks of a connector (ascending).
     pub fn feasible_masks(&self, conn: ConnId) -> &[u32] {
-        &self.feasible[conn.0 as usize]
+        let p = self.plans[conn.0 as usize];
+        &self.feasible[p.feas as usize..(p.feas + p.nfeas) as usize]
     }
 
     /// Connectors whose enabledness depends on `comp` (ascending).
@@ -239,16 +298,27 @@ impl CompiledExec {
 /// before the next refresh.
 #[derive(Debug, Clone)]
 pub struct EnabledSet {
-    /// Enabled endpoint masks per connector, ascending.
-    pub(crate) per_conn: Vec<Vec<u32>>,
+    /// Enabled endpoint masks, connector-major: connector `ci`'s are
+    /// `masks[slots[ci].0..][..slots[ci].1]`, ascending. Each connector
+    /// owns as many slots as it has feasible masks.
+    masks: Vec<u32>,
+    /// Per connector: first slot in `masks`, enabled-mask count.
+    slots: Vec<(u32, u32)>,
     /// Offered-endpoint bitmask per connector (bit `i` = endpoint `i`'s
-    /// port is offered), recorded by the refresh that computed
-    /// `per_conn`. Valid for connectors of ≤ [`MAX_CONNECTOR_PORTS`]
+    /// port is offered), recorded by the refresh that computed its
+    /// masks. Valid for connectors of ≤ [`MAX_CONNECTOR_PORTS`]
     /// endpoints; wider ones leave it 0.
     pub(crate) offered: Vec<u32>,
     /// Enabled internal transitions per component (empty for components
     /// whose type has none).
     pub(crate) internal: Vec<Vec<TransitionId>>,
+    /// Offered-port word per component (bit `p` = port `p` is offered, for
+    /// ports below the offer tables' 64-port limit).
+    comp_offer: Vec<u64>,
+    /// Everything is dirty: the next refresh is one straight pass over all
+    /// components and connectors. While set, the queues are empty and no
+    /// per-entry dirty flag is set.
+    all_dirty: bool,
     conn_dirty: Vec<bool>,
     comp_dirty: Vec<bool>,
     conn_queue: Vec<u32>,
@@ -262,11 +332,15 @@ pub struct EnabledSet {
 }
 
 impl EnabledSet {
-    pub(crate) fn new(num_connectors: usize, num_components: usize) -> EnabledSet {
-        let mut es = EnabledSet {
-            per_conn: vec![Vec::new(); num_connectors],
+    pub(crate) fn new(compiled: &CompiledExec, num_components: usize) -> EnabledSet {
+        let num_connectors = compiled.plans.len();
+        EnabledSet {
+            masks: vec![0; compiled.feasible.len()],
+            slots: compiled.plans.iter().map(|p| (p.feas, 0)).collect(),
             offered: vec![0; num_connectors],
             internal: vec![Vec::new(); num_components],
+            comp_offer: vec![0; num_components],
+            all_dirty: true,
             conn_dirty: vec![false; num_connectors],
             comp_dirty: vec![false; num_components],
             conn_queue: Vec::with_capacity(num_connectors),
@@ -274,27 +348,25 @@ impl EnabledSet {
             interactions: 0,
             internals: 0,
             trans_scratch: Vec::new(),
-        };
-        es.invalidate_all();
-        es
+        }
     }
 
     /// Mark everything dirty (the cached state is no longer trusted).
     pub fn invalidate_all(&mut self) {
-        self.conn_queue.clear();
-        self.comp_queue.clear();
-        for ci in 0..self.per_conn.len() {
-            self.conn_dirty[ci] = true;
-            self.conn_queue.push(ci as u32);
+        for ci in self.conn_queue.drain(..) {
+            self.conn_dirty[ci as usize] = false;
         }
-        for c in 0..self.internal.len() {
-            self.comp_dirty[c] = true;
-            self.comp_queue.push(c as u32);
+        for c in self.comp_queue.drain(..) {
+            self.comp_dirty[c as usize] = false;
         }
+        self.all_dirty = true;
     }
 
     /// Mark one component (and every connector watching it) dirty.
     pub fn invalidate_component(&mut self, sys: &System, comp: CompId) {
+        if self.all_dirty {
+            return;
+        }
         if !self.comp_dirty[comp] {
             self.comp_dirty[comp] = true;
             self.comp_queue.push(comp as u32);
@@ -310,7 +382,7 @@ impl EnabledSet {
 
     /// `true` while some connector or component awaits re-evaluation.
     pub fn is_dirty(&self) -> bool {
-        !self.conn_queue.is_empty() || !self.comp_queue.is_empty()
+        self.all_dirty || !self.conn_queue.is_empty() || !self.comp_queue.is_empty()
     }
 
     /// Enabled interactions (pre-priority) currently cached.
@@ -331,12 +403,13 @@ impl EnabledSet {
 
     /// Enabled masks of one connector (ascending), post-refresh.
     pub fn masks(&self, conn: ConnId) -> &[u32] {
-        &self.per_conn[conn.0 as usize]
+        let (start, len) = self.slots[conn.0 as usize];
+        &self.masks[start as usize..(start + len) as usize]
     }
 
     /// `true` if `conn` has some enabled interaction other than `except`.
     pub(crate) fn other_enabled(&self, conn: ConnId, except: InteractionRef) -> bool {
-        let masks = &self.per_conn[conn.0 as usize];
+        let masks = self.masks(conn);
         if conn != except.connector {
             !masks.is_empty()
         } else {
@@ -346,7 +419,7 @@ impl EnabledSet {
 
     /// `true` if `conn` has an enabled strict superset of `mask`.
     pub(crate) fn superset_enabled(&self, conn: ConnId, mask: u32) -> bool {
-        self.per_conn[conn.0 as usize]
+        self.masks(conn)
             .iter()
             .any(|&m| m != mask && m & mask == mask)
     }
@@ -429,99 +502,170 @@ impl System {
     /// by the port leaves the current location with its guard holding.
     /// The single definition of port-offeredness shared by the enabled-set
     /// refresh and the partial-order-reduction selector (which must agree
-    /// on it for the reduction's soundness argument).
+    /// on it for the reduction's soundness argument): both read it off the
+    /// type's port-offer tables, the refresh a whole location's word at a
+    /// time.
     #[inline]
-    pub fn port_offered(&self, st: &State, comp: CompId, port: crate::atom::PortId) -> bool {
-        self.atom_type(comp).port_enabled(
-            crate::atom::LocId(st.locs[comp]),
-            port,
-            self.comp_vars(st, comp),
-        )
+    pub fn port_offered(&self, st: &State, comp: CompId, port: PortId) -> bool {
+        self.atom_type(comp)
+            .port_enabled(LocId(st.locs[comp]), port, self.comp_vars(st, comp))
     }
 
     /// Fresh scratch buffer for the enabled-set protocol (fully dirty; the
     /// first [`System::refresh_enabled`] populates it).
     pub fn new_enabled_set(&self) -> EnabledSet {
-        EnabledSet::new(self.connectors.len(), self.num_components())
+        EnabledSet::new(&self.compiled, self.num_components())
     }
 
     /// Bring `es` up to date with `st`, re-evaluating only what was marked
     /// dirty since the last refresh.
+    ///
+    /// Two drivers share one per-component and one per-connector kernel:
+    /// after [`EnabledSet::invalidate_all`] a straight pass over every
+    /// component, then every connector; otherwise the dirty components,
+    /// then the dirty connectors. Components go first because the
+    /// connector kernel reads their offered-port words.
     pub fn refresh_enabled(&self, st: &State, es: &mut EnabledSet) {
-        while let Some(ci) = es.conn_queue.pop() {
-            let ci = ci as usize;
-            es.conn_dirty[ci] = false;
-            es.interactions -= es.per_conn[ci].len();
-            let mut buf = std::mem::take(&mut es.per_conn[ci]);
-            es.offered[ci] = self.refresh_connector_into(st, ci, &mut buf);
-            es.per_conn[ci] = buf;
-            es.interactions += es.per_conn[ci].len();
+        if es.all_dirty {
+            es.all_dirty = false;
+            for c in 0..self.num_components() {
+                self.refresh_component(st, c, es);
+            }
+            let mut interactions = 0;
+            let conns = self.compiled.plans.iter().zip(&self.resolved);
+            let conns = conns.zip(es.slots.iter_mut().zip(&mut es.offered));
+            for (ci, ((&plan, eps), (slot, offered))) in conns.enumerate() {
+                let out = &mut es.masks[slot.0 as usize..];
+                let (o, n) = self.connector_kernel(st, ci, plan, eps, &es.comp_offer, out);
+                (*offered, slot.1) = (o, n as u32);
+                interactions += n;
+            }
+            es.interactions = interactions;
+            return;
         }
         while let Some(c) = es.comp_queue.pop() {
             let c = c as usize;
             es.comp_dirty[c] = false;
-            es.internals -= es.internal[c].len();
-            es.internal[c].clear();
-            if self.compiled.has_internal[c] {
-                let ty = self.atom_type(c);
-                let loc = crate::atom::LocId(st.locs[c]);
-                let vars = self.comp_vars(st, c);
-                for &tid in ty.transitions_from(loc) {
-                    let t = ty.transition(tid);
-                    if t.port.is_none() && t.guard.eval_local(vars) != 0 {
-                        es.internal[c].push(tid);
-                    }
-                }
-            }
-            es.internals += es.internal[c].len();
+            self.refresh_component(st, c, es);
+        }
+        while let Some(ci) = es.conn_queue.pop() {
+            let ci = ci as usize;
+            es.conn_dirty[ci] = false;
+            let out = &mut es.masks[es.slots[ci].0 as usize..];
+            let (plan, eps) = (self.compiled.plans[ci], &self.resolved[ci]);
+            let (offered, n) = self.connector_kernel(st, ci, plan, eps, &es.comp_offer, out);
+            es.offered[ci] = offered;
+            es.interactions = es.interactions - es.slots[ci].1 as usize + n;
+            es.slots[ci].1 = n as u32;
         }
     }
 
-    /// Recompute the enabled masks of connector `ci` in `st` into `out`,
-    /// returning the offered-endpoint bitmask (0 for connectors wider than
-    /// [`MAX_CONNECTOR_PORTS`], which do not build one).
-    pub(crate) fn refresh_connector_into(&self, st: &State, ci: usize, out: &mut Vec<u32>) -> u32 {
-        out.clear();
-        let eps = &self.resolved[ci];
-        let conn = &self.connectors[ci];
-        let offered_at = |i: usize| {
-            let (comp, port, _) = eps[i];
-            self.port_offered(st, comp, port)
-        };
-        let guard_holds = || {
-            conn.guard.eval_bool(&[], &|k, v| {
-                let (comp, _, _) = eps[k as usize];
-                self.var_value(st, comp, v)
-            })
+    /// The per-component kernel: the offered-port word and the enabled
+    /// internal transitions of component `c` in `st`.
+    #[inline(always)]
+    fn refresh_component(&self, st: &State, c: CompId, es: &mut EnabledSet) {
+        let loc = LocId(st.locs[c]);
+        es.comp_offer[c] = self
+            .atom_type(c)
+            .offered_ports(loc, || self.comp_vars(st, c));
+        if self.compiled.has_internal[c] {
+            self.refresh_internal(st, c, es);
+        }
+    }
+
+    /// The enabled internal transitions of component `c` in `st`.
+    #[inline(never)]
+    fn refresh_internal(&self, st: &State, c: CompId, es: &mut EnabledSet) {
+        let ty = self.atom_type(c);
+        let vars = self.comp_vars(st, c);
+        es.internals -= es.internal[c].len();
+        es.internal[c].clear();
+        for &tid in ty.transitions_from(LocId(st.locs[c])) {
+            let t = ty.transition(tid);
+            if t.port.is_none() && t.guard.eval_local(vars) != 0 {
+                es.internal[c].push(tid);
+            }
+        }
+        es.internals += es.internal[c].len();
+    }
+
+    /// The per-connector kernel: connector `ci`'s offered-endpoint mask
+    /// in `st` (0 for connectors wider than [`MAX_CONNECTOR_PORTS`], which
+    /// do not build one), and its enabled masks, written ascending to the
+    /// front of `out` and counted. Reads the endpoints' offered-port words
+    /// in `comp_offer`, so every participant must have been refreshed for
+    /// `st`.
+    #[inline(always)]
+    fn connector_kernel(
+        &self,
+        st: &State,
+        ci: usize,
+        plan: ConnPlan,
+        eps: &[(CompId, PortId, bool)],
+        comp_offer: &[u64],
+        out: &mut [u32],
+    ) -> (u32, usize) {
+        let feasible = &self.compiled.feasible[plan.feas as usize..][..plan.nfeas as usize];
+        let out = &mut out[..feasible.len()];
+        let offered_at = |&(comp, port, _): &(CompId, PortId, bool)| {
+            if (port.0 as usize) < TABLE_PORTS {
+                comp_offer[comp] & (1u64 << port.0) != 0
+            } else {
+                self.port_offered(st, comp, port)
+            }
         };
         if eps.len() > MAX_CONNECTOR_PORTS {
             // Wide rendezvous: the single feasible interaction is the full
             // endpoint set.
-            if (0..eps.len()).all(offered_at) && guard_holds() {
-                out.push(FULL_MASK);
+            if eps.iter().all(offered_at) && (plan.guard_true || self.connector_guard(st, ci)) {
+                out[0] = FULL_MASK;
+                return (0, 1);
             }
-            return 0;
+            return (0, 0);
         }
-        // Offered-endpoint bitmask for this state.
         let mut offered = 0u32;
-        for i in 0..eps.len() {
-            if offered_at(i) {
-                offered |= 1 << i;
+        if plan.tabled {
+            for (i, &(comp, port, _)) in eps.iter().enumerate() {
+                offered |= (((comp_offer[comp] >> port.0) & 1) as u32) << i;
+            }
+        } else {
+            for (i, ep) in eps.iter().enumerate() {
+                offered |= u32::from(offered_at(ep)) << i;
             }
         }
-        if offered == 0 {
-            return 0;
-        }
-        // The guard reads endpoint variables, not the mask (compilation
-        // already dropped masks the guard cannot apply to), so evaluate it
-        // once per refresh, lazily.
-        let mut guard_cache: Option<bool> = None;
-        for &mask in &self.compiled.feasible[ci] {
-            if mask & offered == mask && *guard_cache.get_or_insert_with(guard_holds) {
-                out.push(mask);
+        let mut enabled = 0;
+        if plan.guard_true {
+            // Nothing to evaluate, so keeping a mask is branch-free: write
+            // it to the next slot, and advance past it if offered.
+            for &mask in feasible {
+                out[enabled] = mask;
+                enabled += usize::from(mask & offered == mask);
+            }
+        } else {
+            // The guard is evaluated at most once, and only if some feasible
+            // mask is offered (it reads endpoint variables, not the mask:
+            // compilation already dropped the masks it cannot apply to).
+            let mut guard = None;
+            for &mask in feasible {
+                if mask & offered == mask
+                    && *guard.get_or_insert_with(|| self.connector_guard(st, ci))
+                {
+                    out[enabled] = mask;
+                    enabled += 1;
+                }
             }
         }
-        offered
+        (offered, enabled)
+    }
+
+    /// Evaluate connector `ci`'s guard over its endpoints' variables in
+    /// `st`.
+    #[inline(never)]
+    fn connector_guard(&self, st: &State, ci: usize) -> bool {
+        let eps = &self.resolved[ci];
+        self.connectors[ci]
+            .guard
+            .eval_bool(&[], &|k, v| self.var_value(st, eps[k as usize].0, v))
     }
 
     /// Visit every enabled step of `st`: priority-surviving interactions
@@ -535,7 +679,7 @@ impl System {
         let filtering = !self.priority.is_empty();
         for ci in 0..self.connectors.len() {
             let conn = ConnId(ci as u32);
-            for &mask in &es.per_conn[ci] {
+            for &mask in es.masks(conn) {
                 let ir = InteractionRef {
                     connector: conn,
                     mask,
@@ -590,15 +734,12 @@ impl System {
                 let mut scratch = std::mem::take(&mut es.trans_scratch);
                 for i in ir.endpoints(eps.len()) {
                     let (comp, port, _) = eps[i];
-                    let ty = self.atom_type(comp);
                     scratch.clear();
-                    let vars = self.comp_vars(st, comp);
-                    for &tid in ty.transitions_from(crate::atom::LocId(st.locs[comp])) {
-                        let t = ty.transition(tid);
-                        if t.port == Some(port) && t.guard.eval_local(vars) != 0 {
-                            scratch.push(tid);
-                        }
-                    }
+                    scratch.extend(self.atom_type(comp).enabled_on_port(
+                        LocId(st.locs[comp]),
+                        port,
+                        self.comp_vars(st, comp),
+                    ));
                     debug_assert!(!scratch.is_empty(), "interaction fired while not enabled");
                     let k = if scratch.len() == 1 {
                         0
@@ -672,16 +813,10 @@ impl System {
                     Vec::with_capacity(ir.participants(eps.len()));
                 for i in ir.endpoints(eps.len()) {
                     let (comp, port, _) = eps[i];
-                    let ty = self.atom_type(comp);
-                    let vars = self.comp_vars(st, comp);
-                    let tid = ty
-                        .transitions_from(crate::atom::LocId(st.locs[comp]))
-                        .iter()
-                        .copied()
-                        .find(|&tid| {
-                            let t = ty.transition(tid);
-                            t.port == Some(port) && t.guard.eval_local(vars) != 0
-                        })
+                    let tid = self
+                        .atom_type(comp)
+                        .enabled_on_port(LocId(st.locs[comp]), port, self.comp_vars(st, comp))
+                        .next()
                         .expect("interaction materialized while not enabled");
                     transitions.push((comp, tid));
                 }
@@ -735,8 +870,7 @@ impl System {
         for ci in 0..self.connectors.len() {
             let conn = ConnId(ci as u32);
             let arity = self.resolved[ci].len();
-            for mi in 0..es.per_conn[ci].len() {
-                let mask = es.per_conn[ci][mi];
+            for &mask in es.masks(conn) {
                 let ir = InteractionRef {
                     connector: conn,
                     mask,
@@ -815,20 +949,19 @@ impl System {
     {
         let ci = ir.connector.0 as usize;
         // Per participant, the enabled local transitions for the
-        // connector port, flattened into the pooled buffer.
+        // connector port, flattened into the pooled buffer; the first
+        // combination takes each participant's first.
         scratch.pool.clear();
         scratch.choices.clear();
+        scratch.combo.clear();
         for i in mask_endpoints(ir.mask, arity) {
             let (comp, port, _) = self.resolved[ci][i];
-            let ty = self.atom_type(comp);
-            let vars = self.comp_vars(st, comp);
             let start = scratch.pool.len() as u32;
-            for &tid in ty.transitions_from(crate::atom::LocId(st.locs[comp])) {
-                let t = ty.transition(tid);
-                if t.port == Some(port) && t.guard.eval_local(vars) != 0 {
-                    scratch.pool.push(tid);
-                }
-            }
+            scratch.pool.extend(self.atom_type(comp).enabled_on_port(
+                LocId(st.locs[comp]),
+                port,
+                self.comp_vars(st, comp),
+            ));
             debug_assert!(
                 scratch.pool.len() as u32 > start,
                 "enabled interaction without a local transition"
@@ -836,18 +969,18 @@ impl System {
             scratch
                 .choices
                 .push((comp, start, scratch.pool.len() as u32));
+            scratch.combo.push((comp, scratch.pool[start as usize]));
         }
         // Cartesian product over the choices (the odometer of
-        // `expand_interaction`, first participant fastest).
-        scratch.idx.clear();
-        scratch.idx.resize(scratch.choices.len(), 0);
+        // `expand_interaction`, first participant fastest), advancing
+        // `combo` in place. With one candidate per participant there is
+        // one combination.
+        let single = scratch.pool.len() == scratch.choices.len();
+        if !single {
+            scratch.idx.clear();
+            scratch.idx.resize(scratch.choices.len(), 0);
+        }
         'combos: loop {
-            scratch.combo.clear();
-            for (k, &(comp, lo, _)) in scratch.choices.iter().enumerate() {
-                scratch
-                    .combo
-                    .push((comp, scratch.pool[(lo + scratch.idx[k]) as usize]));
-            }
             scratch.next.clone_from(st);
             self.fire_interaction_masked(&mut scratch.next, ir.connector, ir.mask, &scratch.combo);
             f(
@@ -857,18 +990,20 @@ impl System {
                 },
                 &scratch.next,
             );
-            let mut k = 0;
-            loop {
-                if k == scratch.idx.len() {
-                    break 'combos;
-                }
-                scratch.idx[k] += 1;
-                if scratch.idx[k] < scratch.choices[k].2 - scratch.choices[k].1 {
-                    break;
-                }
-                scratch.idx[k] = 0;
-                k += 1;
+            if single {
+                break;
             }
+            for (k, &(_, lo, hi)) in scratch.choices.iter().enumerate() {
+                scratch.idx[k] += 1;
+                if scratch.idx[k] == hi - lo {
+                    scratch.idx[k] = 0;
+                }
+                scratch.combo[k].1 = scratch.pool[(lo + scratch.idx[k]) as usize];
+                if scratch.idx[k] != 0 {
+                    continue 'combos;
+                }
+            }
+            break;
         }
     }
 
@@ -884,7 +1019,7 @@ impl System {
         let filtering = !self.priority.is_empty();
         for ci in 0..self.connectors.len() {
             let conn = ConnId(ci as u32);
-            for &mask in &es.per_conn[ci] {
+            for &mask in es.masks(conn) {
                 let ir = InteractionRef {
                     connector: conn,
                     mask,
@@ -917,6 +1052,7 @@ mod tests {
     use crate::atom::AtomBuilder;
     use crate::builder::{dining_philosophers, SystemBuilder};
     use crate::connector::ConnectorBuilder;
+    use crate::system::Step;
 
     /// The enabled-set protocol agrees with the legacy enumeration after
     /// every step of a guided walk.
@@ -942,6 +1078,255 @@ mod tests {
             let pick = compiled[round % compiled.len()].clone();
             let ir = InteractionRef::of(&pick, sys.conn_arity(pick.connector));
             sys.fire_enabled(&mut st, &mut es, EnabledStep::Interaction(ir), |_, _, _| 0);
+        }
+    }
+
+    /// Guarded and unguarded transitions on one port from one location,
+    /// constant-false guards (one hiding a port entirely), guarded internal
+    /// steps, a connector guard, a broadcast, priority rules and maximal
+    /// progress.
+    fn guards_system() -> System {
+        use crate::data::Expr;
+        let x = || Expr::var(0);
+        let mixed = AtomBuilder::new("mixed")
+            .var("x", 0)
+            .port("p")
+            .port("q")
+            .port("r")
+            .location("l0")
+            .location("l1")
+            .initial("l0")
+            .guarded_transition(
+                "l0",
+                "p",
+                x().lt(Expr::int(3)),
+                vec![("x", x().add(Expr::int(1)))],
+                "l0",
+            )
+            .transition("l0", "p", "l1")
+            .guarded_transition("l0", "q", x().eq(Expr::int(2)), vec![], "l1")
+            .guarded_transition(
+                "l1",
+                "p",
+                x().gt(Expr::int(0)),
+                vec![("x", x().sub(Expr::int(1)))],
+                "l1",
+            )
+            .guarded_transition("l1", "q", Expr::f(), vec![], "l0")
+            .guarded_transition("l1", "r", Expr::t(), vec![("x", Expr::int(0))], "l0")
+            .guarded_transition("l0", "r", Expr::f(), vec![], "l1")
+            .internal_transition(
+                "l1",
+                x().lt(Expr::int(2)),
+                vec![("x", x().add(Expr::int(1)))],
+                "l1",
+            )
+            .build()
+            .unwrap();
+        let mut sb = SystemBuilder::new();
+        let m0 = sb.add_instance("m0", &mixed);
+        let m1 = sb.add_instance("m1", &mixed);
+        let m2 = sb.add_instance("m2", &mixed);
+        sb.add_connector(
+            ConnectorBuilder::rendezvous("pq", [(m0, "p"), (m1, "q")])
+                .guard(Expr::param(0, 0).lt(Expr::param(1, 0).add(Expr::int(2)))),
+        );
+        sb.add_connector(ConnectorBuilder::singleton("p0", m0, "p"));
+        sb.add_connector(ConnectorBuilder::singleton("r1", m1, "r"));
+        sb.add_connector(ConnectorBuilder::singleton("p2", m2, "p"));
+        sb.add_connector(ConnectorBuilder::broadcast(
+            "cast",
+            (m2, "r"),
+            [(m0, "r"), (m1, "p")],
+        ));
+        let mut sys = sb.build().unwrap();
+        sys.priority_mut().add_rule(ConnId(1), ConnId(0));
+        sys.priority_mut().maximal_progress = true;
+        sys
+    }
+
+    /// An atom with 70 ports: ports 64 and up take the scanning fallback.
+    fn many_ports_system() -> System {
+        use crate::data::Expr;
+        let mut b = AtomBuilder::new("wide").var("x", 0);
+        for p in 0..70 {
+            b = b.port(format!("p{p}"));
+        }
+        let wide = b
+            .location("a")
+            .location("b")
+            .initial("a")
+            .transition("a", "p3", "b")
+            .guarded_transition(
+                "a",
+                "p65",
+                Expr::var(0).lt(Expr::int(4)),
+                vec![("x", Expr::var(0).add(Expr::int(1)))],
+                "a",
+            )
+            .transition("a", "p65", "b")
+            .transition("b", "p69", "a")
+            .guarded_transition("b", "p64", Expr::f(), vec![], "a")
+            .guarded_transition(
+                "b",
+                "p63",
+                Expr::var(0).gt(Expr::int(1)),
+                vec![("x", Expr::int(0))],
+                "b",
+            )
+            .build()
+            .unwrap();
+        let mut sb = SystemBuilder::new();
+        let w0 = sb.add_instance("w0", &wide);
+        let w1 = sb.add_instance("w1", &wide);
+        sb.add_connector(ConnectorBuilder::rendezvous(
+            "x01",
+            [(w0, "p65"), (w1, "p3")],
+        ));
+        sb.add_connector(ConnectorBuilder::rendezvous(
+            "x10",
+            [(w1, "p65"), (w0, "p3")],
+        ));
+        sb.add_connector(ConnectorBuilder::singleton("back0", w0, "p69"));
+        sb.add_connector(ConnectorBuilder::singleton("back1", w1, "p69"));
+        sb.add_connector(ConnectorBuilder::singleton("dead0", w0, "p64"));
+        sb.add_connector(ConnectorBuilder::singleton("reset1", w1, "p63"));
+        sb.add_connector(ConnectorBuilder::singleton("solo0", w0, "p65"));
+        sb.build().unwrap()
+    }
+
+    /// Two rendezvous wider than [`MAX_CONNECTOR_PORTS`], one guarded, plus
+    /// singleton steps that move single participants in and out.
+    fn wide_rendezvous_system() -> System {
+        use crate::data::Expr;
+        let t = AtomBuilder::new("t")
+            .var("x", 0)
+            .port("h")
+            .port("s")
+            .location("a")
+            .location("b")
+            .initial("a")
+            .transition("a", "h", "b")
+            .transition("b", "h", "a")
+            .guarded_transition(
+                "a",
+                "s",
+                Expr::var(0).lt(Expr::int(2)),
+                vec![("x", Expr::var(0).add(Expr::int(1)))],
+                "b",
+            )
+            .guarded_transition("b", "s", Expr::t(), vec![("x", Expr::int(0))], "a")
+            .build()
+            .unwrap();
+        let mut sb = SystemBuilder::new();
+        let ids: Vec<CompId> = (0..40)
+            .map(|i| sb.add_instance(format!("t{i}"), &t))
+            .collect();
+        sb.add_connector(ConnectorBuilder::rendezvous(
+            "all",
+            ids.iter().map(|&i| (i, "h")).collect::<Vec<_>>(),
+        ));
+        sb.add_connector(
+            ConnectorBuilder::rendezvous(
+                "most",
+                ids[..36].iter().map(|&i| (i, "s")).collect::<Vec<_>>(),
+            )
+            .guard(Expr::param(0, 0).lt(Expr::int(1))),
+        );
+        for &i in &ids[30..] {
+            sb.add_connector(ConnectorBuilder::singleton(format!("s{i}"), i, "s"));
+        }
+        sb.build().unwrap()
+    }
+
+    /// `es` (refreshed for `st`) against a from-scratch refresh, the legacy
+    /// enumeration, and a scan of every endpoint's transitions.
+    fn assert_refresh_consistent(sys: &System, st: &State, es: &EnabledSet, ctx: &str) {
+        let mut fresh = sys.new_enabled_set();
+        fresh.invalidate_all();
+        sys.refresh_enabled(st, &mut fresh);
+        for ci in 0..sys.num_connectors() {
+            let conn = ConnId(ci as u32);
+            assert_eq!(es.masks(conn), fresh.masks(conn), "{ctx}: masks of {ci}");
+            assert_eq!(es.offered[ci], fresh.offered[ci], "{ctx}: offered of {ci}");
+            let eps = &sys.resolved[ci];
+            if eps.len() > MAX_CONNECTOR_PORTS {
+                assert_eq!(es.offered[ci], 0, "{ctx}: wide connectors record no mask");
+                continue;
+            }
+            for (i, &(comp, port, _)) in eps.iter().enumerate() {
+                let ty = sys.atom_type(comp);
+                let scanned = ty
+                    .transitions_from(LocId(st.locs[comp]))
+                    .iter()
+                    .any(|&tid| {
+                        let t = ty.transition(tid);
+                        t.port == Some(port) && t.guard.eval_local(sys.comp_vars(st, comp)) != 0
+                    });
+                let bit = es.offered[ci] & (1 << i) != 0;
+                assert_eq!(bit, sys.port_offered(st, comp, port), "{ctx}: {ci}.{i}");
+                assert_eq!(bit, scanned, "{ctx}: {ci}.{i} against a scan");
+            }
+        }
+        assert_eq!(es.internal, fresh.internal, "{ctx}: internal steps");
+        assert_eq!(es.num_interactions(), fresh.num_interactions(), "{ctx}");
+        assert_eq!(es.num_internal(), fresh.num_internal(), "{ctx}");
+        let mut inters = Vec::new();
+        let mut internals = Vec::new();
+        sys.for_each_enabled(st, es, |step| match step {
+            EnabledStep::Interaction(ir) => inters.push(sys.resolve_ref(ir)),
+            EnabledStep::Internal {
+                component,
+                transition,
+            } => internals.push(Step::Internal {
+                component,
+                transition,
+            }),
+        });
+        assert_eq!(inters, sys.enabled(st), "{ctx}: legacy enabled");
+        assert_eq!(
+            internals,
+            sys.internal_steps(st),
+            "{ctx}: legacy internal steps"
+        );
+    }
+
+    /// The refresh kernel's two drivers agree along random walks: the
+    /// incremental refresh after each fire equals a full refresh after
+    /// `invalidate_all`, both equal the legacy enumeration, and every
+    /// recorded offered-endpoint bit equals `port_offered` and a direct
+    /// scan of the endpoint's transitions.
+    #[test]
+    fn refresh_kernel_drivers_agree_along_random_walks() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for (name, sys) in [
+            ("guards", guards_system()),
+            ("many ports", many_ports_system()),
+            ("wide rendezvous", wide_rendezvous_system()),
+            ("philosophers", dining_philosophers(4, true).unwrap()),
+        ] {
+            let mut rng = StdRng::seed_from_u64(7);
+            let mut st = sys.initial_state();
+            let mut es = sys.new_enabled_set();
+            let mut fired = 0;
+            for step in 0..1000 {
+                sys.refresh_enabled(&st, &mut es);
+                assert_refresh_consistent(&sys, &st, &es, &format!("{name} step {step}"));
+                let mut steps = Vec::new();
+                sys.for_each_enabled(&st, &es, |s| steps.push(s));
+                if steps.is_empty() {
+                    st = sys.initial_state();
+                    es.invalidate_all();
+                    continue;
+                }
+                let pick = steps[rng.gen_range(0..steps.len())];
+                sys.fire_enabled(&mut st, &mut es, pick, |_, _, ts| {
+                    rng.gen_range(0..ts.len())
+                });
+                fired += 1;
+            }
+            assert!(fired > 500, "{name}: the walk kept moving ({fired} steps)");
         }
     }
 
@@ -1034,15 +1419,20 @@ mod tests {
 
     /// The allocation-free enumeration yields exactly the successor list of
     /// `successors_into` — same steps, same states, same order (the order
-    /// the model checker's deterministic replay relies on).
+    /// the model checker's deterministic replay relies on). The guards
+    /// system's interactions have several local-transition combinations.
     #[test]
     fn for_each_successor_matches_successors_into() {
-        for (n, two_phase) in [(3usize, false), (4, true)] {
-            let sys = dining_philosophers(n, two_phase).unwrap();
+        for (sys, combos) in [
+            (dining_philosophers(3, false).unwrap(), false),
+            (dining_philosophers(4, true).unwrap(), false),
+            (guards_system(), true),
+        ] {
             let mut es = sys.new_enabled_set();
             let mut scratch = sys.new_succ_scratch();
             let mut out = Vec::new();
             let mut frontier = vec![sys.initial_state()];
+            let mut repeated = 0;
             for _ in 0..3 {
                 let mut next_frontier = Vec::new();
                 for st in &frontier {
@@ -1054,10 +1444,25 @@ mod tests {
                         streamed.push((s.to_step(&sys), next.clone()));
                     });
                     assert_eq!(out, streamed);
+                    repeated += out
+                        .windows(2)
+                        .filter(|w| match (&w[0].0, &w[1].0) {
+                            (
+                                Step::Interaction { interaction: a, .. },
+                                Step::Interaction { interaction: b, .. },
+                            ) => a == b,
+                            _ => false,
+                        })
+                        .count();
                     next_frontier.extend(out.drain(..).map(|(_, s)| s));
                 }
                 frontier = next_frontier;
             }
+            assert_eq!(
+                repeated > 0,
+                combos,
+                "an interaction with several combinations"
+            );
         }
     }
 

@@ -37,9 +37,8 @@ use std::hash::{Hash, Hasher};
 /// A fixed-capacity bitset over a dense `0..capacity` index universe.
 ///
 /// See the [module docs](self) for the workload this is shaped for. The
-/// word layout is public through [`PlaceSet::words`] /
-/// [`PlaceSet::from_words`] so arena-backed stores can keep bare words and
-/// rebuild sets without re-inserting bit by bit.
+/// word layout is public through [`PlaceSet::words`], so callers can hash
+/// or compare sets word by word.
 #[derive(Clone)]
 pub struct PlaceSet {
     /// Universe size in indices (bits); fixed for the set's lifetime.
@@ -77,24 +76,6 @@ impl PlaceSet {
             s.insert(p);
         }
         s
-    }
-
-    /// Rebuild a set from raw words (an arena slice). `words` must be the
-    /// exact word count for `capacity` with no stray high bits — the shape
-    /// produced by [`PlaceSet::words`].
-    pub fn from_words(capacity: usize, words: &[u64]) -> PlaceSet {
-        assert_eq!(words.len(), capacity.div_ceil(64), "word count mismatch");
-        if let Some(&last) = words.last() {
-            let used = capacity % 64;
-            if used != 0 {
-                assert_eq!(last >> used, 0, "stray bits beyond the capacity");
-            }
-        }
-        PlaceSet {
-            capacity,
-            words: words.into(),
-            len: words.iter().map(|w| w.count_ones() as usize).sum(),
-        }
     }
 
     /// The universe size this set ranges over.
@@ -362,14 +343,6 @@ mod tests {
         let empty = PlaceSet::new(70);
         assert!(!empty.intersects(&a));
         assert!(empty.is_subset(&a));
-    }
-
-    #[test]
-    fn words_roundtrip() {
-        let s = PlaceSet::from_places(100, [0, 50, 99]);
-        let r = PlaceSet::from_words(100, s.words());
-        assert_eq!(r, s);
-        assert_eq!(r.len(), 3);
     }
 
     #[test]

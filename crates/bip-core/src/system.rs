@@ -26,13 +26,30 @@ pub type CompId = usize;
 
 /// A global state: one control location per component plus the flat variable
 /// store.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct State {
     /// Current location (as a raw `u32`) per component instance.
     pub locs: Vec<u32>,
     /// Flat variable store; each component's variables occupy a contiguous
     /// slice (see [`System::var_value`]).
     pub vars: Vec<Value>,
+}
+
+/// Written by hand so that `clone_from` copies into both existing buffers
+/// instead of allocating a fresh state: the successor scratch overwrites
+/// one `State` per successor.
+impl Clone for State {
+    fn clone(&self) -> State {
+        State {
+            locs: self.locs.clone(),
+            vars: self.vars.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &State) {
+        self.locs.clone_from(&source.locs);
+        self.vars.clone_from(&source.vars);
+    }
 }
 
 /// An interaction: a connector together with the participating endpoint
@@ -313,11 +330,11 @@ impl System {
     /// precomputed at build time, so this only tests offered ports and
     /// evaluates guards.
     pub fn enabled_unfiltered(&self, st: &State) -> Vec<Interaction> {
+        let mut es = self.new_enabled_set();
+        self.refresh_enabled(st, &mut es);
         let mut out = Vec::new();
-        let mut masks = Vec::new();
         for ci in 0..self.connectors.len() {
-            self.refresh_connector_into(st, ci, &mut masks);
-            out.extend(masks.drain(..).map(|mask| {
+            out.extend(es.masks(ConnId(ci as u32)).iter().map(|&mask| {
                 self.resolve_ref(crate::exec::InteractionRef {
                     connector: ConnId(ci as u32),
                     mask,
@@ -478,10 +495,12 @@ impl System {
     /// Fire a single local transition of `comp` in `st` (in place).
     pub fn fire_local(&self, st: &mut State, comp: CompId, tid: TransitionId) {
         let ty = self.atom_type(comp);
-        let off = self.var_offsets[comp];
-        let n = ty.vars().len();
-        ty.apply_updates(tid, &mut st.vars[off..off + n]);
-        st.locs[comp] = ty.transition(tid).to.0;
+        let t = ty.transition(tid);
+        if !t.updates.is_empty() {
+            let off = self.var_offsets[comp];
+            ty.apply_updates(tid, &mut st.vars[off..off + ty.vars().len()]);
+        }
+        st.locs[comp] = t.to.0;
     }
 
     /// Execute one step chosen by `pick` from the enabled steps; returns the

@@ -40,11 +40,12 @@
 //! the one the engine fired.
 //!
 //! A BFS level is one **expansion** routine (decode, plan the ample
-//! subset, cycle proviso, fire, then encode, shard and hash each successor
-//! and count its ordinal) feeding one **admission** routine (probe, bound,
-//! insert with trace node, violation check, next-frontier bucket), under
-//! one of two schedulers. The *fused* scheduler runs both in a single
-//! stream-order pass on the calling thread, inserting in place. The
+//! subset, cycle proviso, fire, then encode — as a patch of the parent's
+//! words, re-encoding only the step's participants — shard and hash each
+//! successor and count its ordinal) feeding one **admission** routine
+//! (probe, bound, insert with trace node, violation check, next-frontier
+//! bucket), under one of two schedulers. The *fused* scheduler runs both in
+//! a single stream-order pass on the calling thread, inserting in place. The
 //! *parallel* one expands chunks of the frontier on up to
 //! [`ReachConfig::threads`] workers against the read-only seen set (phase
 //! A), then merges (phase B): shard-parallel when every candidate will be
@@ -147,8 +148,8 @@ use crate::control::{Budget, CancelToken, StopReason};
 use bip_core::hash::FxHasher;
 use bip_core::indep::IndepInfo;
 use bip_core::{
-    AmpleScratch, CodecSnapshot, EnabledSet, PackedState, PlaceSet, State, StateCodec, StatePred,
-    Step, SuccScratch, System, WidenReq,
+    AmpleScratch, CodecSnapshot, CompId, EnabledSet, PackedState, PlaceSet, State, StateCodec,
+    StatePred, Step, SuccScratch, SuccStep, System, WidenReq,
 };
 use std::hash::Hasher;
 
@@ -528,7 +529,7 @@ impl Expander {
     /// successor.
     fn fire<F>(&mut self, sys: &System, por: Option<&PorCtx<'_>>, reduced: bool, mut f: F) -> bool
     where
-        F: FnMut(bip_core::SuccStep<'_>, &State),
+        F: FnMut(SuccStep<'_>, &State),
     {
         if reduced {
             let por = por.expect("a reduction implies POR");
@@ -575,6 +576,25 @@ struct Worker {
     ex: Expander,
     enc: PackedState,
     probe: PackedState,
+    /// The expanded state's packed words, copied out of the store: every
+    /// successor is encoded as a patch of them, and the fused level's
+    /// arena may grow (and move) while its successors are admitted.
+    parent: Vec<u64>,
+    /// The components one successor step touched, ascending.
+    touched: Vec<CompId>,
+}
+
+/// The components `step` may change, ascending: its participants, or the
+/// stepping component.
+fn touched_components(step: SuccStep<'_>, out: &mut Vec<CompId>) {
+    out.clear();
+    match step {
+        SuccStep::Interaction { transitions, .. } => {
+            out.extend(transitions.iter().map(|&(c, _)| c));
+            out.sort_unstable();
+        }
+        SuccStep::Internal { component, .. } => out.push(component),
+    }
 }
 
 impl Worker {
@@ -583,6 +603,8 @@ impl Worker {
             ex: Expander::new(sys, por),
             enc: PackedState::zeroed(0),
             probe: PackedState::zeroed(0),
+            parent: Vec::new(),
+            touched: Vec::new(),
         }
     }
 
@@ -597,6 +619,10 @@ impl Worker {
     /// decides exactly as phase A, which only reads. The pre-pass
     /// re-enumerates the ample successors: it runs only for reduced states
     /// in invariant mode, where the shrunk graph amortizes it.
+    ///
+    /// Both passes encode each successor as a patch of the parent's words
+    /// ([`StateCodec::try_encode_patch_into`]), which are copied out of
+    /// the store first: the fused level's arena can grow under them.
     ///
     /// Then fire, and hand each successor to `visit` — encoded, sharded,
     /// hashed, and with the trace node it gets if stored — until `visit`
@@ -619,16 +645,25 @@ impl Worker {
         V: FnMut(&mut S, Succ<'_>) -> bool,
     {
         let por = cx.por.as_ref();
-        let mut reduced = self
-            .ex
-            .plan(cx.sys, codec, ref_words(store.as_ref(), sref), por);
+        self.parent.clear();
+        self.parent
+            .extend_from_slice(ref_words(store.as_ref(), sref));
+        let (parent, touched) = (&self.parent, &mut self.touched);
+        let mut reduced = self.ex.plan(cx.sys, codec, parent, por);
         if reduced && por.is_some_and(|pc| pc.visible.is_some()) {
             let shards = store.as_ref();
             let probe = &mut self.probe;
             let mut hit = false;
-            self.ex.fire(cx.sys, por, true, |_, next| {
+            self.ex.fire(cx.sys, por, true, |step, next| {
+                if hit {
+                    return;
+                }
+                touched_components(step, touched);
                 // An overflow surfaces in the main pass.
-                if !hit && codec.try_encode_into(next, probe).is_ok() {
+                if codec
+                    .try_encode_patch_into(parent, next, touched, probe)
+                    .is_ok()
+                {
                     let si = shard_index(codec, next);
                     hit = shards[si]
                         .find(probe.words(), word_hash(probe.words()))
@@ -639,13 +674,14 @@ impl Worker {
         }
         let (mut ordinal, mut live, mut widen) = (0u32, true, None);
         let enc = &mut self.enc;
-        let any = self.ex.fire(cx.sys, por, reduced, |_, next| {
+        let any = self.ex.fire(cx.sys, por, reduced, |step, next| {
             let succ = ordinal;
             ordinal += 1;
             if !live {
                 return;
             }
-            if let Err(r) = codec.try_encode_into(next, enc) {
+            touched_components(step, touched);
+            if let Err(r) = codec.try_encode_patch_into(parent, next, touched, enc) {
                 widen = Some(r);
                 live = false;
                 return;

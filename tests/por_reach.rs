@@ -13,9 +13,13 @@
 //!   state and checked for real — bounded or not;
 //! * **bit-identity across thread counts** under reduction: the whole
 //!   report (states, transitions, deadlock order, completeness) is
-//!   identical at 1, 2, and 8 workers, like every other engine mode.
+//!   identical at 1, 2, and 8 workers, like every other engine mode;
+//! * **no ignoring**: an invisible cycle that the ample sets could spin on
+//!   forever must not hide a visible step elsewhere (the cycle proviso).
 
-use bip_core::{State, StatePred, Step, System};
+use bip_core::{
+    AtomBuilder, ConnectorBuilder, Expr, State, StatePred, Step, System, SystemBuilder,
+};
 use bip_verify::reach::{
     check_invariant_with, explore_with, find_deadlock_with, ReachConfig, Reduction,
 };
@@ -178,5 +182,52 @@ proptest! {
                 prop_assert_eq!(i.complete, i1.complete);
             }
         }
+    }
+}
+
+/// The ignoring problem: component A spins on an invisible internal
+/// two-location loop, independent of everything; component B can take one
+/// visible step into `bad`. Every state has the ample set {A's spin}, which
+/// closes a cycle back to the initial state. Without the cycle proviso the
+/// reduced search stores two states, never fires B's step, and reports the
+/// invariant as holding. With it, the state whose ample successor closes
+/// the cycle is expanded fully and the violation is found.
+#[test]
+fn persistent_invariant_does_not_ignore_a_visible_step() {
+    let spinner = AtomBuilder::new("spinner")
+        .location("a0")
+        .location("a1")
+        .initial("a0")
+        .internal_transition("a0", Expr::t(), vec![], "a1")
+        .internal_transition("a1", Expr::t(), vec![], "a0")
+        .build()
+        .unwrap();
+    let stepper = AtomBuilder::new("stepper")
+        .port("go")
+        .location("ok")
+        .location("bad")
+        .initial("ok")
+        .transition("ok", "go", "bad")
+        .build()
+        .unwrap();
+    let mut sb = SystemBuilder::new();
+    sb.add_instance("a", &spinner);
+    let b = sb.add_instance("b", &stepper);
+    sb.add_connector(ConnectorBuilder::singleton("go", b, "go"));
+    let sys = sb.build().unwrap();
+    let inv = StatePred::at(&sys, b, "ok");
+    for threads in [1usize, 2] {
+        let cfg = ReachConfig::bounded(100)
+            .reduction(Reduction::Persistent)
+            .threads(threads)
+            .min_parallel_level(1);
+        let r = check_invariant_with(&sys, &inv, &cfg);
+        let (st, trace) = r
+            .violation
+            .as_ref()
+            .unwrap_or_else(|| panic!("threads {threads}: the visible step was ignored"));
+        assert!(!r.holds());
+        assert_eq!(&replay(&sys, trace), st, "the witness replays");
+        assert!(!inv.eval(&sys, st), "the witness violates the invariant");
     }
 }
