@@ -249,7 +249,8 @@ fn election_run(n: usize, drop_rate: f64, seed: u64) -> (netsim::Stats, bool) {
         })
         .collect();
     let mut net = Network::with_seed(procs, Latency::Fixed(1), seed);
-    net.set_faults(FaultPlan::lossy(drop_rate));
+    net.set_faults(FaultPlan::lossy(drop_rate))
+        .expect("drop rate is a probability");
     net.run_until_quiet(ELECT_PERIOD * u64::from(rounds) + 100);
     let max_id = n as u64 - 1;
     let elected = (0..n).all(|i| net.process(i).max_seen == max_id);
@@ -343,7 +344,8 @@ fn chain_run(n: usize, total: u64) -> (netsim::Stats, Vec<u64>, u64) {
         FaultPlan::none()
             .partition(island, 150, 300)
             .crash_restart(20, 350, 420),
-    );
+    )
+    .expect("plan names chain nodes only");
     net.run_until_quiet(20_000);
     let restarts = net.process(20).restarts;
     (

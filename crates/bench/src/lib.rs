@@ -36,18 +36,15 @@ pub fn pr1_explore(sys: &System, max_states: usize) -> ReachReport {
     let mut transitions = 0usize;
     let mut deadlocks = Vec::new();
     let mut complete = true;
-    let mut es = sys.new_enabled_set();
-    let mut succ = Vec::new();
     let init = sys.initial_state();
     seen.insert(init.clone(), ());
     queue.push_back(init);
     while let Some(st) = queue.pop_front() {
-        es.invalidate_all();
-        sys.successors_into(&st, &mut es, &mut succ);
+        let succ = sys.successors(&st);
         if succ.is_empty() {
             deadlocks.push(st.clone());
         }
-        for (_, next) in succ.drain(..) {
+        for (_, next) in succ {
             transitions += 1;
             if !seen.contains_key(&next) {
                 if seen.len() >= max_states {

@@ -786,53 +786,6 @@ impl System {
         }
     }
 
-    /// Materialize the successor of one enabled step, resolving local
-    /// nondeterminism with the first enabled transition per participant —
-    /// the bridge from compiled [`EnabledStep`]s to the legacy
-    /// `(Step, State)` shape (allocates; hot paths use
-    /// [`System::fire_into`] instead).
-    pub fn materialize(&self, st: &State, step: EnabledStep) -> (Step, State) {
-        match step {
-            EnabledStep::Internal {
-                component,
-                transition,
-            } => {
-                let mut next = st.clone();
-                self.fire_local(&mut next, component, transition);
-                (
-                    Step::Internal {
-                        component,
-                        transition,
-                    },
-                    next,
-                )
-            }
-            EnabledStep::Interaction(ir) => {
-                let eps = &self.resolved[ir.connector.0 as usize];
-                let mut transitions: Vec<(CompId, TransitionId)> =
-                    Vec::with_capacity(ir.participants(eps.len()));
-                for i in ir.endpoints(eps.len()) {
-                    let (comp, port, _) = eps[i];
-                    let tid = self
-                        .atom_type(comp)
-                        .enabled_on_port(LocId(st.locs[comp]), port, self.comp_vars(st, comp))
-                        .next()
-                        .expect("interaction materialized while not enabled");
-                    transitions.push((comp, tid));
-                }
-                let mut next = st.clone();
-                self.fire_interaction_masked(&mut next, ir.connector, ir.mask, &transitions);
-                (
-                    Step::Interaction {
-                        interaction: self.resolve_ref(ir),
-                        transitions,
-                    },
-                    next,
-                )
-            }
-        }
-    }
-
     /// Fresh scratch for [`System::for_each_successor`].
     pub fn new_succ_scratch(&self) -> SuccScratch {
         SuccScratch {
@@ -850,8 +803,8 @@ impl System {
     /// [`SuccStep`] descriptor (materialize it with [`SuccStep::to_step`]
     /// only when a trace needs it).
     ///
-    /// Successors are visited in exactly the order
-    /// [`System::successors_into`] produces them: connectors ascending,
+    /// Successors are visited in exactly the order of the reference
+    /// enumeration [`System::successors`]: connectors ascending,
     /// masks ascending, local-transition combinations with the first
     /// participant varying fastest, then internal steps. `es` is refreshed
     /// for `st` as a side effect (callers exploring arbitrary states should
@@ -1004,44 +957,6 @@ impl System {
                 }
             }
             break;
-        }
-    }
-
-    /// All semantic steps from `st` with successor states, written into
-    /// `out` — the buffer-reusing form of [`System::successors`] used by the
-    /// model checker. `es` is refreshed for `st` as a side effect (callers
-    /// exploring arbitrary states should `invalidate_all` first; callers
-    /// walking a trajectory can rely on [`System::fire_enabled`]'s precise
-    /// dirtying).
-    pub fn successors_into(&self, st: &State, es: &mut EnabledSet, out: &mut Vec<(Step, State)>) {
-        out.clear();
-        self.refresh_enabled(st, es);
-        let filtering = !self.priority.is_empty();
-        for ci in 0..self.connectors.len() {
-            let conn = ConnId(ci as u32);
-            for &mask in es.masks(conn) {
-                let ir = InteractionRef {
-                    connector: conn,
-                    mask,
-                };
-                if filtering && self.priority.dominated_compiled(self, st, ir, es) {
-                    continue;
-                }
-                self.expand_interaction(st, &self.resolve_ref(ir), out);
-            }
-        }
-        for &c in &self.compiled.internal_comps {
-            for &tid in &es.internal[c] {
-                let mut next = st.clone();
-                self.fire_local(&mut next, c, tid);
-                out.push((
-                    Step::Internal {
-                        component: c,
-                        transition: tid,
-                    },
-                    next,
-                ));
-            }
         }
     }
 }
@@ -1399,30 +1314,13 @@ mod tests {
         assert!(!es.comp_dirty[c] && !es.comp_dirty[d]);
     }
 
+    /// The allocation-free enumeration yields exactly the reference
+    /// successor list of `successors` — same steps, same states, same order
+    /// (the order the model checker's deterministic replay relies on). The
+    /// guards system's interactions have several local-transition
+    /// combinations.
     #[test]
-    fn successors_into_matches_successors() {
-        let sys = dining_philosophers(4, true).unwrap();
-        let mut es = sys.new_enabled_set();
-        let mut out = Vec::new();
-        let mut frontier = vec![sys.initial_state()];
-        for _ in 0..3 {
-            let mut next_frontier = Vec::new();
-            for st in &frontier {
-                es.invalidate_all();
-                sys.successors_into(st, &mut es, &mut out);
-                assert_eq!(out, sys.successors(st));
-                next_frontier.extend(out.drain(..).map(|(_, s)| s));
-            }
-            frontier = next_frontier;
-        }
-    }
-
-    /// The allocation-free enumeration yields exactly the successor list of
-    /// `successors_into` — same steps, same states, same order (the order
-    /// the model checker's deterministic replay relies on). The guards
-    /// system's interactions have several local-transition combinations.
-    #[test]
-    fn for_each_successor_matches_successors_into() {
+    fn for_each_successor_matches_successors() {
         for (sys, combos) in [
             (dining_philosophers(3, false).unwrap(), false),
             (dining_philosophers(4, true).unwrap(), false),
@@ -1430,14 +1328,12 @@ mod tests {
         ] {
             let mut es = sys.new_enabled_set();
             let mut scratch = sys.new_succ_scratch();
-            let mut out = Vec::new();
             let mut frontier = vec![sys.initial_state()];
             let mut repeated = 0;
             for _ in 0..3 {
                 let mut next_frontier = Vec::new();
                 for st in &frontier {
-                    es.invalidate_all();
-                    sys.successors_into(st, &mut es, &mut out);
+                    let out = sys.successors(st);
                     let mut streamed: Vec<(Step, State)> = Vec::new();
                     es.invalidate_all();
                     sys.for_each_successor(st, &mut es, &mut scratch, |s, next| {
@@ -1454,7 +1350,7 @@ mod tests {
                             _ => false,
                         })
                         .count();
-                    next_frontier.extend(out.drain(..).map(|(_, s)| s));
+                    next_frontier.extend(out.into_iter().map(|(_, s)| s));
                 }
                 frontier = next_frontier;
             }

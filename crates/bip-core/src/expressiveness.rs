@@ -13,7 +13,7 @@
 //! checker, and an enumerator of all interaction-only glues over given
 //! interfaces. The experiment E3 (see DESIGN.md) runs the refutation.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use crate::atom::AtomType;
 use crate::connector::ConnectorBuilder;
@@ -307,26 +307,6 @@ pub fn priorities_express_broadcast() -> bool {
     strongly_bisimilar(&a, &b)
 }
 
-/// Count reachable states of a system up to a bound (diagnostic helper).
-pub fn reachable_states(sys: &System, max_states: usize) -> usize {
-    let mut seen: HashSet<State> = HashSet::new();
-    let mut queue = VecDeque::new();
-    let init = sys.initial_state();
-    seen.insert(init.clone());
-    queue.push_back(init);
-    while let Some(st) = queue.pop_front() {
-        for (_, next) in sys.successors(&st) {
-            if seen.len() >= max_states {
-                return seen.len();
-            }
-            if seen.insert(next.clone()) {
-                queue.push_back(next);
-            }
-        }
-    }
-    seen.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,11 +364,5 @@ mod tests {
     #[test]
     fn priorities_recover_broadcast() {
         assert!(priorities_express_broadcast());
-    }
-
-    #[test]
-    fn reachable_state_counting() {
-        let sys = broadcast_reference();
-        assert_eq!(reachable_states(&sys, 100), 2);
     }
 }

@@ -1041,8 +1041,7 @@ mod tests {
                 assert!(!ample1.is_empty(), "ample sets are never empty");
             }
             // Advance deterministically.
-            let mut succ = Vec::new();
-            sys.successors_into(&st, &mut es, &mut succ);
+            let succ = sys.successors(&st);
             if succ.is_empty() {
                 break;
             }

@@ -46,6 +46,10 @@
 //! assert_eq!(t.len(), 1);
 //! ```
 
+// Every `unsafe` block below states why it is sound; clippy's
+// `-D warnings` gate holds the rule.
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use std::hash::Hasher;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
@@ -152,14 +156,25 @@ fn seg_of(idx: u32) -> (usize, usize) {
 fn get_or_install<T>(cell: &AtomicPtr<T>, make: impl FnOnce() -> T) -> &T {
     let p = cell.load(Ordering::Acquire);
     if !p.is_null() {
+        // SAFETY: a non-null pointer in `cell` came from `Box::into_raw` and
+        // was installed by the CAS below; the `Acquire` load pairs with that
+        // CAS's release, so the pointee is initialized, and it is freed only
+        // in `InternTable::drop`, which `&self` borrows outlive.
         return unsafe { &*p };
     }
     let raw = Box::into_raw(Box::new(make()));
     match cell.compare_exchange(ptr::null_mut(), raw, Ordering::AcqRel, Ordering::Acquire) {
+        // SAFETY: `raw` is a live `Box` allocation that this CAS just
+        // published; from now on only `InternTable::drop` frees it.
         Ok(_) => unsafe { &*raw },
         Err(cur) => {
             // Lost the install race: free ours, use the winner's.
+            // SAFETY: the CAS failed, so `raw` was never published: this
+            // thread still owns the allocation `Box::into_raw` returned.
             drop(unsafe { Box::from_raw(raw) });
+            // SAFETY: `cur` is the non-null winner's pointer, installed by a
+            // successful CAS (the `Acquire` failure ordering pairs with its
+            // release) and freed only in `InternTable::drop`.
             unsafe { &*cur }
         }
     }
@@ -171,14 +186,27 @@ fn get_or_install<T>(cell: &AtomicPtr<T>, make: impl FnOnce() -> T) -> &T {
 fn get_or_install_seg(cell: &AtomicPtr<AtomicU64>, len: usize) -> &[AtomicU64] {
     let p = cell.load(Ordering::Acquire);
     if !p.is_null() {
+        // SAFETY: a non-null pointer in `cell` is the first element of a
+        // leaked `len`-element slice installed by the CAS below (every
+        // caller passes the same `len` for a given cell); the `Acquire`
+        // load pairs with the CAS's release, and the slice is freed only in
+        // `InternTable::drop`.
         return unsafe { std::slice::from_raw_parts(p, len) };
     }
     let boxed: Box<[AtomicU64]> = (0..len).map(|_| AtomicU64::new(0)).collect();
     let raw = Box::into_raw(boxed) as *mut AtomicU64;
     match cell.compare_exchange(ptr::null_mut(), raw, Ordering::AcqRel, Ordering::Acquire) {
+        // SAFETY: `raw` points at the `len` initialized elements of the
+        // slice this CAS just published; only `InternTable::drop` frees it.
         Ok(_) => unsafe { std::slice::from_raw_parts(raw, len) },
         Err(cur) => {
+            // SAFETY: the CAS failed, so this thread still owns the
+            // `len`-element allocation behind `raw`; rebuilding the fat
+            // pointer from the same `len` frees it with its own layout.
             drop(unsafe { Box::from_raw(ptr::slice_from_raw_parts_mut(raw, len)) });
+            // SAFETY: `cur` is the winner's published `len`-element slice
+            // (same `len` for this cell), visible through the `Acquire`
+            // failure ordering and freed only in `InternTable::drop`.
             unsafe { std::slice::from_raw_parts(cur, len) }
         }
     }
@@ -269,6 +297,10 @@ impl InternTable {
         let seg = self.segs[k].load(Ordering::Acquire);
         assert!(!seg.is_null(), "index from a different table");
         debug_assert!(off < SEG0_CAP << k);
+        // SAFETY: `seg` is non-null (asserted), so it is segment `k`'s
+        // installed `SEG0_CAP << k`-element slice, alive until `drop`;
+        // `seg_of` keeps `off` below that length, so `seg.add(off)` stays
+        // in bounds of one allocation.
         unsafe { &*seg.add(off) }.load(Ordering::Acquire) as i64
     }
 
@@ -297,6 +329,9 @@ impl Drop for InternTable {
         for cell in self.levels.iter() {
             let p = cell.swap(ptr::null_mut(), Ordering::AcqRel);
             if !p.is_null() {
+                // SAFETY: `&mut self` rules out other users; `p` came from
+                // `Box::into_raw` in `get_or_install`, and swapping in null
+                // makes this the only free.
                 drop(unsafe { Box::from_raw(p) });
             }
         }
@@ -304,6 +339,10 @@ impl Drop for InternTable {
             let p = cell.swap(ptr::null_mut(), Ordering::AcqRel);
             if !p.is_null() {
                 let len = SEG0_CAP << k;
+                // SAFETY: `&mut self` rules out other users; `p` is segment
+                // `k`'s leaked slice, allocated in `get_or_install_seg` with
+                // exactly `len` elements, and swapping in null makes this
+                // the only free.
                 drop(unsafe { Box::from_raw(ptr::slice_from_raw_parts_mut(p, len)) });
             }
         }

@@ -40,11 +40,13 @@
 //! neighborhood of the fired interaction is re-examined — steps on large
 //! systems cost O(neighborhood), not O(system).
 //!
-//! The legacy enumeration API — [`System::enabled`],
-//! [`System::successors`], [`System::step`] — remains as thin wrappers over
-//! the same machinery (one full refresh per call), so both protocols always
-//! agree; [`System::successors_into`] is the buffer-reusing form the model
-//! checker uses.
+//! The model checker enumerates successors with the allocation-free
+//! [`System::for_each_successor`] / [`System::for_each_step_successor`]
+//! kernel over the same enabled set. The allocating enumeration API —
+//! [`System::enabled`], [`System::successors`], [`System::step`] — is the
+//! reference the kernel is tested against: it shares the refresh (one full
+//! refresh per call) but filters priorities and expands local-transition
+//! combinations on its own path.
 //!
 //! # Example
 //!

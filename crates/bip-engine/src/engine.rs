@@ -6,9 +6,11 @@
 //! ([`bip_core::EnabledSet`]) and carries the same [`ExecContext`] (policy,
 //! safety monitors, trace), so backends are interchangeable: code written
 //! against `impl Engine` can execute single-threaded, one-thread-per-atom,
-//! or under a real-time duration assignment without change.
+//! or under a real-time duration assignment without change. Each step of
+//! each backend is one [`ExecContext::choose_and_fire`] call; the backends
+//! differ only in which enabled steps they admit.
 
-use bip_core::{EnabledStep, State, StatePred, Step, System};
+use bip_core::{EnabledSet, EnabledStep, State, StatePred, Step, System};
 
 use crate::monitor::{Monitor, MonitorVerdict};
 use crate::policy::Policy;
@@ -59,7 +61,7 @@ pub struct ExecContext<P: Policy = Box<dyn Policy>> {
     /// Stop reason of the most recent run.
     last_stop: StopReason,
     /// Reusable buffer of enabled steps offered to the policy.
-    pub(crate) scratch: Vec<EnabledStep>,
+    scratch: Vec<EnabledStep>,
 }
 
 impl<P: Policy> ExecContext<P> {
@@ -91,6 +93,39 @@ impl<P: Policy> ExecContext<P> {
             }
         }
         violated
+    }
+
+    /// One engine step: bring `es` up to date with `st`, offer the policy
+    /// the priority-surviving enabled steps that `admit` accepts, fire its
+    /// choice in place (local nondeterminism resolved by
+    /// [`Policy::choose_local`]) and record it. `None` when no enabled step
+    /// is admitted; `st` and `es` are then untouched but refreshed.
+    pub fn choose_and_fire(
+        &mut self,
+        sys: &System,
+        st: &mut State,
+        es: &mut EnabledSet,
+        mut admit: impl FnMut(EnabledStep) -> bool,
+    ) -> Option<Step> {
+        sys.refresh_enabled(st, es);
+        let scratch = &mut self.scratch;
+        scratch.clear();
+        sys.for_each_enabled(st, es, |s| {
+            if admit(s) {
+                scratch.push(s);
+            }
+        });
+        if scratch.is_empty() {
+            return None;
+        }
+        let i = self.policy.choose(sys, st, scratch).min(scratch.len() - 1);
+        let chosen = scratch[i];
+        let policy = &mut self.policy;
+        let step = sys.fire_enabled(st, es, chosen, |sys, comp, cands| {
+            policy.choose_local(sys, comp, cands)
+        });
+        self.note_step(sys, &step);
+        Some(step)
     }
 
     /// Record a fired step (trace + step counter).

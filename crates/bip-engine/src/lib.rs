@@ -23,16 +23,18 @@
 //!   trace recording off the hot loop is allocation-free;
 //! * [`ThreadedEngine`] — the paper's multi-threaded architecture: one
 //!   persistent thread per atom plus the engine as the synchronization
-//!   point, channels only, same incremental enabled set on the engine side
-//!   ([`run_threaded`] is the one-shot compatibility wrapper);
+//!   point, channels only, same incremental enabled set on the engine side;
 //! * `bip_rt::RtEngine` — discrete time under a duration assignment φ
 //!   (time needs its own semantics, so it lives in `bip-rt`).
 //!
-//! Policies expose both surfaces: [`Policy::choose`] picks among compiled
-//! [`bip_core::EnabledStep`]s (no successor states materialized) and
-//! [`Policy::choose_local`] resolves per-participant transition choice;
-//! the legacy [`Policy::pick`] over `(Step, State)` pairs keeps working —
-//! its default bridge materializes one successor per enabled step.
+//! Every backend makes the same choice through one routine,
+//! [`ExecContext::choose_and_fire`]: the priority-surviving compiled
+//! [`bip_core::EnabledStep`]s that the backend admits (all of them, or for
+//! the real-time engine those whose participants are idle) are offered to
+//! [`Policy::choose`] without materializing any successor state, and
+//! [`Policy::choose_local`] resolves which local transition each
+//! participant fires. A policy therefore drives every backend to the same
+//! trace from the same seed wherever their admitted sets agree.
 
 mod engine;
 mod monitor;
@@ -45,5 +47,5 @@ pub use engine::{Engine, ExecContext, RunReport, StopReason};
 pub use monitor::{Monitor, MonitorVerdict};
 pub use policy::{FirstEnabled, Policy, RandomPolicy, RoundRobinPolicy};
 pub use sequential::SequentialEngine;
-pub use threaded::{run_threaded, ThreadedEngine, ThreadedReport};
+pub use threaded::ThreadedEngine;
 pub use trace::{Trace, TraceEntry};

@@ -4,33 +4,19 @@
 //! §5.5); a policy resolves the *remaining* nondeterminism — the paper's
 //! "reducing non-determinism (through scheduling)" design parameter (§3.3).
 
-use bip_core::{CompId, EnabledStep, State, Step, System, TransitionId};
+use bip_core::{CompId, EnabledStep, State, System, TransitionId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// A deterministic-by-seed strategy for picking one of the enabled steps.
 ///
-/// The compiled execution path calls [`Policy::choose`] (over `Copy`
-/// [`EnabledStep`]s, no successor states materialized) and
-/// [`Policy::choose_local`] (per-participant transition choice). The legacy
-/// [`Policy::pick`] remains for code still enumerating
-/// [`System::successors`]; its default bridge materializes one successor
-/// per enabled step, so policies written against either surface behave
-/// consistently under both.
+/// Every engine offers the policy the compiled [`EnabledStep`]s that
+/// survived priorities (no successor states materialized) through
+/// [`Policy::choose`], then lets [`Policy::choose_local`] resolve which
+/// local transition each participant fires.
 pub trait Policy {
     /// Pick an index into `options` (guaranteed non-empty).
-    fn pick(&mut self, sys: &System, st: &State, options: &[(Step, State)]) -> usize;
-
-    /// Pick an index into the compiled `options` (guaranteed non-empty)
-    /// without materializing successor states.
-    ///
-    /// The default bridges to [`Policy::pick`] by materializing each
-    /// option's successor (first local-transition choice) — correct for any
-    /// legacy policy, but allocating; hot-path policies override this.
-    fn choose(&mut self, sys: &System, st: &State, options: &[EnabledStep]) -> usize {
-        let succ: Vec<(Step, State)> = options.iter().map(|&s| sys.materialize(st, s)).collect();
-        self.pick(sys, st, &succ)
-    }
+    fn choose(&mut self, sys: &System, st: &State, options: &[EnabledStep]) -> usize;
 
     /// Resolve local nondeterminism: which of `candidates` (never empty)
     /// should participant `comp` fire? Defaults to the first.
@@ -48,10 +34,6 @@ pub trait Policy {
 }
 
 impl<T: Policy + ?Sized> Policy for Box<T> {
-    fn pick(&mut self, sys: &System, st: &State, options: &[(Step, State)]) -> usize {
-        (**self).pick(sys, st, options)
-    }
-
     fn choose(&mut self, sys: &System, st: &State, options: &[EnabledStep]) -> usize {
         (**self).choose(sys, st, options)
     }
@@ -82,10 +64,6 @@ impl RandomPolicy {
 }
 
 impl Policy for RandomPolicy {
-    fn pick(&mut self, _sys: &System, _st: &State, options: &[(Step, State)]) -> usize {
-        self.rng.gen_range(0..options.len())
-    }
-
     fn choose(&mut self, _sys: &System, _st: &State, options: &[EnabledStep]) -> usize {
         self.rng.gen_range(0..options.len())
     }
@@ -104,10 +82,6 @@ impl Policy for RandomPolicy {
 pub struct FirstEnabled;
 
 impl Policy for FirstEnabled {
-    fn pick(&mut self, _sys: &System, _st: &State, _options: &[(Step, State)]) -> usize {
-        0
-    }
-
     fn choose(&mut self, _sys: &System, _st: &State, _options: &[EnabledStep]) -> usize {
         0
     }
@@ -132,47 +106,30 @@ impl RoundRobinPolicy {
     }
 }
 
-impl RoundRobinPolicy {
-    fn pick_oldest<T>(
-        &mut self,
-        sys: &System,
-        options: &[T],
-        conn_of: impl Fn(&T) -> Option<u32>,
-    ) -> usize {
+impl Policy for RoundRobinPolicy {
+    fn choose(&mut self, sys: &System, _st: &State, options: &[EnabledStep]) -> usize {
         if self.last_fired.len() < sys.num_connectors() {
             self.last_fired.resize(sys.num_connectors(), 0);
         }
         self.clock += 1;
+        let conn_of = |step: &EnabledStep| match step {
+            EnabledStep::Interaction(ir) => Some(ir.connector.0 as usize),
+            EnabledStep::Internal { .. } => None,
+        };
         let mut best = 0usize;
         let mut best_age = u64::MAX;
         for (i, opt) in options.iter().enumerate() {
             // Internal steps rank oldest.
-            let age = conn_of(opt).map_or(0, |c| self.last_fired[c as usize]);
+            let age = conn_of(opt).map_or(0, |c| self.last_fired[c]);
             if age < best_age {
                 best_age = age;
                 best = i;
             }
         }
         if let Some(c) = conn_of(&options[best]) {
-            self.last_fired[c as usize] = self.clock;
+            self.last_fired[c] = self.clock;
         }
         best
-    }
-}
-
-impl Policy for RoundRobinPolicy {
-    fn pick(&mut self, sys: &System, _st: &State, options: &[(Step, State)]) -> usize {
-        self.pick_oldest(sys, options, |(step, _)| match step {
-            Step::Interaction { interaction, .. } => Some(interaction.connector.0),
-            Step::Internal { .. } => None,
-        })
-    }
-
-    fn choose(&mut self, sys: &System, _st: &State, options: &[EnabledStep]) -> usize {
-        self.pick_oldest(sys, options, |step| match step {
-            EnabledStep::Interaction(ir) => Some(ir.connector.0),
-            EnabledStep::Internal { .. } => None,
-        })
     }
 
     fn name(&self) -> &str {
@@ -185,21 +142,28 @@ mod tests {
     use super::*;
     use bip_core::{dining_philosophers, ConnId};
 
+    /// Walk `steps` choices of `p` from the initial state over the compiled
+    /// enabled set: each chosen index and the step it named.
+    fn walk(sys: &System, p: &mut impl Policy, steps: usize) -> Vec<(usize, EnabledStep)> {
+        let mut st = sys.initial_state();
+        let mut es = sys.new_enabled_set();
+        let mut opts = Vec::new();
+        let mut picks = Vec::new();
+        for _ in 0..steps {
+            sys.refresh_enabled(&st, &mut es);
+            opts.clear();
+            sys.for_each_enabled(&st, &es, |s| opts.push(s));
+            let i = p.choose(sys, &st, &opts);
+            picks.push((i, opts[i]));
+            sys.fire_enabled(&mut st, &mut es, opts[i], |_, _, _| 0);
+        }
+        picks
+    }
+
     #[test]
     fn random_policy_is_reproducible() {
         let sys = dining_philosophers(3, false).unwrap();
-        let run = |seed| {
-            let mut p = RandomPolicy::new(seed);
-            let mut st = sys.initial_state();
-            let mut picks = Vec::new();
-            for _ in 0..20 {
-                let succ = sys.successors(&st);
-                let i = p.pick(&sys, &st, &succ);
-                picks.push(i);
-                st = succ[i].1.clone();
-            }
-            picks
-        };
+        let run = |seed| walk(&sys, &mut RandomPolicy::new(seed), 20);
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43), "different seeds should diverge");
     }
@@ -207,27 +171,21 @@ mod tests {
     #[test]
     fn first_enabled_is_constant() {
         let sys = dining_philosophers(2, false).unwrap();
-        let st = sys.initial_state();
-        let succ = sys.successors(&st);
         let mut p = FirstEnabled;
-        assert_eq!(p.pick(&sys, &st, &succ), 0);
+        assert!(walk(&sys, &mut p, 10).iter().all(|&(i, _)| i == 0));
         assert_eq!(p.name(), "first-enabled");
     }
 
     #[test]
     fn round_robin_rotates_connectors() {
         let sys = dining_philosophers(3, false).unwrap();
-        let mut p = RoundRobinPolicy::new();
-        let mut st = sys.initial_state();
-        let mut fired = std::collections::HashSet::new();
-        for _ in 0..30 {
-            let succ = sys.successors(&st);
-            let i = p.pick(&sys, &st, &succ);
-            if let Step::Interaction { interaction, .. } = &succ[i].0 {
-                fired.insert(ConnId(interaction.connector.0));
-            }
-            st = succ[i].1.clone();
-        }
+        let fired: std::collections::HashSet<ConnId> = walk(&sys, &mut RoundRobinPolicy::new(), 30)
+            .into_iter()
+            .filter_map(|(_, s)| match s {
+                EnabledStep::Interaction(ir) => Some(ir.connector),
+                EnabledStep::Internal { .. } => None,
+            })
+            .collect();
         assert!(
             fired.len() >= 4,
             "round robin should visit many connectors: {fired:?}"

@@ -108,28 +108,8 @@ impl<P: Policy> SequentialEngine<P> {
 
     /// Execute one step under the policy; `None` on deadlock.
     pub fn step(&mut self) -> Option<Step> {
-        self.sys.refresh_enabled(&self.state, &mut self.es);
-        let scratch = &mut self.ctx.scratch;
-        scratch.clear();
-        self.sys
-            .for_each_enabled(&self.state, &self.es, |s| scratch.push(s));
-        if scratch.is_empty() {
-            return None;
-        }
-        let i = self
-            .ctx
-            .policy
-            .choose(&self.sys, &self.state, scratch)
-            .min(scratch.len() - 1);
-        let chosen = self.ctx.scratch[i];
-        let policy = &mut self.ctx.policy;
-        let step =
-            self.sys
-                .fire_enabled(&mut self.state, &mut self.es, chosen, |sys, comp, cands| {
-                    policy.choose_local(sys, comp, cands)
-                });
-        self.ctx.note_step(&self.sys, &step);
-        Some(step)
+        self.ctx
+            .choose_and_fire(&self.sys, &mut self.state, &mut self.es, |_| true)
     }
 
     /// Execute up to `budget` steps.
@@ -183,24 +163,22 @@ mod tests {
     }
 
     /// Prefers left-fork grabs — drives two-phase philosophers into the
-    /// all-hold-left circular wait. Implements only the legacy `pick`, so it
-    /// also exercises the `choose` → `pick` bridge.
+    /// all-hold-left circular wait.
     struct GreedyLeft;
 
     impl crate::policy::Policy for GreedyLeft {
-        fn pick(
+        fn choose(
             &mut self,
             sys: &bip_core::System,
             _st: &bip_core::State,
-            options: &[(bip_core::Step, bip_core::State)],
+            options: &[bip_core::EnabledStep],
         ) -> usize {
             options
                 .iter()
-                .position(|(s, _)| match s {
-                    bip_core::Step::Interaction { interaction, .. } => sys
-                        .connector(interaction.connector)
-                        .name
-                        .starts_with("takeL"),
+                .position(|s| match s {
+                    bip_core::EnabledStep::Interaction(ir) => {
+                        sys.connector(ir.connector).name.starts_with("takeL")
+                    }
                     _ => false,
                 })
                 .unwrap_or(0)

@@ -22,15 +22,14 @@
 //! against [`bip_core::System::successors`] (see tests).
 //!
 //! [`ThreadedEngine`] keeps the component threads alive across calls and
-//! implements the unified [`Engine`] trait; [`run_threaded`] is the legacy
-//! one-shot wrapper.
+//! implements the unified [`Engine`] trait.
 
 use std::thread;
 
 use bip_core::{EnabledSet, State, StatePred, Step, System, TransitionId, Value};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
-use crate::engine::{Engine, ExecContext, RunReport, StopReason};
+use crate::engine::{Engine, ExecContext, RunReport};
 use crate::policy::{Policy, RandomPolicy};
 use crate::run_loop;
 use crate::trace::Trace;
@@ -55,19 +54,6 @@ enum Command {
     Hold,
     /// Terminate the thread.
     Stop,
-}
-
-/// Summary of a threaded run (legacy shape kept for [`run_threaded`]).
-#[derive(Debug, Clone)]
-pub struct ThreadedReport {
-    /// Interactions executed.
-    pub steps: usize,
-    /// `true` if the run ended in a global deadlock.
-    pub deadlocked: bool,
-    /// The observable word of the run (connector names, in order).
-    pub word: Vec<String>,
-    /// The final global state (reassembled from component reports).
-    pub final_state: State,
 }
 
 /// One thread per atomic component plus the engine, kept alive across
@@ -192,31 +178,18 @@ impl<P: Policy> ThreadedEngine<P> {
             return None;
         }
         self.gather_reports();
-        self.sys.refresh_enabled(&self.state, &mut self.es);
-        let scratch = &mut self.ctx.scratch;
-        scratch.clear();
-        self.sys
-            .for_each_enabled(&self.state, &self.es, |s| scratch.push(s));
-        if scratch.is_empty() {
+        // Fire on the engine's copy first: this resolves local
+        // nondeterminism and computes the post-transfer store. The
+        // pre-state is kept to isolate the transfer's writes below.
+        let pre = self.state.clone();
+        let Some(step) = self
+            .ctx
+            .choose_and_fire(&self.sys, &mut self.state, &mut self.es, |_| true)
+        else {
             // Components stay parked on `recv` until shutdown.
             self.dead = true;
             return None;
-        }
-        let i = self
-            .ctx
-            .policy
-            .choose(&self.sys, &self.state, scratch)
-            .min(scratch.len() - 1);
-        let chosen = self.ctx.scratch[i];
-        // Fire on the engine's copy first: this resolves local
-        // nondeterminism and computes the post-transfer store.
-        let pre = self.state.clone();
-        let policy = &mut self.ctx.policy;
-        let step =
-            self.sys
-                .fire_enabled(&mut self.state, &mut self.es, chosen, |sys, comp, cands| {
-                    policy.choose_local(sys, comp, cands)
-                });
+        };
         // Dispatch: participants get their transition plus the variable
         // writes the data transfer produced; everyone else holds.
         let n = self.sys.num_components();
@@ -276,7 +249,6 @@ impl<P: Policy> ThreadedEngine<P> {
                 .expect("component thread alive");
         }
         self.writes_scratch = cmd;
-        self.ctx.note_step(&self.sys, &step);
         Some(step)
     }
 
@@ -293,16 +265,6 @@ impl<P: Policy> ThreadedEngine<P> {
     /// The engine's view of the global state.
     pub fn state(&self) -> &State {
         &self.state
-    }
-
-    /// Legacy-shaped summary of the whole execution so far.
-    pub fn threaded_report(&self) -> ThreadedReport {
-        ThreadedReport {
-            steps: self.ctx.steps_total(),
-            deadlocked: self.dead,
-            word: self.ctx.trace.observable_word(),
-            final_state: self.state.clone(),
-        }
     }
 
     fn shutdown(&mut self) {
@@ -343,31 +305,22 @@ impl<P: Policy> Engine for ThreadedEngine<P> {
     }
 }
 
-/// Run `sys` for up to `budget` interactions on one thread per component
-/// plus an engine thread; `seed` drives the engine's random choices.
-/// Compatibility wrapper over [`ThreadedEngine`].
-pub fn run_threaded(sys: &System, budget: usize, seed: u64) -> ThreadedReport {
-    let mut engine = ThreadedEngine::new(sys.clone(), RandomPolicy::new(seed));
-    let report = engine.run(budget);
-    let mut out = engine.threaded_report();
-    out.steps = report.steps;
-    out.deadlocked = report.stop == StopReason::Deadlock;
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::StopReason;
     use bip_core::dining_philosophers;
     use bip_core::{AtomBuilder, ConnectorBuilder, Expr, SystemBuilder};
 
     #[test]
     fn threaded_run_completes_budget() {
         let sys = dining_philosophers(3, false).unwrap();
-        let r = run_threaded(&sys, 200, 11);
+        let mut e = ThreadedEngine::new(sys, RandomPolicy::new(11));
+        let r = e.run(200);
         assert_eq!(r.steps, 200);
-        assert!(!r.deadlocked);
-        assert_eq!(r.word.len(), 200);
+        assert_eq!(r.stop, StopReason::BudgetExhausted);
+        assert!(!e.deadlocked());
+        assert_eq!(e.trace().observable_word().len(), 200);
     }
 
     #[test]
@@ -375,9 +328,10 @@ mod tests {
         // Replaying the threaded engine's word in the sequential semantics
         // must be possible (schedule validity).
         let sys = dining_philosophers(3, false).unwrap();
-        let r = run_threaded(&sys, 50, 23);
+        let mut e = ThreadedEngine::new(sys.clone(), RandomPolicy::new(23));
+        e.run(50);
         let mut st = sys.initial_state();
-        for label in &r.word {
+        for label in &e.trace().observable_word() {
             let succ = sys.successors(&st);
             let found = succ
                 .iter()
@@ -403,9 +357,11 @@ mod tests {
         let y = sb.add_instance("y", &once);
         sb.add_connector(ConnectorBuilder::rendezvous("h", [(x, "go"), (y, "go")]));
         let sys = sb.build().unwrap();
-        let r = run_threaded(&sys, 100, 0);
+        let mut e = ThreadedEngine::new(sys, RandomPolicy::new(0));
+        let r = e.run(100);
         assert_eq!(r.steps, 1);
-        assert!(r.deadlocked);
+        assert_eq!(r.stop, StopReason::Deadlock);
+        assert!(e.deadlocked());
     }
 
     #[test]
@@ -446,11 +402,11 @@ mod tests {
             ),
         );
         let sys = sb.build().unwrap();
-        let r = run_threaded(&sys, 10, 0);
-        assert_eq!(r.steps, 1);
+        let mut e = ThreadedEngine::new(sys.clone(), RandomPolicy::new(0));
+        assert_eq!(e.run(10).steps, 1);
         // y received 9 via transfer; z = y+1 computed *after* transfer.
-        assert_eq!(sys.var_value(&r.final_state, d, 0), 9);
-        assert_eq!(sys.var_value(&r.final_state, d, 1), 10);
+        assert_eq!(sys.var_value(e.state(), d, 0), 9);
+        assert_eq!(sys.var_value(e.state(), d, 1), 10);
     }
 
     #[test]

@@ -2,23 +2,22 @@
 //! [`TimedExecution`].
 //!
 //! [`RtEngine`] is the third interchangeable backend of the execution API
-//! (§5.6's single-thread real-time engine): steps are chosen by the shared
-//! [`ExecContext`]'s policy among the *fireable* steps (enabled ∧ all
-//! participants idle), time advances automatically when nothing is
-//! fireable, and monitors/trace behave exactly as in the sequential and
-//! threaded engines.
+//! (§5.6's single-thread real-time engine) and the only timed runner: steps
+//! are chosen by the shared [`ExecContext::choose_and_fire`] among the
+//! *fireable* steps (enabled ∧ all participants idle), time advances
+//! automatically when nothing is fireable, and monitors/trace behave
+//! exactly as in the sequential and threaded engines.
 
 use bip_core::{State, StatePred, Step, System};
 use bip_engine::{Engine, ExecContext, Policy, RunReport};
 
-use crate::timedsys::{DurationMap, TimedExecution};
+use crate::timedsys::{all_idle, DurationMap, TimedExecution};
 
 /// Real-time execution engine over a duration assignment φ.
 #[derive(Debug)]
 pub struct RtEngine<'a, P: Policy> {
     exec: TimedExecution<'a>,
     ctx: ExecContext<P>,
-    opts: Vec<(Step, State)>,
 }
 
 impl<'a, P: Policy> RtEngine<'a, P> {
@@ -27,7 +26,6 @@ impl<'a, P: Policy> RtEngine<'a, P> {
         RtEngine {
             exec: TimedExecution::new(sys, phi),
             ctx: ExecContext::new(policy),
-            opts: Vec::new(),
         }
     }
 
@@ -61,23 +59,20 @@ impl<'a, P: Policy> RtEngine<'a, P> {
     /// ever fire again (timed deadlock).
     pub fn step(&mut self) -> Option<Step> {
         loop {
-            self.exec.fireable_into(&mut self.opts);
-            if self.opts.is_empty() {
-                if !self.exec.advance() {
-                    return None;
-                }
-                continue;
-            }
-            let sys = self.exec.system();
-            let i = self
+            let ex = &mut self.exec;
+            let (sys, busy_until, now) = (ex.sys, &ex.busy_until, ex.now);
+            let fired = self
                 .ctx
-                .policy
-                .pick(sys, self.exec.state(), &self.opts)
-                .min(self.opts.len() - 1);
-            let (step, next) = self.opts.swap_remove(i);
-            self.exec.fire(&step, next);
-            self.ctx.note_step(self.exec.system(), &step);
-            return Some(step);
+                .choose_and_fire(sys, &mut ex.state, &mut ex.es, |s| {
+                    all_idle(sys, busy_until, now, s)
+                });
+            if let Some(step) = fired {
+                ex.occupy(&step);
+                return Some(step);
+            }
+            if !ex.advance() {
+                return None;
+            }
         }
     }
 
@@ -133,8 +128,11 @@ mod tests {
         let mut e = RtEngine::new(&sys, DurationMap::ideal(), RandomPolicy::new(3));
         let r = e.run(100);
         assert_eq!(r.steps, 100);
-        assert_eq!(e.now(), 0, "φ = 0: no time passes");
+        assert_eq!(e.now(), 0, "φ = 0: infinite performance, no time passes");
         assert_eq!(e.report().steps, 100);
+        let mut first = RtEngine::new(&sys, DurationMap::ideal(), FirstEnabled);
+        assert_eq!(first.run(50).steps, 50);
+        assert_eq!(first.now(), 0);
     }
 
     #[test]

@@ -43,4 +43,4 @@ pub use delay::{reference_delay, DelayAutomaton, Edge};
 pub use sched::{
     edf_schedulable, rta_fixed_priority, simulate, utilization, SimOutcome, SimPolicy, Task,
 };
-pub use timedsys::{sampled_safety_check, DurationMap, TimedExecution, TimedReport};
+pub use timedsys::{sampled_safety_check, DurationMap, TimedExecution};

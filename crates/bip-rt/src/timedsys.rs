@@ -9,7 +9,10 @@
 
 use std::collections::HashMap;
 
-use bip_core::{ConnId, EnabledSet, State, Step, System};
+use bip_core::{CompId, ConnId, EnabledSet, EnabledStep, State, Step, System, TransitionId};
+use bip_engine::RandomPolicy;
+
+use crate::engine::RtEngine;
 
 /// Duration assignment φ: connector → execution time in ticks.
 ///
@@ -57,40 +60,34 @@ impl DurationMap {
     }
 }
 
-/// Result of a timed run.
-#[derive(Debug, Clone)]
-pub struct TimedReport {
-    /// `(time, label)` for every observable interaction fired.
-    pub timed_word: Vec<(u64, String)>,
-    /// Total interactions fired (observable or not).
-    pub fired: usize,
-    /// Final time.
-    pub end_time: u64,
-    /// `true` if the run stopped because nothing could ever fire again.
-    pub deadlocked: bool,
-}
-
-impl TimedReport {
-    /// The untimed observable word.
-    pub fn word(&self) -> Vec<String> {
-        self.timed_word.iter().map(|(_, l)| l.clone()).collect()
-    }
-}
-
-/// A timed executor over a BIP system.
+/// The timed state of an execution over a BIP system: the untimed state,
+/// the current time, and each component's busy window. [`crate::RtEngine`]
+/// runs it under a policy.
 ///
 /// Internally maintains an incremental [`EnabledSet`]: after a fire, only
 /// connectors watching the participants that moved are re-evaluated when
 /// the next fireable set is computed.
 #[derive(Debug)]
 pub struct TimedExecution<'a> {
-    sys: &'a System,
+    pub(crate) sys: &'a System,
     phi: DurationMap,
-    state: State,
-    now: u64,
-    busy_until: Vec<u64>,
-    es: EnabledSet,
-    succ_scratch: Vec<(Step, State)>,
+    pub(crate) state: State,
+    pub(crate) now: u64,
+    pub(crate) busy_until: Vec<u64>,
+    pub(crate) es: EnabledSet,
+}
+
+/// `true` if every participant of `step` is idle at `now`: the real-time
+/// engine's admissibility test.
+pub(crate) fn all_idle(sys: &System, busy_until: &[u64], now: u64, step: EnabledStep) -> bool {
+    match step {
+        EnabledStep::Interaction(ir) => {
+            let ports = &sys.connector(ir.connector).ports;
+            ir.endpoints(ports.len())
+                .all(|i| busy_until[ports[i].component] <= now)
+        }
+        EnabledStep::Internal { component, .. } => busy_until[component] <= now,
+    }
 }
 
 impl<'a> TimedExecution<'a> {
@@ -103,7 +100,6 @@ impl<'a> TimedExecution<'a> {
             now: 0,
             busy_until: vec![0; sys.num_components()],
             es: sys.new_enabled_set(),
-            succ_scratch: Vec::new(),
         }
     }
 
@@ -122,53 +118,47 @@ impl<'a> TimedExecution<'a> {
         &self.state
     }
 
-    /// Steps currently fireable, written into `out`: enabled interactions
-    /// whose participants are all idle (internal steps need their component
-    /// idle). Buffer-reusing; the incremental enabled set re-evaluates only
-    /// connectors dirtied by the last fire.
-    pub fn fireable_into(&mut self, out: &mut Vec<(Step, State)>) {
-        let scratch = &mut self.succ_scratch;
-        self.sys.successors_into(&self.state, &mut self.es, scratch);
+    /// Steps currently fireable, written into `out`: enabled steps whose
+    /// participants are all idle. Buffer-reusing; the incremental enabled
+    /// set re-evaluates only connectors dirtied by the last fire.
+    pub fn fireable_into(&mut self, out: &mut Vec<EnabledStep>) {
         out.clear();
-        out.extend(scratch.drain(..).filter(|(step, _)| match step {
-            Step::Interaction { interaction, .. } => {
-                let eps = &self.sys.connector_endpoints(interaction.connector);
-                interaction
-                    .endpoints
-                    .iter()
-                    .all(|&i| self.busy_until[eps[i].0] <= self.now)
+        self.sys.refresh_enabled(&self.state, &mut self.es);
+        let (sys, busy_until, now) = (self.sys, &self.busy_until, self.now);
+        sys.for_each_enabled(&self.state, &self.es, |s| {
+            if all_idle(sys, busy_until, now, s) {
+                out.push(s);
             }
-            Step::Internal { component, .. } => self.busy_until[*component] <= self.now,
-        }));
+        });
     }
 
-    /// Steps currently fireable (allocating compatibility form of
-    /// [`TimedExecution::fireable_into`]).
-    pub fn fireable(&mut self) -> Vec<(Step, State)> {
-        let mut out = Vec::new();
-        self.fireable_into(&mut out);
-        out
+    /// Fire a fireable step (as returned by
+    /// [`TimedExecution::fireable_into`]), resolving local nondeterminism
+    /// with `choose_local`, and occupy its participants for φ.
+    pub fn fire<F>(&mut self, step: EnabledStep, choose_local: F) -> Step
+    where
+        F: FnMut(&System, CompId, &[TransitionId]) -> usize,
+    {
+        let fired = self
+            .sys
+            .fire_enabled(&mut self.state, &mut self.es, step, choose_local);
+        self.occupy(&fired);
+        fired
     }
 
-    /// Fire a chosen step (as returned by [`TimedExecution::fireable_into`]),
-    /// occupying its participants for φ.
-    pub fn fire(&mut self, step: &Step, next: State) {
-        match step {
-            Step::Interaction { interaction, .. } => {
-                let d = self.phi.get(interaction.connector);
-                let eps = self.sys.connector_endpoints(interaction.connector);
-                for &i in &interaction.endpoints {
-                    self.busy_until[eps[i].0] = self.now + d;
-                }
-                for &i in &interaction.endpoints {
-                    self.es.invalidate_component(self.sys, eps[i].0);
-                }
-            }
-            Step::Internal { component, .. } => {
-                self.es.invalidate_component(self.sys, *component);
+    /// Occupy the participants of a just-fired interaction for φ of its
+    /// connector (internal steps take no time).
+    pub(crate) fn occupy(&mut self, fired: &Step) {
+        if let Step::Interaction {
+            interaction,
+            transitions,
+        } = fired
+        {
+            let d = self.phi.get(interaction.connector);
+            for &(comp, _) in transitions {
+                self.busy_until[comp] = self.now + d;
             }
         }
-        self.state = next;
     }
 
     /// Advance time to the next instant at which some component becomes
@@ -189,59 +179,20 @@ impl<'a> TimedExecution<'a> {
             None => false,
         }
     }
-
-    /// Run with a pick function until `horizon` time or deadlock; greedy:
-    /// fires whenever something is fireable, else advances time.
-    pub fn run<F>(&mut self, horizon: u64, max_steps: usize, mut pick: F) -> TimedReport
-    where
-        F: FnMut(&[(Step, State)]) -> usize,
-    {
-        let mut timed_word = Vec::new();
-        let mut fired = 0usize;
-        let mut deadlocked = false;
-        let mut opts = Vec::new();
-        while self.now <= horizon && fired < max_steps {
-            self.fireable_into(&mut opts);
-            if opts.is_empty() {
-                if !self.advance() {
-                    // Nothing busy and nothing fireable: true deadlock.
-                    self.fireable_into(&mut opts);
-                    deadlocked = opts.is_empty();
-                    break;
-                }
-                continue;
-            }
-            let i = pick(&opts).min(opts.len() - 1);
-            let (step, next) = opts.swap_remove(i);
-            if let Some(l) = self.sys.step_label(&step) {
-                timed_word.push((self.now, l.to_string()));
-            }
-            self.fire(&step, next);
-            fired += 1;
-        }
-        TimedReport {
-            timed_word,
-            fired,
-            end_time: self.now,
-            deadlocked,
-        }
-    }
 }
 
 /// Check that every observable word of the physical model (bounded run set
 /// explored breadth-first over pick choices is expensive; here: a sampled
-/// set of seeded greedy runs) also occurs as a word of the ideal model —
-/// the "safe implementation" condition of §5.2.2 in its testable form.
+/// set of seeded runs of [`RtEngine`] under [`RandomPolicy`]) also occurs
+/// as a word of the ideal model — the "safe implementation" condition of
+/// §5.2.2 in its testable form.
 pub fn sampled_safety_check(sys: &System, phi: &DurationMap, runs: u64, steps: usize) -> bool {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
     for seed in 0..runs {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut phys = TimedExecution::new(sys, phi.clone());
-        let report = phys.run(u64::MAX, steps, |opts| rng.gen_range(0..opts.len()));
+        let mut phys = RtEngine::new(sys, phi.clone(), RandomPolicy::new(seed));
+        phys.run(steps);
         // The word must be replayable in the ideal (untimed) semantics.
         let mut st = sys.initial_state();
-        for (_, label) in &report.timed_word {
+        for label in phys.context().trace.observable_word() {
             let succ = sys.successors(&st);
             match succ
                 .iter()
@@ -261,27 +212,18 @@ mod tests {
     use bip_core::dining_philosophers;
 
     #[test]
-    fn ideal_model_runs_at_time_zero() {
-        let sys = dining_philosophers(3, false).unwrap();
-        let mut ex = TimedExecution::new(&sys, DurationMap::ideal());
-        let r = ex.run(1000, 50, |_| 0);
-        assert_eq!(r.end_time, 0, "φ = 0: infinite performance, no time passes");
-        assert_eq!(r.fired, 50);
-    }
-
-    #[test]
     fn durations_serialize_conflicting_interactions() {
         let sys = dining_philosophers(2, false).unwrap();
         let phi = DurationMap::from_names(
             &sys,
             &[("eat0", 10), ("eat1", 10), ("rel0", 1), ("rel1", 1)],
         );
-        let mut ex = TimedExecution::new(&sys, phi);
-        let r = ex.run(100, 1000, |_| 0);
-        // Forks are shared: the two philosophers alternate; each eat+rel
-        // cycle takes 11 ticks.
-        assert!(r.end_time >= 11 * (r.fired as u64 / 2).saturating_sub(1) / 2);
-        assert!(r.fired > 4);
+        let mut e = RtEngine::new(&sys, phi, bip_engine::FirstEnabled);
+        let r = e.run(20);
+        assert_eq!(r.steps, 20);
+        // Forks are shared: eating is serialized, and each eat+rel cycle
+        // takes 11 ticks.
+        assert!(e.now() >= 11 * (r.steps as u64 / 2 - 1));
     }
 
     #[test]
@@ -316,21 +258,22 @@ mod tests {
         let sys = dining_philosophers(2, false).unwrap();
         let phi = DurationMap::from_names(&sys, &[("eat0", 100)]);
         let mut ex = TimedExecution::new(&sys, phi);
+        let mut opts = Vec::new();
         // Fire eat0 (both forks + phil0 busy for 100).
-        let opts = ex.fireable();
+        ex.fireable_into(&mut opts);
         let eat0 = opts
             .iter()
-            .position(|(s, _)| sys.step_label(s) == Some("eat0"))
+            .find(|s| matches!(s, EnabledStep::Interaction(ir) if sys.connector(ir.connector).name == "eat0"))
+            .copied()
             .unwrap();
-        let (step, next) = opts[eat0].clone();
-        ex.fire(&step, next);
+        let fired = ex.fire(eat0, |_, _, _| 0);
+        assert_eq!(sys.step_label(&fired), Some("eat0"));
         // phil1 needs both forks, which are busy: nothing fireable now.
-        assert!(ex.fireable().is_empty());
+        ex.fireable_into(&mut opts);
+        assert!(opts.is_empty());
         assert!(ex.advance());
         assert_eq!(ex.now(), 100);
-        assert!(
-            !ex.fireable().is_empty(),
-            "after the busy window, rel0 can fire"
-        );
+        ex.fireable_into(&mut opts);
+        assert!(!opts.is_empty(), "after the busy window, rel0 can fire");
     }
 }

@@ -24,7 +24,7 @@
 use std::collections::{BTreeSet, VecDeque};
 use std::time::{Duration, Instant};
 
-use bip_core::{FxHashMap, FxHashSet, PackedState, StateCodec, System};
+use bip_core::{FxHashMap, FxHashSet, PackedState, StateCodec, SuccStep, System};
 
 use crate::control::{Budget, CancelToken, StopReason};
 
@@ -105,7 +105,7 @@ where
         let mut stop = StopReason::Completed;
         let mut st = sys.initial_state();
         let mut es = sys.new_enabled_set();
-        let mut succ = Vec::new();
+        let mut scratch = sys.new_succ_scratch();
         let pinit = match codec.try_encode(&st) {
             Ok(p) => p,
             Err(r) => {
@@ -132,16 +132,20 @@ where
             let src = index[&packed];
             codec.decode_into(&packed, &mut st);
             es.invalidate_all();
-            sys.successors_into(&st, &mut es, &mut succ);
-            if succ.is_empty() {
-                has_deadlock = true;
-            }
-            for (step, next) in succ.drain(..) {
-                let pnext = match codec.try_encode(&next) {
+            let mut any = false;
+            // A successor overflowing the codec's widths: widen and
+            // restart once the enumeration returns.
+            let mut overflow = None;
+            sys.for_each_successor(&st, &mut es, &mut scratch, |step, next| {
+                any = true;
+                if overflow.is_some() {
+                    return;
+                }
+                let pnext = match codec.try_encode(next) {
                     Ok(p) => p,
                     Err(r) => {
-                        codec = codec.widen(sys, r);
-                        continue 'retry;
+                        overflow = Some(r);
+                        return;
                     }
                 };
                 let dst = match index.get(&pnext) {
@@ -149,7 +153,7 @@ where
                     None => {
                         if index.len() >= max_states {
                             complete = false;
-                            continue;
+                            return;
                         }
                         let d = index.len();
                         index.insert(pnext.clone(), d);
@@ -159,10 +163,24 @@ where
                         d
                     }
                 };
-                match sys.step_label(&step).and_then(&rename) {
+                let label = match step {
+                    SuccStep::Interaction { iref, .. } => {
+                        let c = sys.connector(iref.connector);
+                        c.observable.then_some(c.name.as_str()).and_then(rename)
+                    }
+                    SuccStep::Internal { .. } => None,
+                };
+                match label {
                     Some(label) => obs[src].push((label, dst)),
                     None => tau[src].push(dst),
                 }
+            });
+            if let Some(r) = overflow {
+                codec = codec.widen(sys, r);
+                continue 'retry;
+            }
+            if !any {
+                has_deadlock = true;
             }
         }
         return ObsLts {
@@ -596,5 +614,45 @@ mod tests {
             10_000,
         );
         assert!(!r.trace_included, "trace 'a a' must be rejected");
+    }
+
+    /// An unbounded counter interns one value per state, so past
+    /// 2^`INTERN_START_BITS` states it overflows the adaptive codec's
+    /// first index width mid-extraction: the restart after widening must
+    /// still build the plain chain, edge for edge.
+    #[test]
+    fn widening_restart_rebuilds_the_same_lts() {
+        let sys = bip_core::parse_system(
+            "atom C {\n port tick\n var x = 0\n location l init\n \
+             on tick from l to l do x := x + 1\n}\n\
+             system {\n instance c : C\n connector tick = c.tick\n}\n",
+        )
+        .unwrap();
+        let n = (1 << bip_core::codec::INTERN_START_BITS) + 100;
+        let codec = StateCodec::adaptive(&sys);
+        let mut st = sys.initial_state();
+        let widens = (0..n as i64).any(|v| {
+            sys.set_var(&mut st, 0, 0, v);
+            codec.try_encode(&st).is_err()
+        });
+        assert!(widens, "the chain must force a widening");
+        let lts = obs_lts(
+            &sys,
+            &|l: &str| Some(l.to_string()),
+            n,
+            &Budget::unlimited(),
+            &CancelToken::new(),
+        );
+        assert_eq!(lts.obs.len(), n);
+        assert!(!lts.complete && !lts.has_deadlock);
+        for (s, edges) in lts.obs.iter().enumerate() {
+            let want = if s + 1 < n {
+                vec![("tick".to_string(), s + 1)]
+            } else {
+                Vec::new()
+            };
+            assert_eq!(edges, &want, "state {s}");
+        }
+        assert!(lts.tau.iter().all(Vec::is_empty));
     }
 }

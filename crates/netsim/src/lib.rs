@@ -215,13 +215,58 @@ impl<M> Ord for Event<M> {
     }
 }
 
-/// Validate a probability, panicking with a uniform message otherwise.
-fn check_rate(rate: f64, what: &str) -> f64 {
-    assert!(
-        (0.0..=1.0).contains(&rate),
-        "{what} must be a probability in [0.0, 1.0], got {rate}"
-    );
-    rate
+/// Why [`Network::set_faults`] rejected a [`FaultPlan`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FaultPlanError {
+    /// A rate is not a probability in `[0.0, 1.0]` (NaN included).
+    BadRate {
+        /// Which rate (e.g. `"FaultPlan drop rate"`).
+        what: &'static str,
+        /// The offending value.
+        rate: f64,
+    },
+    /// A node index is not below the network's node count.
+    NodeOutOfRange {
+        /// Where the index appears (e.g. `"CrashEvent node"`).
+        what: &'static str,
+        /// The offending index.
+        node: usize,
+        /// The network's node count.
+        nodes: usize,
+    },
+}
+
+impl std::fmt::Display for FaultPlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FaultPlanError::BadRate { what, rate } => {
+                write!(f, "{what} must be a probability in [0.0, 1.0], got {rate}")
+            }
+            FaultPlanError::NodeOutOfRange { what, node, nodes } => {
+                write!(f, "{what} {node} out of range for {nodes} nodes")
+            }
+        }
+    }
+}
+
+impl std::error::Error for FaultPlanError {}
+
+/// `Ok` if `rate` is a probability (NaN fails the range test).
+fn check_rate(rate: f64, what: &'static str) -> Result<(), FaultPlanError> {
+    if (0.0..=1.0).contains(&rate) {
+        Ok(())
+    } else {
+        Err(FaultPlanError::BadRate { what, rate })
+    }
+}
+
+/// `Ok` if `node` indexes one of `nodes` nodes.
+fn check_node(node: usize, nodes: usize, what: &'static str) -> Result<(), FaultPlanError> {
+    if node < nodes {
+        Ok(())
+    } else {
+        Err(FaultPlanError::NodeOutOfRange { what, node, nodes })
+    }
 }
 
 /// One adversity window on a directed link: while `from <= now < until`
@@ -268,10 +313,10 @@ impl LinkFault {
         }
     }
 
-    /// Set the drop probability. Panics outside `[0.0, 1.0]`.
+    /// Set the drop probability (checked by [`Network::set_faults`]).
     #[must_use]
     pub fn drop(mut self, rate: f64) -> LinkFault {
-        self.drop_rate = check_rate(rate, "LinkFault drop rate");
+        self.drop_rate = rate;
         self
     }
 
@@ -282,17 +327,17 @@ impl LinkFault {
         self
     }
 
-    /// Set the duplication probability. Panics outside `[0.0, 1.0]`.
+    /// Set the duplication probability (checked by [`Network::set_faults`]).
     #[must_use]
     pub fn duplicate(mut self, rate: f64) -> LinkFault {
-        self.duplicate_rate = check_rate(rate, "LinkFault duplicate rate");
+        self.duplicate_rate = rate;
         self
     }
 
-    /// Set the reorder probability. Panics outside `[0.0, 1.0]`.
+    /// Set the reorder probability (checked by [`Network::set_faults`]).
     #[must_use]
     pub fn reorder(mut self, rate: f64) -> LinkFault {
-        self.reorder_rate = check_rate(rate, "LinkFault reorder rate");
+        self.reorder_rate = rate;
         self
     }
 
@@ -362,18 +407,11 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Uniform message loss.
-    ///
-    /// # Contract
-    ///
-    /// `drop_rate` must be a probability: **panics** unless
-    /// `0.0 <= drop_rate <= 1.0` (NaN fails the comparison and panics
-    /// too). Out-of-range rates used to be accepted silently and then
-    /// crashed deep inside the RNG at send time; the contract is now
-    /// checked at construction.
+    /// Uniform message loss. `drop_rate` must be a probability in
+    /// `[0.0, 1.0]`; [`Network::set_faults`] rejects the plan otherwise.
     pub fn lossy(drop_rate: f64) -> FaultPlan {
         FaultPlan {
-            drop_rate: check_rate(drop_rate, "FaultPlan drop rate"),
+            drop_rate,
             ..FaultPlan::default()
         }
     }
@@ -426,28 +464,30 @@ impl FaultPlan {
         self
     }
 
-    /// Panic unless every rate is a probability and every node index is
+    /// Check that every rate is a probability and every node index is
     /// below `n`. Called by [`Network::set_faults`].
-    fn validate(&self, n: usize) {
-        check_rate(self.drop_rate, "FaultPlan drop rate");
+    fn validate(&self, n: usize) -> Result<(), FaultPlanError> {
+        check_rate(self.drop_rate, "FaultPlan drop rate")?;
         for &(src, dst) in &self.severed {
-            assert!(src < n && dst < n, "severed link endpoint out of range");
+            check_node(src, n, "severed link endpoint")?;
+            check_node(dst, n, "severed link endpoint")?;
         }
         for l in &self.links {
-            check_rate(l.drop_rate, "LinkFault drop rate");
-            check_rate(l.duplicate_rate, "LinkFault duplicate rate");
-            check_rate(l.reorder_rate, "LinkFault reorder rate");
-            assert!(l.src < n && l.dst < n, "LinkFault endpoint out of range");
+            check_rate(l.drop_rate, "LinkFault drop rate")?;
+            check_rate(l.duplicate_rate, "LinkFault duplicate rate")?;
+            check_rate(l.reorder_rate, "LinkFault reorder rate")?;
+            check_node(l.src, n, "LinkFault endpoint")?;
+            check_node(l.dst, n, "LinkFault endpoint")?;
         }
         for p in &self.partitions {
-            assert!(
-                p.island.iter().all(|&x| x < n),
-                "Partition node out of range"
-            );
+            for &x in &p.island {
+                check_node(x, n, "Partition node")?;
+            }
         }
         for c in &self.crashes {
-            assert!(c.node < n, "CrashEvent node out of range");
+            check_node(c.node, n, "CrashEvent node")?;
         }
+        Ok(())
     }
 }
 
@@ -506,11 +546,12 @@ impl<M: Clone, P: Process<M>> Network<M, P> {
     /// Loss/partition/link windows take effect immediately (they are
     /// consulted at send time); crash/restart schedules are enqueued when
     /// the simulation starts, so install the plan **before** the first
-    /// step. Panics if the plan is malformed (rate outside `[0, 1]`, node
-    /// index out of range).
-    pub fn set_faults(&mut self, plan: FaultPlan) {
-        plan.validate(self.n);
+    /// step. A malformed plan (a rate outside `[0, 1]`, a node index out of
+    /// range) is rejected and the installed plan is kept.
+    pub fn set_faults(&mut self, plan: FaultPlan) -> Result<(), FaultPlanError> {
+        plan.validate(self.n)?;
         self.faults = plan;
+        Ok(())
     }
 
     /// Whether `node` is currently crashed.
@@ -940,7 +981,7 @@ mod tests {
     fn fault_injection_drops_messages() {
         let procs: Vec<Pinger> = (0..4).map(|_| Pinger { n: 4, received: 0 }).collect();
         let mut net = Network::with_seed(procs, Latency::Fixed(1), 3);
-        net.set_faults(FaultPlan::lossy(1.0));
+        net.set_faults(FaultPlan::lossy(1.0)).unwrap();
         net.run_until_quiet(1000);
         assert_eq!(net.stats().messages_delivered, 0);
         assert_eq!(net.stats().messages_dropped, net.stats().messages_sent);
@@ -950,7 +991,7 @@ mod tests {
     fn severed_link_is_one_directional() {
         let procs: Vec<Pinger> = (0..2).map(|_| Pinger { n: 2, received: 0 }).collect();
         let mut net = Network::with_seed(procs, Latency::Fixed(1), 3);
-        net.set_faults(FaultPlan::none().sever(1, 0));
+        net.set_faults(FaultPlan::none().sever(1, 0)).unwrap();
         net.run_until_quiet(1000);
         // Ping 0→1 arrives; pong 1→0 is cut.
         assert_eq!(net.process(1).received, 1);
@@ -963,7 +1004,7 @@ mod tests {
         let run = |seed| {
             let procs: Vec<Pinger> = (0..6).map(|_| Pinger { n: 6, received: 0 }).collect();
             let mut net = Network::with_seed(procs, Latency::Fixed(1), seed);
-            net.set_faults(FaultPlan::lossy(0.5));
+            net.set_faults(FaultPlan::lossy(0.5)).unwrap();
             net.run_until_quiet(1000);
             (net.stats().messages_delivered, net.stats().messages_dropped)
         };
@@ -975,37 +1016,66 @@ mod tests {
         );
     }
 
+    /// A two-node network to install plans on.
+    fn pair() -> Network<i64, Relay> {
+        Network::new(vec![Relay::default(), Relay::default()], Latency::Fixed(1))
+    }
+
     #[test]
     fn lossy_accepts_the_boundaries() {
         // The contract: exactly [0.0, 1.0] is accepted.
-        assert_eq!(FaultPlan::lossy(0.0).drop_rate, 0.0);
-        assert_eq!(FaultPlan::lossy(1.0).drop_rate, 1.0);
-        assert_eq!(FaultPlan::lossy(0.5).drop_rate, 0.5);
+        for rate in [0.0, 0.5, 1.0] {
+            assert_eq!(pair().set_faults(FaultPlan::lossy(rate)), Ok(()));
+        }
     }
 
     #[test]
-    #[should_panic(expected = "must be a probability")]
     fn lossy_rejects_rates_above_one() {
-        let _ = FaultPlan::lossy(1.0001);
+        let err = pair().set_faults(FaultPlan::lossy(1.0001)).unwrap_err();
+        assert_eq!(
+            err,
+            FaultPlanError::BadRate {
+                what: "FaultPlan drop rate",
+                rate: 1.0001
+            }
+        );
+        assert!(err.to_string().contains("must be a probability"));
     }
 
     #[test]
-    #[should_panic(expected = "must be a probability")]
     fn lossy_rejects_negative_rates() {
-        let _ = FaultPlan::lossy(-0.1);
+        let err = pair().set_faults(FaultPlan::lossy(-0.1)).unwrap_err();
+        assert!(matches!(err, FaultPlanError::BadRate { rate, .. } if rate == -0.1));
     }
 
     #[test]
-    #[should_panic(expected = "must be a probability")]
     fn lossy_rejects_nan() {
-        let _ = FaultPlan::lossy(f64::NAN);
+        let err = pair().set_faults(FaultPlan::lossy(f64::NAN)).unwrap_err();
+        assert!(matches!(err, FaultPlanError::BadRate { rate, .. } if rate.is_nan()));
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
     fn set_faults_validates_node_indices() {
-        let mut net = Network::new(vec![Relay::default(), Relay::default()], Latency::Fixed(1));
-        net.set_faults(FaultPlan::none().crash(7, 10));
+        let mut net = pair();
+        for (plan, what, node) in [
+            (FaultPlan::none().crash(7, 10), "CrashEvent node", 7),
+            (FaultPlan::none().sever(0, 2), "severed link endpoint", 2),
+            (
+                FaultPlan::none().partition(vec![1, 5], 0, 9),
+                "Partition node",
+                5,
+            ),
+        ] {
+            let nodes = 2;
+            let err = FaultPlanError::NodeOutOfRange { what, node, nodes };
+            assert_eq!(net.set_faults(plan), Err(err));
+            assert!(err.to_string().contains("out of range"));
+        }
+        // A rejected plan leaves the installed one in place.
+        net.set_faults(FaultPlan::none().crash(1, 0)).unwrap();
+        assert!(net.set_faults(FaultPlan::lossy(2.0)).is_err());
+        net.run_until_quiet(10);
+        assert!(net.is_crashed(1));
     }
 
     #[test]

@@ -55,7 +55,7 @@ fn beacon_net(seed: u64, rounds: u64, plan: FaultPlan) -> Network<u64, Beacon> {
         })
         .collect();
     let mut net = Network::with_seed(procs, Latency::Fixed(2), seed);
-    net.set_faults(plan);
+    net.set_faults(plan).expect("well-formed plan");
     net
 }
 

@@ -80,7 +80,6 @@ fn check_bfs(
 ) -> (usize, ClosureBranches) {
     let mut checker = Checker::new(sys, vis_seed);
     let mut es = sys.new_enabled_set();
-    let mut succ = Vec::new();
     let mut seen: HashSet<State> = HashSet::new();
     let mut queue = VecDeque::new();
     seen.insert(sys.initial_state());
@@ -90,8 +89,7 @@ fn check_bfs(
         es.invalidate_all();
         sys.refresh_enabled(&st, &mut es);
         reduced += checker.check(&st, &es, what);
-        sys.successors_into(&st, &mut es, &mut succ);
-        for (_, next) in succ.drain(..) {
+        for (_, next) in sys.successors(&st) {
             if seen.len() < max_states && seen.insert(next.clone()) {
                 queue.push_back(next);
             }

@@ -211,16 +211,14 @@ proptest! {
     /// untimed semantics (φ only slows things down, never invents steps).
     #[test]
     fn timed_words_replay_untimed(d0 in 0u64..6, d1 in 0u64..6, seed in 0u64..100) {
-        use rand::{Rng, SeedableRng};
         let sys = bip_core::dining_philosophers(2, false).unwrap();
         let mut phi = bip_rt::DurationMap::ideal();
         phi.set(bip_core::ConnId(0), d0);
         phi.set(bip_core::ConnId(1), d1);
-        let mut ex = bip_rt::TimedExecution::new(&sys, phi);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let report = ex.run(200, 30, |opts| rng.gen_range(0..opts.len()));
+        let mut e = bip_rt::RtEngine::new(&sys, phi, bip_engine::RandomPolicy::new(seed));
+        e.run(30);
         let mut st = sys.initial_state();
-        for (_, label) in &report.timed_word {
+        for label in &e.context().trace.observable_word() {
             let succ = sys.successors(&st);
             let hit = succ.iter().find(|(s, _)| sys.step_label(s) == Some(label.as_str()));
             prop_assert!(hit.is_some(), "timed word not replayable at {label}");
