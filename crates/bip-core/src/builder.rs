@@ -173,6 +173,63 @@ pub fn dining_philosophers(n: usize, two_phase: bool) -> Result<System, ModelErr
     sb.build()
 }
 
+/// Convenience: build the gas station, the other standard D-Finder
+/// benchmark: one operator, one pump and `customers` customers who prepay,
+/// pump and leave. Deadlock-free; its few small traps are spread over the
+/// whole place set, so trap enumeration must exhaust nearly every seed.
+pub fn gas_station(customers: usize) -> Result<System, ModelError> {
+    use crate::atom::AtomBuilder;
+    let operator = AtomBuilder::new("operator")
+        .port("prepay")
+        .port("change")
+        .location("idle")
+        .location("serving")
+        .initial("idle")
+        .transition("idle", "prepay", "serving")
+        .transition("serving", "change", "idle")
+        .build()?;
+    let pump = AtomBuilder::new("pump")
+        .port("start")
+        .port("finish")
+        .location("free")
+        .location("pumping")
+        .initial("free")
+        .transition("free", "start", "pumping")
+        .transition("pumping", "finish", "free")
+        .build()?;
+    let customer = AtomBuilder::new("customer")
+        .port("pay")
+        .port("pump")
+        .port("done")
+        .location("arrive")
+        .location("paid")
+        .location("fueling")
+        .initial("arrive")
+        .transition("arrive", "pay", "paid")
+        .transition("paid", "pump", "fueling")
+        .transition("fueling", "done", "arrive")
+        .build()?;
+    let mut sb = SystemBuilder::new();
+    let op = sb.add_instance("op", &operator);
+    let pu = sb.add_instance("pump", &pump);
+    for i in 0..customers {
+        let c = sb.add_instance(format!("cust{i}"), &customer);
+        sb.add_connector(ConnectorBuilder::rendezvous(
+            format!("prepay{i}"),
+            [(c, "pay"), (op, "prepay")],
+        ));
+        sb.add_connector(ConnectorBuilder::rendezvous(
+            format!("start{i}"),
+            [(c, "pump"), (pu, "start"), (op, "change")],
+        ));
+        sb.add_connector(ConnectorBuilder::rendezvous(
+            format!("finish{i}"),
+            [(c, "done"), (pu, "finish")],
+        ));
+    }
+    sb.build()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -514,7 +514,7 @@ impl StateCodec {
 
     /// Approximate bytes one stored state costs under this codec when kept
     /// as a standalone [`PackedState`] (struct plus heap spill), for
-    /// capacity planning and bench reporting. Arena-backed seen sets store
+    /// capacity planning. Arena-backed seen sets store
     /// bare words; see `bip-verify`'s reach reports for measured footprints.
     pub fn packed_bytes(&self) -> usize {
         let heap = if self.words > INLINE_WORDS {

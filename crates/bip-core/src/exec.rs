@@ -970,29 +970,32 @@ mod tests {
     use crate::system::Step;
 
     /// The enabled-set protocol agrees with the legacy enumeration after
-    /// every step of a guided walk.
+    /// every step of a guided walk, on a small table and a 64-philosopher
+    /// one (where each step touches a tiny share of the connectors).
     #[test]
     fn incremental_matches_legacy_along_walk() {
-        let sys = dining_philosophers(5, false).unwrap();
-        let mut st = sys.initial_state();
-        let mut es = sys.new_enabled_set();
-        for round in 0..200 {
-            sys.refresh_enabled(&st, &mut es);
-            let mut compiled: Vec<Interaction> = Vec::new();
-            sys.for_each_enabled(&st, &es, |s| {
-                if let EnabledStep::Interaction(ir) = s {
-                    compiled.push(sys.resolve_ref(ir));
+        for n in [5usize, 64] {
+            let sys = dining_philosophers(n, false).unwrap();
+            let mut st = sys.initial_state();
+            let mut es = sys.new_enabled_set();
+            for round in 0..200 {
+                sys.refresh_enabled(&st, &mut es);
+                let mut compiled: Vec<Interaction> = Vec::new();
+                sys.for_each_enabled(&st, &es, |s| {
+                    if let EnabledStep::Interaction(ir) = s {
+                        compiled.push(sys.resolve_ref(ir));
+                    }
+                });
+                let legacy = sys.enabled(&st);
+                assert_eq!(compiled, legacy, "n={n}: divergence at round {round}");
+                if compiled.is_empty() {
+                    break;
                 }
-            });
-            let legacy = sys.enabled(&st);
-            assert_eq!(compiled, legacy, "divergence at round {round}");
-            if compiled.is_empty() {
-                break;
+                // Deterministically pick an interaction, rotate by round.
+                let pick = compiled[round % compiled.len()].clone();
+                let ir = InteractionRef::of(&pick, sys.conn_arity(pick.connector));
+                sys.fire_enabled(&mut st, &mut es, EnabledStep::Interaction(ir), |_, _, _| 0);
             }
-            // Deterministically pick an interaction, rotate by round.
-            let pick = compiled[round % compiled.len()].clone();
-            let ir = InteractionRef::of(&pick, sys.conn_arity(pick.connector));
-            sys.fire_enabled(&mut st, &mut es, EnabledStep::Interaction(ir), |_, _, _| 0);
         }
     }
 

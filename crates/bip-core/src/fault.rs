@@ -496,8 +496,8 @@ pub fn active_faults_le(sys: &System, k: i64) -> StatePred {
 /// The second conjunct is what makes the predicate **1-inductive**: an
 /// arbitrary step state with a crashed component must show `active ≥ 1`,
 /// which disables the (`active < 1`-guarded) crash of a second component.
-/// k-induction therefore proves this without strengthening — the e18 bench
-/// asserts exactly that, certificate included.
+/// k-induction therefore proves this without strengthening —
+/// `tests/fault.rs` asserts exactly that, certificate included.
 pub fn single_fault_invariant(sys: &System) -> StatePred {
     let cs = crashable_components(sys);
     let Some(m) = monitor(sys) else {

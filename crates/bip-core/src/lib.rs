@@ -110,7 +110,7 @@ pub mod width;
 pub use atom::{
     Atom, AtomBuilder, AtomType, LocId, PortDecl, PortId, Transition, TransitionId, VarId,
 };
-pub use builder::{dining_philosophers, SystemBuilder};
+pub use builder::{dining_philosophers, gas_station, SystemBuilder};
 pub use codec::{CodecSnapshot, PackedState, StateCodec, WidenReq};
 pub use composite::{Composite, CompositeBuilder, InstanceRef};
 pub use connector::{ConnId, Connector, ConnectorBuilder, PortRef};

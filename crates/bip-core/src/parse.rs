@@ -65,14 +65,20 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-impl From<ModelError> for ParseError {
-    fn from(e: ModelError) -> ParseError {
+impl ParseError {
+    /// A model error raised while building the block whose header is on
+    /// `line`.
+    fn at(line: usize, e: ModelError) -> ParseError {
         ParseError {
-            line: 0,
+            line,
             message: e.to_string(),
         }
     }
 }
+
+/// Deepest nesting of parentheses, `!` and unary `-` in an expression: the
+/// parser recurses once per level, so hostile input cannot blow the stack.
+pub const MAX_EXPR_DEPTH: usize = 256;
 
 #[derive(Debug, Clone, PartialEq)]
 enum Tok {
@@ -126,6 +132,7 @@ struct ExprParser<'a> {
     toks: &'a [Tok],
     pos: usize,
     vars: &'a HashMap<String, u32>,
+    depth: usize,
 }
 
 impl<'a> ExprParser<'a> {
@@ -216,12 +223,29 @@ impl<'a> ExprParser<'a> {
         }
     }
 
+    /// Go one nesting level down, or refuse past [`MAX_EXPR_DEPTH`].
+    fn descend(&mut self) -> Result<(), String> {
+        if self.depth == MAX_EXPR_DEPTH {
+            return Err(format!(
+                "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+            ));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     fn unary_expr(&mut self) -> Result<Expr, String> {
         if self.eat_sym("!") {
-            return Ok(self.unary_expr()?.not());
+            self.descend()?;
+            let e = self.unary_expr()?.not();
+            self.depth -= 1;
+            return Ok(e);
         }
         if self.eat_sym("-") {
-            return Ok(self.unary_expr()?.neg());
+            self.descend()?;
+            let e = self.unary_expr()?.neg();
+            self.depth -= 1;
+            return Ok(e);
         }
         match self.next() {
             Some(Tok::Int(v)) => Ok(Expr::int(v)),
@@ -230,7 +254,9 @@ impl<'a> ExprParser<'a> {
                 None => Err(format!("unknown variable {name:?}")),
             },
             Some(Tok::Sym(s)) if s == "(" => {
+                self.descend()?;
                 let e = self.parse()?;
+                self.depth -= 1;
                 if !self.eat_sym(")") {
                     return Err("expected ')'".to_string());
                 }
@@ -242,7 +268,12 @@ impl<'a> ExprParser<'a> {
 }
 
 fn parse_expr(toks: &[Tok], vars: &HashMap<String, u32>) -> Result<Expr, String> {
-    let mut p = ExprParser { toks, pos: 0, vars };
+    let mut p = ExprParser {
+        toks,
+        pos: 0,
+        vars,
+        depth: 0,
+    };
     let e = p.parse()?;
     if p.pos != toks.len() {
         return Err(format!(
@@ -253,13 +284,14 @@ fn parse_expr(toks: &[Tok], vars: &HashMap<String, u32>) -> Result<Expr, String>
     Ok(e)
 }
 
-/// Parse a full model: any number of `atom` blocks followed by one `system`
+/// Parse a full model: any number of `atom` blocks and exactly one `system`
 /// block. Returns the flattened [`System`].
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] with a line number for syntax problems, or a
-/// converted [`ModelError`] for semantic ones (unknown ports etc.).
+/// Returns [`ParseError`] with the offending line: the block's header line
+/// for a [`ModelError`] raised when the block is built and for an
+/// unterminated block, the last line when there is no `system` block.
 pub fn parse_system(src: &str) -> Result<System, ParseError> {
     let mut atoms: HashMap<String, AtomType> = HashMap::new();
     let mut lines = src.lines().enumerate().peekable();
@@ -275,12 +307,17 @@ pub fn parse_system(src: &str) -> Result<System, ParseError> {
         })?;
         match toks.as_slice() {
             [Tok::Ident(kw), Tok::Ident(name), Tok::Sym(brace)] if kw == "atom" && brace == "{" => {
-                let (atom, consumed) = parse_atom_block(name, &mut lines)?;
-                let _ = consumed;
+                let atom = parse_atom_block(name, lineno + 1, &mut lines)?;
                 atoms.insert(name.clone(), atom);
             }
             [Tok::Ident(kw), Tok::Sym(brace)] if kw == "system" && brace == "{" => {
-                system = Some(parse_system_block(&atoms, &mut lines)?);
+                if system.is_some() {
+                    return Err(ParseError {
+                        line: lineno + 1,
+                        message: "a second system block".to_string(),
+                    });
+                }
+                system = Some(parse_system_block(&atoms, lineno + 1, &mut lines)?);
             }
             _ => {
                 return Err(ParseError {
@@ -291,14 +328,15 @@ pub fn parse_system(src: &str) -> Result<System, ParseError> {
         }
     }
     system.ok_or(ParseError {
-        line: 0,
+        line: src.lines().count(),
         message: "no system block".to_string(),
     })
 }
 
 type Lines<'a> = std::iter::Peekable<std::iter::Enumerate<std::str::Lines<'a>>>;
 
-fn parse_atom_block(name: &str, lines: &mut Lines) -> Result<(AtomType, usize), ParseError> {
+/// The body of the atom block whose header is on line `header`.
+fn parse_atom_block(name: &str, header: usize, lines: &mut Lines) -> Result<AtomType, ParseError> {
     let mut builder = AtomBuilder::new(name);
     let mut vars: HashMap<String, u32> = HashMap::new();
     let mut nvars = 0u32;
@@ -309,7 +347,7 @@ fn parse_atom_block(name: &str, lines: &mut Lines) -> Result<(AtomType, usize), 
             continue;
         }
         if line == "}" {
-            return Ok((builder.build()?, 0));
+            return builder.build().map_err(|e| ParseError::at(header, e));
         }
         let toks = tokenize(line).map_err(|m| ParseError {
             line: lineno,
@@ -429,13 +467,15 @@ fn parse_atom_block(name: &str, lines: &mut Lines) -> Result<(AtomType, usize), 
         }
     }
     Err(ParseError {
-        line: 0,
+        line: header,
         message: format!("unterminated atom block {name:?}"),
     })
 }
 
+/// The body of the system block whose header is on line `header`.
 fn parse_system_block(
     atoms: &HashMap<String, AtomType>,
+    header: usize,
     lines: &mut Lines,
 ) -> Result<System, ParseError> {
     let mut sb = SystemBuilder::new();
@@ -450,7 +490,7 @@ fn parse_system_block(
         }
         if line == "}" {
             sb.set_priority(priority);
-            return Ok(sb.build()?);
+            return sb.build().map_err(|e| ParseError::at(header, e));
         }
         let toks = tokenize(line).map_err(|m| ParseError {
             line: lineno,
@@ -521,7 +561,7 @@ fn parse_system_block(
         }
     }
     Err(ParseError {
-        line: 0,
+        line: header,
         message: "unterminated system block".to_string(),
     })
 }
@@ -684,6 +724,65 @@ system {
 
     #[test]
     fn missing_system_rejected() {
-        assert!(parse_system("atom A { location l init\n}\n").is_err());
+        let e = parse_system("atom A {\n location l init\n}\n").unwrap_err();
+        assert_eq!(e.line, 3, "the end of the input: {e}");
+    }
+
+    /// A `when` guard of `depth` nested `open`s around `x > 0`.
+    fn nested_guard(open: &str, close: &str, depth: usize) -> String {
+        format!(
+            "atom A {{\n port p\n var x = 0\n location l init\n on p from l to l when {}x > 0{}\n}}\nsystem {{\n instance a : A\n}}\n",
+            open.repeat(depth),
+            close.repeat(depth)
+        )
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        for (open, close) in [("(", ")"), ("!", ""), ("-", "")] {
+            assert!(parse_system(&nested_guard(open, close, MAX_EXPR_DEPTH)).is_ok());
+            for depth in [MAX_EXPR_DEPTH + 1, 100_000] {
+                let e = parse_system(&nested_guard(open, close, depth)).unwrap_err();
+                assert_eq!(e.line, 5, "{open}: {e}");
+                assert!(e.message.contains("nested deeper"), "{open}: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_second_system_block_is_rejected() {
+        let src = "atom A {\n location l init\n}\nsystem {\n instance a : A\n}\nsystem {\n}\n";
+        assert_eq!(parse_system(src).unwrap_err().line, 7);
+    }
+
+    /// Model errors found when a block is built (duplicate variable,
+    /// location or instance, unknown location or port, no `init`) and
+    /// unterminated blocks report the block's header line.
+    #[test]
+    fn block_errors_report_the_header_line() {
+        let head = "atom A {\n port p\n location l init\n on p from l to l\n}\n";
+        let mut cases = vec![
+            (
+                format!("{head}\nsystem {{\n instance a : A\n instance a : A\n}}\n"),
+                7,
+            ),
+            (format!("{head}system {{\n instance a : A\n"), 6),
+            ("atom A {\n location l init\n".to_string(), 1),
+        ];
+        for body in [
+            "var x = 0\n var x = 1\n location l init",
+            "location l init\n location l",
+            "port p\n location l init\n on p from l to m",
+            "location l init\n on q from l to l",
+            "location l",
+        ] {
+            cases.push((
+                format!("# model\n\natom A {{\n {body}\n}}\nsystem {{\n}}\n"),
+                3,
+            ));
+        }
+        for (src, line) in cases {
+            assert_eq!(parse_system(&src).unwrap_err().line, line, "{src:?}");
+        }
     }
 }

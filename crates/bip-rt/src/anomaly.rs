@@ -178,10 +178,8 @@ pub fn partitioned_makespan(shop: &JobShop) -> u64 {
 }
 
 /// Run the anomaly experiment: schedule at WCET and at reduced durations.
-///
-/// This is the entry point the `e18_faults` resilience bench exercises in
-/// CI: the Graham instance is asserted anomalous while the partitioned
-/// schedule is asserted robust, on every push.
+/// On [`JobShop::graham`] with `delta = 1` the outcome is anomalous (unit
+/// test `graham_anomaly_manifests`).
 #[must_use]
 pub fn anomaly_experiment(shop: &JobShop, delta: u64) -> AnomalyOutcome {
     let wcet = greedy_makespan(shop);

@@ -17,9 +17,8 @@
 //!   *misses* it when one duration shrinks — "safety for WCET does not
 //!   guarantee safety for smaller execution times" — and the deterministic
 //!   variant which is *time-robust* (monotone), matching the result of \[1\]
-//!   that time robustness holds for deterministic models. Exercised in CI by
-//!   the `e18_faults` resilience bench alongside the fault-injection
-//!   families.
+//!   that time robustness holds for deterministic models. The module's unit
+//!   tests assert both halves on Graham's instance.
 //! * [`delay`] — the unit-delay timed automaton of Fig. 5.3 (E5),
 //!   generalized to `k` admissible input changes per time unit; states and
 //!   clocks grow linearly with `k` exactly as the paper states.

@@ -31,7 +31,8 @@
 //! cancellation stops are inherently timing-dependent — but resuming an
 //! interrupted reach run from its checkpoint still converges to a final
 //! report bit-identical to an uninterrupted run (asserted in
-//! `tests/checkpoint_reach.rs` and the `e15_budget` bench).
+//! `tests/checkpoint_reach.rs`, whose release-only test also holds a
+//! deadline and a cancellation on an infinite-state ring to a prompt stop).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -246,14 +247,6 @@ impl StopReason {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Wall(pub Duration);
 
-impl Wall {
-    /// Milliseconds, for `BENCH` lines.
-    #[must_use]
-    pub fn millis(self) -> u128 {
-        self.0.as_millis()
-    }
-}
-
 impl PartialEq for Wall {
     fn eq(&self, _: &Wall) -> bool {
         true
@@ -357,6 +350,9 @@ mod tests {
         let a = Wall(Duration::from_secs(1));
         let b = Wall(Duration::from_secs(2));
         assert_eq!(a, b);
-        assert_eq!(Wall::from(Duration::from_millis(1500)).millis(), 1500);
+        assert_eq!(
+            Wall::from(Duration::from_millis(1500)).0,
+            Duration::from_millis(1500)
+        );
     }
 }

@@ -786,8 +786,8 @@ impl Default for DFinderConfig {
 /// Report of a [`DFinder`] run.
 ///
 /// Derives `Eq`: the report is **bit-identical for every
-/// [`DFinderConfig::threads`] value**, which the E12 bench and the
-/// workspace property tests assert by direct comparison.
+/// [`DFinderConfig::threads`] value**, which `tests/dfinder_parallel.rs`
+/// asserts by direct comparison.
 #[must_use = "inspect `verdict`; an unread report silently drops the analysis"]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DFinderReport {

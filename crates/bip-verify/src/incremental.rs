@@ -549,7 +549,7 @@ mod tests {
         let held_back = [
             "prepay4", "start4", "finish4", "prepay5", "start5", "finish5",
         ];
-        assert_filtered_sweep_equals_full_sweep(&bench::gas_station(6), |c| {
+        assert_filtered_sweep_equals_full_sweep(&bip_core::gas_station(6).unwrap(), |c| {
             !held_back.contains(&c.name.as_str())
         });
     }

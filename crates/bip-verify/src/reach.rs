@@ -339,7 +339,8 @@ pub struct ReachReport {
     pub complete: bool,
     /// Bytes the packed `seen` set occupied when the exploration returned:
     /// arena words plus open-addressing slots, summed over the shards. The
-    /// footprint metric the E11 bench tracks; deterministic for a given
+    /// footprint metric `tests/parallel_reach.rs` compares across codecs;
+    /// deterministic for a given
     /// system and codec mode (but *not* part of report equality — the
     /// adaptive codec exists to shrink it).
     pub stored_bytes: usize,

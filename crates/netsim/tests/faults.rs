@@ -214,3 +214,68 @@ fn same_seed_same_stats_under_full_adversity() {
     let (s3, _) = adversarial_run(43);
     assert_ne!(s1, s3, "different seeds should diverge under 10% loss");
 }
+
+/// Max-flooding ring election with retransmission: every 3 ticks, for
+/// `rounds_left` rounds, each node re-sends the largest id it has seen to
+/// its successor. Loss only delays convergence.
+#[derive(Debug, Clone)]
+struct Elector {
+    id: u64,
+    succ: usize,
+    max_seen: u64,
+    rounds_left: u32,
+}
+
+impl Process<u64> for Elector {
+    fn on_start(&mut self, ctx: &mut Context<u64>) {
+        self.max_seen = self.id;
+        ctx.set_timer(3, 0);
+    }
+
+    fn on_message(&mut self, _from: usize, msg: u64, _ctx: &mut Context<u64>) {
+        self.max_seen = self.max_seen.max(msg);
+    }
+
+    fn on_timer(&mut self, _token: u64, ctx: &mut Context<u64>) {
+        ctx.send(self.succ, self.max_seen);
+        self.rounds_left -= 1;
+        if self.rounds_left > 0 {
+            ctx.set_timer(3, 0);
+        }
+    }
+}
+
+/// Leader election on an `n`-node ring (`n` a power of two, so the ids
+/// `(37 i + 5) mod n` are a permutation) under uniform loss: every node
+/// learns the maximum id, the plan drops messages, and the same seed gives
+/// the same `Stats`.
+fn assert_election_converges(n: usize, drop_rate: f64) {
+    let run = || {
+        let procs = (0..n).map(|i| Elector {
+            id: (i as u64 * 37 + 5) % n as u64,
+            succ: (i + 1) % n,
+            max_seen: 0,
+            rounds_left: 2 * n as u32,
+        });
+        let mut net = Network::with_seed(procs.collect(), Latency::Fixed(1), 7);
+        net.set_faults(FaultPlan::lossy(drop_rate)).unwrap();
+        net.run_until_quiet(6 * n as u64 + 100);
+        let elected = (0..n).all(|i| net.process(i).max_seen == n as u64 - 1);
+        (net.stats().clone(), elected)
+    };
+    let (stats, elected) = run();
+    assert!(elected && stats.messages_dropped > 0, "ring-{n}: {stats:?}");
+    assert_eq!(run().0, stats, "ring-{n}: same seed");
+}
+
+#[test]
+fn lossy_ring_election_converges_deterministically() {
+    assert_election_converges(128, 0.10);
+}
+
+/// The election at 10³ nodes: about two million messages.
+#[test]
+#[ignore = "release: run with --ignored"]
+fn lossy_ring_election_converges_at_a_thousand_nodes() {
+    assert_election_converges(1024, 0.05);
+}

@@ -7,9 +7,11 @@ use bip_arch::{
 };
 use bip_verify::reach::{check_invariant, explore};
 
+/// E9's table, left half: mutual exclusion and the token ring applied to
+/// 2 to 5 clients enforce their characteristic property without deadlock.
 #[test]
 fn architectures_enforce_and_preserve_across_sizes() {
-    for n in 2..=4 {
+    for n in 2..=5 {
         let base = clients(n);
         for arch in [
             mutual_exclusion(client_critical(n)),
@@ -31,9 +33,10 @@ fn architectures_enforce_and_preserve_across_sizes() {
     }
 }
 
+/// E9's table, the ⊕ rows: mutex ⊕ FIFO over 2 to 5 clients.
 #[test]
 fn composition_satisfies_both_characteristic_properties() {
-    for n in 2..=3 {
+    for n in 2..=5 {
         let base = clients(n);
         let m = mutual_exclusion(client_critical(n));
         let f = fifo_scheduler(client_critical(n));

@@ -21,14 +21,15 @@
 //!   bound a variable the BMC returns `UnrollError::Encode(UnboundedVar)`,
 //!   never a silently-truncated verdict.
 
-use bip_core::{dining_philosophers, StatePred};
+use bip_core::{dining_philosophers, StatePred, System};
 use bip_verify::bmc::{BmcConfig, BmcOutcome};
 use bip_verify::reach::{check_invariant_with, ReachConfig, Reduction};
-use bip_verify::{BmcReport, UnrollError};
+use bip_verify::{BmcReport, Budget, StopReason, UnrollError};
 use proptest::prelude::*;
+use satkit::RestartPolicy;
 
 mod common;
-use common::random_system;
+use common::{planted, planted_invariant, random_system};
 
 /// Max BFS-shortest counterexample depth we chase with tight BMC bounds;
 /// deeper bugs still get the existence check at `GENEROUS_BOUND`.
@@ -178,9 +179,7 @@ proptest! {
 fn philosophers_tight_crossing_generous_bounds() {
     for n in [2usize, 3, 4] {
         let sys = dining_philosophers(n, true).unwrap();
-        // hasL is location index 1 of each philosopher (components 0..n).
-        let all_has_l = StatePred::And((0..n).map(|i| StatePred::at_loc(i, 1)).collect());
-        let inv = all_has_l.not();
+        let inv = all_has_l(n);
 
         let bfs = check_invariant_with(&sys, &inv, &ReachConfig::bounded(1_000_000));
         assert!(bfs.complete);
@@ -225,12 +224,7 @@ fn philosophers_conservative_adjacent_mutex_holds() {
     assert!(bfs.complete && bfs.violation.is_none());
     let r = bmc_at(&sys, &inv, 8);
     assert!(matches!(r.outcome, BmcOutcome::NoViolationWithin(8)));
-    // The solver is persistent: variable counts must grow monotonically.
-    let vars: Vec<usize> = r.frames.iter().map(|f| f.vars).collect();
-    assert!(
-        vars.windows(2).all(|w| w[1] > w[0]),
-        "one solver, monotone vars: {vars:?}"
-    );
+    assert_one_solver(&r, "phil-3");
 }
 
 /// The planted bug 40 steps deep behind a guard a million values wide: one
@@ -239,8 +233,8 @@ fn philosophers_conservative_adjacent_mutex_holds() {
 /// `System::successors`.
 #[test]
 fn depth_40_bug_behind_a_million_wide_guard() {
-    let sys = bench::planted(1_000_000, 0);
-    let inv = bench::planted_invariant(40);
+    let sys = planted(1_000_000, 0);
+    let inv = planted_invariant(40);
     let at = bmc_at(&sys, &inv, 40);
     let (trace, states) = at.violation().expect("n reaches 40 in 40 steps");
     assert_eq!((trace.len(), states.len()), (40, 41));
@@ -268,8 +262,7 @@ fn depth_40_bug_behind_a_million_wide_guard() {
 fn two_phase_phil5_per_depth_solver_counts_are_pinned() {
     let n = 5usize;
     let sys = dining_philosophers(n, true).unwrap();
-    let inv = StatePred::And((0..n).map(|i| StatePred::at_loc(i, 1)).collect()).not();
-    let r = bmc_at(&sys, &inv, 8);
+    let r = bmc_at(&sys, &all_has_l(n), 8);
     assert_eq!(r.violation().map(|(trace, _)| trace.len()), Some(5));
     let got: Vec<_> = r
         .frames
@@ -296,4 +289,121 @@ fn two_phase_phil5_per_depth_solver_counts_are_pinned() {
             (5, 633, 2052, 115, 292, 13970),
         ]
     );
+}
+
+/// BMC at `bound` under `policy`, asserted to finish under `ceiling`
+/// cumulative conflicts: far above healthy need, so a solver blowup fails
+/// here instead of hanging the suite.
+fn bmc_capped(
+    sys: &System,
+    inv: &StatePred,
+    bound: usize,
+    policy: RestartPolicy,
+    ceiling: u64,
+) -> BmcReport {
+    let r = BmcConfig::new(sys)
+        .bound(bound)
+        .restart_policy(policy)
+        .budget(Budget::unlimited().conflicts(ceiling))
+        .check_invariant(inv)
+        .unwrap();
+    assert_eq!(r.stop, StopReason::Completed, "{policy:?}, bound {bound}");
+    r
+}
+
+/// The frame laws of one persistent solver: variable counts grow strictly,
+/// by the same delta per unrolling from depth 2 on (a fresh solver per
+/// depth would reset them); original clauses (total minus learnts) never
+/// shrink, and grow per depth by at most the first unrolling's delta (no
+/// clause is re-added). Depth 0 holds only the initial frame.
+fn assert_one_solver(r: &BmcReport, ctx: &str) {
+    let vars: Vec<usize> = r.frames.iter().map(|f| f.vars).collect();
+    let deltas: Vec<usize> = vars.windows(2).map(|w| w[1].saturating_sub(w[0])).collect();
+    assert!(vars.windows(2).all(|w| w[1] > w[0]), "{ctx}: {vars:?}");
+    assert!(deltas.iter().skip(1).all(|&d| d == deltas[1]), "{ctx}");
+    let originals: Vec<usize> = r
+        .frames
+        .iter()
+        .map(|f| f.clauses - f.learnts.min(f.clauses))
+        .collect();
+    assert!(originals.windows(2).all(|w| w[1] >= w[0]), "{ctx}");
+    if originals.len() >= 3 {
+        let first = originals[2] - originals[1];
+        let growth = originals[2..].windows(2).map(|w| w[1] - w[0]);
+        assert!(growth.max() <= Some(first), "{ctx}: {originals:?}");
+    }
+}
+
+/// A bug at moderate depth under huge breadth (E14): the planted counter
+/// reaches 30 only after 30 increments, behind 10 toggles. Explicit search
+/// exhausts a 20 000-state budget without it; BMC proves its absence at 29
+/// and finds a 30-step witness at 30 on one persistent solver, and so on
+/// two-phase philosophers at the all-`hasL` depth. (The planted run's
+/// conflict count is pinned in `tests/golden_counts.txt`.)
+#[test]
+fn planted_bug_is_beyond_explicit_search_and_within_bmc() {
+    let (sys, inv) = (planted(30, 10), planted_invariant(30));
+    let explicit = check_invariant_with(&sys, &inv, &ReachConfig::bounded(20_000));
+    assert!(!explicit.complete && explicit.violation.is_none());
+    let hybrid = RestartPolicy::hybrid();
+    for (n, sys, inv) in [
+        (30, sys, inv),
+        (3, dining_philosophers(3, true).unwrap(), all_has_l(3)),
+        (4, dining_philosophers(4, true).unwrap(), all_has_l(4)),
+    ] {
+        let below = bmc_capped(&sys, &inv, n - 1, hybrid, 500_000);
+        assert!(matches!(below.outcome, BmcOutcome::NoViolationWithin(_)));
+        assert_one_solver(&below, &format!("depth {n}, below"));
+        let at = bmc_capped(&sys, &inv, n, hybrid, 500_000);
+        let (trace, states) = at.violation().expect("a violation at the exact depth");
+        assert_eq!((trace.len(), states.len()), (n, n + 1));
+        assert_one_solver(&at, &format!("depth {n}"));
+    }
+}
+
+/// Not all of the first `n` components (two-phase philosophers) in `hasL`.
+fn all_has_l(n: usize) -> StatePred {
+    StatePred::And((0..n).map(|i| StatePred::at_loc(i, 1)).collect()).not()
+}
+
+/// E14's throughput tripwire: the planted depth-30 run propagates at least
+/// 500 000 literals a second. An O(vars) scan per decision cuts the rate
+/// about tenfold; every solver so far clears it by a wide margin.
+#[test]
+#[ignore = "release: run with --ignored"]
+fn planted_bmc_holds_the_propagation_floor() {
+    let t = std::time::Instant::now();
+    let at = bmc_capped(
+        &planted(30, 10),
+        &planted_invariant(30),
+        30,
+        RestartPolicy::hybrid(),
+        500_000,
+    );
+    let props_per_sec = at.frames.last().unwrap().propagations as f64 / t.elapsed().as_secs_f64();
+    assert!(props_per_sec >= 500_000.0, "{props_per_sec:.0}/s");
+}
+
+/// Deep-unroll stress (E16): a depth-60 bug behind 12 toggles, about four
+/// times the depth-30 formula. Hybrid, Luby and glucose restarts all prove
+/// its absence at 59 (an UNSAT grind that must populate the learnt
+/// database) and find the 60-step witness: restart policies trade speed,
+/// never verdicts.
+#[test]
+#[ignore = "release: run with --ignored"]
+fn deep_unroll_verdicts_agree_across_restart_policies() {
+    let (sys, inv) = (planted(60, 12), planted_invariant(60));
+    for policy in [
+        RestartPolicy::hybrid(),
+        RestartPolicy::luby(),
+        RestartPolicy::glucose(),
+    ] {
+        let below = bmc_capped(&sys, &inv, 59, policy, 2_000_000);
+        assert!(matches!(below.outcome, BmcOutcome::NoViolationWithin(_)));
+        let last = below.frames.last().unwrap();
+        assert!(last.learnts > 0 && last.avg_lbd_milli > 0, "{policy:?}");
+        let at = bmc_capped(&sys, &inv, 60, policy, 2_000_000);
+        let (trace, states) = at.violation().expect("the planted bug");
+        assert_eq!((trace.len(), states.len()), (60, 61), "{policy:?}");
+    }
 }

@@ -22,17 +22,20 @@
 //! straight run's witness (trace included), counts, stop reason and peak
 //! footprint — the footprint that, with the trace arena counted, is what a
 //! `Budget::bytes` ceiling reads.
+//! A release-only test holds deadline and cancellation cuts of an
+//! infinite-state ring to the same contract, and to a prompt stop.
 
 use bip_core::{dining_philosophers, State, StatePred, Step};
 use bip_verify::reach::{
     check_invariant_resume, check_invariant_with, explore_resume, explore_with,
     find_deadlock_resume, find_deadlock_with, ReachCheckpoint, ReachConfig, ReachReport, Reduction,
 };
-use bip_verify::{Budget, StopReason};
+use bip_verify::{Budget, CancelToken, StopReason};
 use proptest::prelude::*;
+use std::time::{Duration, Instant};
 
 mod common;
-use common::random_system;
+use common::{random_system, unbounded_ring};
 
 /// Bit-identity over every report field except `elapsed`.
 fn assert_bit_identical(a: &ReachReport, b: &ReachReport, ctx: &str) -> Result<(), String> {
@@ -257,5 +260,50 @@ proptest! {
                 check_witness_searches(&sys, &inv, &cfg, &format!("seed {seed} threads {threads} {reduction:?}"))?;
             }
         }
+    }
+}
+
+/// A deadline and a cancellation each stop an exploration of the
+/// infinite-state `unbounded_ring(6)` within 30 s of a 200 ms trigger, with
+/// a partial report (incomplete, interrupted, some states) and a
+/// checkpoint. Resuming either checkpoint under a state budget 40 000
+/// states further gives exactly the report an uninterrupted run under that
+/// budget gives, stop and peak footprint included.
+#[test]
+#[ignore = "release: run with --ignored"]
+fn deadline_and_cancel_stop_promptly_and_resume_bit_identically() {
+    let sys = unbounded_ring(6);
+    let cfg = ReachConfig::bounded(50_000_000).threads(2);
+    let trigger = Duration::from_millis(200);
+    let interrupted = |cfg: ReachConfig| -> ReachCheckpoint {
+        let t = Instant::now();
+        let r = explore_with(&sys, &cfg);
+        assert!(t.elapsed() < Duration::from_secs(30), "{:?}", t.elapsed());
+        assert!(!r.complete && r.stop.is_interrupted() && r.states > 0);
+        r.checkpoint.expect("interrupted runs carry a checkpoint")
+    };
+    let deadline = interrupted(cfg.clone().budget(Budget::unlimited().deadline_in(trigger)));
+    let token = CancelToken::new();
+    let canceller = std::thread::spawn({
+        let token = token.clone();
+        move || {
+            std::thread::sleep(trigger);
+            token.cancel();
+        }
+    });
+    let cancel = interrupted(cfg.clone().cancel(&token));
+    canceller.join().unwrap();
+
+    for ck in [deadline, cancel] {
+        let target = ck.states() + 40_000;
+        let budgeted = cfg.clone().budget(Budget::unlimited().states(target));
+        let resumed = explore_resume(&sys, &budgeted, ck).expect("same mode and reduction");
+        let straight = explore_with(&sys, &budgeted);
+        let key = |r: &ReachReport| (r.states, r.transitions, r.deadlocks.clone(), r.stop);
+        assert_eq!(key(&resumed), key(&straight));
+        let bytes = |r: &ReachReport| (r.complete, r.stored_bytes, r.peak_bytes);
+        assert_eq!(bytes(&resumed), bytes(&straight));
+        assert_eq!(resumed.stop, StopReason::StateBudget);
+        assert!(resumed.states >= target, "budgets trip at a level boundary");
     }
 }

@@ -1,14 +1,16 @@
 //! Shared generators for the workspace integration tests.
 #![allow(dead_code)] // each test binary uses a subset
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use bip_core::exec::mask_endpoints;
 use bip_core::{
-    AtomBuilder, CompId, ConnId, ConnectorBuilder, EnabledSet, EnabledStep, Expr, IndepInfo,
-    PlaceSet, State, System, SystemBuilder,
+    AtomBuilder, AtomType, CompId, ConnId, ConnectorBuilder, EnabledSet, EnabledStep, Expr,
+    FaultSpec, GExpr, IndepInfo, PlaceSet, RecoverSpec, State, StatePred, System, SystemBuilder,
 };
 use bip_verify::dfinder::{Abstraction, LinearInvariant, Place};
+use bip_verify::reach::ReachReport;
+use bip_verify::StopReason;
 
 /// How a generated variable behaves across transitions.
 #[derive(Debug, Clone, Copy)]
@@ -30,7 +32,19 @@ enum VarStyle {
 /// compiled enabled-set protocol and the packed-state explorers on shapes no
 /// hand-written model covers. Variables are a mix of drifting values and
 /// guard-bounded counters (see [`VarStyle`]).
-pub fn random_system(seed: u64) -> bip_core::System {
+pub fn random_system(seed: u64) -> System {
+    random_system_inner(seed, false)
+}
+
+/// [`random_system`] plus an independent two-location spinner (the last
+/// component, outside the priority layer): every state has an invisible
+/// cycle, on which a reduced search without a cycle proviso can spin and
+/// ignore every visible step.
+pub fn random_system_with_spinner(seed: u64) -> System {
+    random_system_inner(seed, true)
+}
+
+fn random_system_inner(seed: u64, spinner: bool) -> System {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(seed);
@@ -176,10 +190,14 @@ pub fn random_system(seed: u64) -> bip_core::System {
             }
         }
     }
+    if spinner {
+        let c = sb.add_instance("spin", &toggle());
+        sb.add_connector(ConnectorBuilder::singleton("spin", c, "t"));
+    }
     let mut sys = sb.build().unwrap();
     // Random priority layer half the time.
     if rng.gen_bool(0.5) {
-        let nc = sys.num_connectors() as u32;
+        let nc = n_conns as u32;
         sys.priority_mut().maximal_progress = rng.gen_bool(0.5);
         for _ in 0..rng.gen_range(0..3) {
             sys.priority_mut().add_rule(
@@ -189,6 +207,18 @@ pub fn random_system(seed: u64) -> bip_core::System {
         }
     }
     sys
+}
+
+/// `full` keeping only the connectors `keep` accepts.
+pub fn restricted(full: &System, keep: impl Fn(&bip_core::Connector) -> bool) -> System {
+    let mut sb = SystemBuilder::new();
+    for c in 0..full.num_components() {
+        sb.add_instance(full.instance_name(c).to_string(), full.atom_type(c));
+    }
+    for conn in full.connectors().iter().filter(|c| keep(c)) {
+        sb.add_connector(conn.clone());
+    }
+    sb.build().unwrap()
 }
 
 /// No trap is listed twice.
@@ -598,4 +628,194 @@ impl AmpleOracle {
             }
         }
     }
+}
+
+/// The first sequential explorer, kept verbatim as the reachability
+/// reference (heap `State` keys, a FIFO queue, a `HashMap` seen set).
+/// Successors pruned at `max_states` still count as transitions, so its
+/// reports equal the engine's edge for edge only on complete runs.
+pub fn pr1_explore(sys: &System, max_states: usize) -> ReachReport {
+    let start = std::time::Instant::now();
+    let mut seen: HashMap<State, ()> = HashMap::new();
+    let mut queue = VecDeque::new();
+    let mut transitions = 0usize;
+    let mut deadlocks = Vec::new();
+    let mut complete = true;
+    let init = sys.initial_state();
+    seen.insert(init.clone(), ());
+    queue.push_back(init);
+    while let Some(st) = queue.pop_front() {
+        let succ = sys.successors(&st);
+        if succ.is_empty() {
+            deadlocks.push(st.clone());
+        }
+        for (_, next) in succ {
+            transitions += 1;
+            if !seen.contains_key(&next) {
+                if seen.len() >= max_states {
+                    complete = false;
+                    continue;
+                }
+                seen.insert(next.clone(), ());
+                queue.push_back(next);
+            }
+        }
+    }
+    ReachReport {
+        states: seen.len(),
+        transitions,
+        deadlocks,
+        complete,
+        // The reference seen set has no packed footprint.
+        stored_bytes: 0,
+        stop: if complete {
+            StopReason::Completed
+        } else {
+            StopReason::BoundExhausted
+        },
+        elapsed: start.elapsed(),
+        peak_bytes: 0,
+        checkpoint: None,
+    }
+}
+
+/// The intern-heavy token ring: `n` nodes whose counters are unbounded (the
+/// holder's `work` increments with no guard), so the adaptive codec interns
+/// every counter. The state space is infinite: explorations must be bounded.
+pub fn unbounded_ring(n: usize) -> System {
+    token_ring(n, Expr::t())
+}
+
+/// The var-heavy token ring: the holder may `work` while its counter is
+/// below `k`. About `n · (k+1)^n` states, whose footprint is dominated by
+/// the counters: 64 bits each under the full-width codec,
+/// `ceil(log2(k+1))` under the adaptive one.
+pub fn counter_ring(n: usize, k: i64) -> System {
+    assert!(k >= 1);
+    token_ring(n, Expr::var(0).lt(Expr::int(k)))
+}
+
+/// The planted-bug family: a counter (component 0) stepping `n := n + 1`
+/// while `n < limit`, so `n == d` sits exactly `d` steps deep, beside
+/// `toggles` independent two-location components that pad the breadth.
+pub fn planted(limit: i64, toggles: usize) -> System {
+    let counter = AtomBuilder::new("counter")
+        .location("run")
+        .initial("run")
+        .var("n", 0)
+        .internal_transition(
+            "run",
+            Expr::var(0).lt(Expr::int(limit)),
+            vec![("n", Expr::var(0).add(Expr::int(1)))],
+            "run",
+        )
+        .build()
+        .unwrap();
+    let toggle = toggle();
+    let mut sb = SystemBuilder::new();
+    sb.add_instance("cnt", &counter);
+    for i in 0..toggles {
+        let c = sb.add_instance(format!("tgl{i}"), &toggle);
+        sb.add_connector(ConnectorBuilder::singleton(format!("flip{i}"), c, "t"));
+    }
+    sb.build().unwrap()
+}
+
+/// A two-location component flipping on its one port `t`.
+fn toggle() -> AtomType {
+    AtomBuilder::new("toggle")
+        .port("t")
+        .location("a")
+        .location("b")
+        .initial("a")
+        .transition("a", "t", "b")
+        .transition("b", "t", "a")
+        .build()
+        .unwrap()
+}
+
+/// The counter of [`planted`] never reaches `depth`.
+pub fn planted_invariant(depth: i64) -> StatePred {
+    StatePred::Eq(GExpr::var(0, 0), GExpr::int(depth)).not()
+}
+
+/// At most one node of a token ring holds the token (`hold` is location 1
+/// of every [`counter_ring`] / [`unbounded_ring`] node).
+pub fn ring_token_mutex(n: usize) -> StatePred {
+    let mut pairs = Vec::new();
+    for i in 0..n {
+        for j in i + 1..n {
+            pairs.push(StatePred::at_loc(i, 1).and(StatePred::at_loc(j, 1)).not());
+        }
+    }
+    StatePred::And(pairs)
+}
+
+/// Adjacent philosophers never eat together (`eating` is location 1 of
+/// every philosopher of the conservative [`bip_core::dining_philosophers`]).
+pub fn adjacent_mutex(n: usize) -> StatePred {
+    StatePred::And(
+        (0..n)
+            .map(|i| {
+                StatePred::at_loc(i, 1)
+                    .and(StatePred::at_loc((i + 1) % n, 1))
+                    .not()
+            })
+            .collect(),
+    )
+}
+
+/// The conservative dining philosophers with every component crashable.
+/// Unbudgeted and unrecoverable, the all-crashed deadlock is reachable;
+/// with `budget = Some(1)` and a recovery spec
+/// [`bip_core::fault::single_fault_invariant`] is 1-inductive.
+pub fn crash_recovery_philosophers(n: usize, budget: Option<u32>, recover: RecoverSpec) -> System {
+    let base = bip_core::dining_philosophers(n, false).unwrap();
+    let mut spec = FaultSpec::crash_all().recover(recover);
+    if let Some(b) = budget {
+        spec = spec.budget(b);
+    }
+    bip_core::fault::inject(&base, &spec).unwrap()
+}
+
+/// The ring families' topology: one token passed between neighbouring
+/// `put`/`get` ports, and a `work` self-loop incrementing the holder's
+/// counter while `work_guard` holds.
+fn token_ring(n: usize, work_guard: Expr) -> System {
+    assert!(n >= 2);
+    let node = |first: bool| {
+        AtomBuilder::new(if first { "holder" } else { "node" })
+            .var("c", 0)
+            .port("get")
+            .port("put")
+            .port("work")
+            .location("idle")
+            .location("hold")
+            .initial(if first { "hold" } else { "idle" })
+            .transition("idle", "get", "hold")
+            .transition("hold", "put", "idle")
+            .guarded_transition(
+                "hold",
+                "work",
+                work_guard.clone(),
+                vec![("c", Expr::var(0).add(Expr::int(1)))],
+                "hold",
+            )
+            .build()
+            .unwrap()
+    };
+    let holder = node(true);
+    let idle = node(false);
+    let mut sb = SystemBuilder::new();
+    for i in 0..n {
+        sb.add_instance(format!("n{i}"), if i == 0 { &holder } else { &idle });
+    }
+    for i in 0..n {
+        sb.add_connector(ConnectorBuilder::rendezvous(
+            format!("pass{i}"),
+            [(i, "put"), ((i + 1) % n, "get")],
+        ));
+        sb.add_connector(ConnectorBuilder::singleton(format!("work{i}"), i, "work"));
+    }
+    sb.build().unwrap()
 }

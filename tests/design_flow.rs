@@ -1,6 +1,6 @@
 //! End-to-end integration: the rigorous design flow of Fig. 5.6 (E11).
 
-use bip_distributed::deploy::single_block;
+use bip_distributed::deploy::{block_per_connector, k_blocks, single_block};
 use bip_distributed::{deploy, refine_interactions, Crp};
 use bip_embed::{embed_program, integrator};
 use bip_verify::{refines, DFinder};
@@ -71,4 +71,45 @@ fn refinement_certificate_gates_the_flow() {
     let phils = bip_core::dining_philosophers(2, false).unwrap();
     let ref2 = refine_interactions(&phils).unwrap();
     assert!(!refines(&phils, &ref2.system, ref2.rename(), 2_000_000).refines());
+}
+
+/// "The degree of parallelism of the distributed model depends on the
+/// choice of both the interactions' partition and the conflict resolution
+/// protocol" (§5.6, E7). Eight philosophers, fixed latency 2, horizon
+/// 4 000: interactions fired and messages sent per protocol and partition
+/// (one block, four blocks, one block per connector). The centralized
+/// arbiter is blind to the partition; the token ring fires strictly less
+/// the finer the partition; the locks protocol depends on it too; and at
+/// every partition the three protocols differ in what they fire or send.
+#[test]
+fn crp_and_partition_set_the_degree_of_parallelism() {
+    let sys = bip_core::dining_philosophers(8, false).unwrap();
+    let partitions = [
+        single_block(&sys),
+        k_blocks(&sys, 4),
+        block_per_connector(&sys),
+    ];
+    let table = Crp::all().map(|crp| {
+        partitions.each_ref().map(|p| {
+            let r = deploy(&sys, p, crp, 4_000, Latency::Fixed(2), 17);
+            (r.total_interactions, r.messages)
+        })
+    });
+    assert_eq!(
+        table,
+        [
+            [(2000, 22024), (2000, 22024), (2000, 22024)],
+            [(2000, 24025), (1144, 15757), (500, 7532)],
+            [(994, 17025), (848, 19433), (848, 19433)],
+        ],
+        "rows: centralized, token ring, locks"
+    );
+    let fired = table.map(|row| row.map(|(f, _)| f));
+    assert!(fired[0].iter().all(|&f| f == fired[0][0]));
+    assert!(fired[1][0] > fired[1][1] && fired[1][1] > fired[1][2]);
+    assert_ne!(fired[2][0], fired[2][2]);
+    let [central, ring, locks] = table;
+    for (p, ((a, b), c)) in central.iter().zip(&ring).zip(&locks).enumerate() {
+        assert!(a != b && b != c && a != c, "partition {p}");
+    }
 }

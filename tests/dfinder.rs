@@ -1,9 +1,16 @@
-//! Integration tests for experiment E1: compositional vs monolithic
-//! verification agree, and the cost gap has the claimed shape.
+//! Integration tests for experiments E1 and E2: compositional vs
+//! monolithic verification agree, the cost gap has the claimed shape
+//! ("D-Finder can run exponentially faster than existing monolithic
+//! verification tools", §5.6), and incremental verification re-does only
+//! the work an added interaction invalidates.
 
-use bip_core::dining_philosophers;
+use bip_core::{dining_philosophers, gas_station, Connector, System};
+use bip_verify::dfinder::Abstraction;
 use bip_verify::reach::explore;
 use bip_verify::{DFinder, DFinderConfig, IncrementalVerifier};
+
+mod common;
+use common::restricted;
 
 #[test]
 fn verdicts_agree_with_exact_checker_across_family() {
@@ -36,7 +43,7 @@ fn monolithic_state_count_grows_exponentially() {
     // cycle (Lucas numbers, ratio → φ ≈ 1.62); two-phase adds the hasL
     // interleavings and grows faster. Both are exponential.
     for &two_phase in &[false, true] {
-        let counts: Vec<usize> = (2..=7)
+        let counts: Vec<usize> = (2..=9)
             .map(|n| explore(&dining_philosophers(n, two_phase).unwrap(), 10_000_000).states)
             .collect();
         for w in counts.windows(2) {
@@ -52,18 +59,15 @@ fn monolithic_state_count_grows_exponentially() {
     }
 }
 
+/// The compositional side of E1's table: on the same family, n = 2..=9,
+/// D-Finder proves deadlock-freedom on an abstraction of exactly 4n places.
 #[test]
 fn compositional_abstraction_grows_linearly() {
-    let sizes: Vec<usize> = (2..=8)
-        .map(|n| {
-            let sys = dining_philosophers(n, false).unwrap();
-            let df = DFinder::new(&sys);
-            df.abstraction().num_places
-        })
-        .collect();
-    // Places = 4n: exactly linear.
-    for (i, &s) in sizes.iter().enumerate() {
-        assert_eq!(s, 4 * (i + 2));
+    for n in 2..=9 {
+        let sys = dining_philosophers(n, false).unwrap();
+        let rep = DFinder::new(&sys).check_deadlock_freedom();
+        assert_eq!(rep.places, 4 * n);
+        assert!(rep.verdict.is_deadlock_free(), "n={n}: {rep:?}");
     }
 }
 
@@ -72,7 +76,7 @@ fn gas_station_benchmark() {
     // The other standard D-Finder benchmark: one pump, k customers, an
     // operator. Customers prepay the operator, then pump.
     for k in 2..=4 {
-        let sys = bench::gas_station(k);
+        let sys = gas_station(k).unwrap();
         let df = DFinder::new(&sys).check_deadlock_freedom();
         let exact = explore(&sys, 1_000_000);
         assert!(exact.complete);
@@ -89,7 +93,7 @@ fn gas_station_benchmark() {
 fn incremental_and_scratch_reports_are_identical() {
     for sys in [
         dining_philosophers(6, false).unwrap(),
-        bench::gas_station(8),
+        gas_station(8).unwrap(),
     ] {
         let cfg = DFinderConfig::new();
         let scratch = DFinder::with_config(&sys, &cfg).check_deadlock_freedom();
@@ -97,4 +101,47 @@ fn incremental_and_scratch_reports_are_identical() {
         assert_eq!(incremental, scratch);
         assert!(scratch.verdict.is_deadlock_free());
     }
+}
+
+/// E2's invariant-reuse table: add the connectors `base` lacks one at a
+/// time. After a complete enumeration under the cap only the seeds that
+/// lost a trap are swept again; after one stopped at the cap, every seed
+/// (locally reachable place) is. The end is deadlock-free.
+fn assert_reuse_row(full: &System, base: System, max_traps: usize) {
+    let mut inc = IncrementalVerifier::with_max_traps(base, max_traps);
+    let seeds = Abstraction::new(full)
+        .reachable
+        .iter()
+        .filter(|&&r| r)
+        .count();
+    let held_back: Vec<Connector> = full
+        .connectors()
+        .iter()
+        .filter(|c| inc.system().connectors().iter().all(|b| b.name != c.name))
+        .cloned()
+        .collect();
+    for conn in held_back {
+        // Unbudgeted: the last enumeration was complete iff under the cap.
+        let covered = inc.traps().len() < max_traps;
+        let st = inc.add_interaction(conn).unwrap();
+        if covered {
+            assert!(st.seeds_swept <= st.traps_dropped, "{st:?}");
+        } else if st.traps_dropped > 0 {
+            assert_eq!(st.seeds_swept, seeds, "{st:?}");
+        }
+    }
+    assert!(inc.check_deadlock_freedom().verdict.is_deadlock_free());
+}
+
+#[test]
+fn incremental_additions_sweep_only_the_seeds_that_lost_a_trap() {
+    for n in [4usize, 6, 8] {
+        let full = dining_philosophers(n, false).unwrap();
+        let base = restricted(&full, |c| c.name.starts_with("rel"));
+        assert_reuse_row(&full, base, DFinder::DEFAULT_MAX_TRAPS);
+    }
+    // The gas station with its last customer's three connectors held back.
+    let full = gas_station(40).unwrap();
+    let base = restricted(&full, |c| !c.name.ends_with("39"));
+    assert_reuse_row(&full, base, 512);
 }

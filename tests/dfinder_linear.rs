@@ -38,7 +38,7 @@ fn sparse_kernel_matches_dense_oracle_on_families() {
         }
     }
     for k in [3usize, 20, 100] {
-        assert_kernel_matches_oracle(&format!("gas-{k}"), &bench::gas_station(k));
+        assert_kernel_matches_oracle(&format!("gas-{k}"), &bip_core::gas_station(k).unwrap());
     }
 }
 
@@ -69,7 +69,7 @@ fn incremental_linear_set_equals_from_scratch_after_every_addition() {
     for (name, full) in [
         ("phil-5", dining_philosophers(5, false).unwrap()),
         ("phil-4 two-phase", dining_philosophers(4, true).unwrap()),
-        ("gas-4", bench::gas_station(4)),
+        ("gas-4", bip_core::gas_station(4).unwrap()),
     ] {
         for shuffle in 0..3u64 {
             let mut order: Vec<_> = full.connectors().to_vec();

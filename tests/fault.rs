@@ -14,14 +14,24 @@
 //!    crash-all spec, each crashable component's `__crashed` location is
 //!    reachable — already at depth 1, since the crash transition leaves
 //!    every original location and the monitor budget starts free.
+//!
+//! Beside them, crash-recovery philosophers: every engine refutes the
+//! unrecoverable variant; the fault-budgeted one is proved and live.
 
 mod common;
 
 use std::collections::{HashSet, VecDeque};
 
-use bip_core::fault::{self, FaultSpec};
-use bip_core::{system_to_dot, State, System};
-use common::random_system;
+use bip_core::fault::{self, FaultSpec, RecoverSpec};
+use bip_core::{dining_philosophers, system_to_dot, State, Step, System};
+use bip_verify::bmc::BmcConfig;
+use bip_verify::dfinder::DFinderConfig;
+use bip_verify::kind::{certify_step, Verdict};
+use bip_verify::reach::{
+    check_invariant_with, explore_with, find_deadlock, ReachConfig, ReachReport,
+};
+use bip_verify::{Budget, IncrementalVerifier, InvariantOutcome, StopReason};
+use common::{crash_recovery_philosophers, random_system};
 use proptest::prelude::*;
 
 /// Lockstep BFS over (original, transformed) state pairs, asserting the
@@ -110,4 +120,104 @@ proptest! {
             );
         }
     }
+}
+
+/// Philosophers per table (six crashable components: philosophers and
+/// forks) and the explicit-state budget both directions stay under.
+const PHIL_N: usize = 3;
+const EXPLICIT_BUDGET: usize = 500_000;
+
+/// Replay a step trace through `System::successors` from the initial
+/// state; every step must be live where it is taken.
+fn replay(sys: &System, trace: &[Step]) -> State {
+    let mut st = sys.initial_state();
+    for (i, step) in trace.iter().enumerate() {
+        st = sys
+            .successors(&st)
+            .into_iter()
+            .find(|(s, _)| s == step)
+            .unwrap_or_else(|| panic!("step {i} of the witness is not enabled: {step:?}"))
+            .1;
+    }
+    st
+}
+
+/// The unrecoverable variant's planted bug, refuted by every engine:
+/// explicit search finds the all-crashed state with a trace that replays to
+/// it, BMC finds the shortest witness (one crash per component) and it
+/// replays too, the all-crashed state is a deadlock, and the reach report
+/// is identical across 1, 2 and 8 threads.
+#[test]
+fn unrecoverable_crashes_are_refuted_by_every_engine() {
+    let doomed = crash_recovery_philosophers(PHIL_N, None, RecoverSpec::None);
+    let crashable = fault::crashable_components(&doomed).len();
+    assert_eq!(crashable, 2 * PHIL_N, "crash_all covers phils and forks");
+    let inv = fault::all_crashed(&doomed).not();
+
+    let explicit = check_invariant_with(&doomed, &inv, &ReachConfig::bounded(EXPLICIT_BUDGET));
+    let (bad, steps) = explicit
+        .violation
+        .as_ref()
+        .expect("all-crashed is reachable");
+    assert_eq!(&replay(&doomed, steps), bad, "the reach witness replays");
+    assert!(!inv.eval(&doomed, bad));
+
+    let bmc = BmcConfig::new(&doomed)
+        .bound(crashable)
+        .budget(Budget::unlimited().conflicts(500_000))
+        .check_invariant(&inv)
+        .unwrap();
+    let (trace, states) = bmc.violation().expect("BMC finds the bug");
+    assert_eq!((trace.len(), states.len()), (crashable, crashable + 1));
+    assert!(!inv.eval(&doomed, &replay(&doomed, trace)));
+
+    assert!(find_deadlock(&doomed, EXPLICIT_BUDGET).found());
+
+    let cfg = ReachConfig::bounded(EXPLICIT_BUDGET);
+    let key = |r: ReachReport| {
+        (
+            r.states,
+            r.transitions,
+            r.complete,
+            r.deadlocks,
+            r.stored_bytes,
+        )
+    };
+    let one = key(explore_with(&doomed, &cfg));
+    assert!(one.2);
+    for threads in [2usize, 8] {
+        let r = explore_with(&doomed, &cfg.clone().threads(threads));
+        assert_eq!(key(r), one, "threads={threads}");
+    }
+}
+
+/// The fault-budgeted variant (at most one crash at a time, crashed
+/// components restart from their initial valuation), through the
+/// `IncrementalVerifier` fault helpers: the single-fault invariant is
+/// proved by k-induction and certified by a fresh solver, the table never
+/// deadlocks, and explicit search agrees the invariant holds everywhere.
+#[test]
+fn single_fault_recovery_is_proved_and_live() {
+    let base = dining_philosophers(PHIL_N, false).unwrap();
+    let spec = FaultSpec::crash_all()
+        .recover(RecoverSpec::Restart)
+        .budget(1);
+    let saved = fault::inject(&base, &spec).unwrap();
+    let inv = fault::single_fault_invariant(&saved);
+
+    let inc = IncrementalVerifier::with_config(base, DFinderConfig::new().threads(2));
+    let out = inc.verify_invariant_under(&spec, &inv, 4, EXPLICIT_BUDGET);
+    let Ok(InvariantOutcome::Proof(report)) = &out else {
+        panic!("the recovery invariant must be settled by proof, got {out:?}");
+    };
+    let (Verdict::Proved { k }, StopReason::Completed) = (report.verdict.clone(), report.stop)
+    else {
+        panic!("expected a completed proof, got {report:?}");
+    };
+    assert!(certify_step(&saved, &inv, k, 4096).unwrap());
+
+    let dead = inc.find_deadlock_under(&spec, EXPLICIT_BUDGET).unwrap();
+    assert!(dead.deadlock_free(), "recovery keeps the table live");
+    let explicit = check_invariant_with(&saved, &inv, &ReachConfig::bounded(EXPLICIT_BUDGET));
+    assert!(explicit.complete && explicit.violation.is_none());
 }

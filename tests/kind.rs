@@ -20,18 +20,17 @@
 //! be identical across restart policies (modulo `Wall`/stats), and repeated
 //! identical runs must match field-for-field including solver statistics.
 
-use bench::adjacent_mutex;
 use bip_core::{dining_philosophers, StatePred, System};
 use bip_verify::bmc::{BmcConfig, BmcOutcome};
 use bip_verify::control::Budget;
 use bip_verify::kind::{certify_step, KindConfig, Verdict};
 use bip_verify::reach::{check_invariant_with, ReachConfig};
-use bip_verify::UnrollError;
+use bip_verify::{StopReason, UnrollError};
 use proptest::prelude::*;
 use satkit::RestartPolicy;
 
 mod common;
-use common::random_system;
+use common::{adjacent_mutex, counter_ring, random_system, ring_token_mutex};
 
 /// Induction depth the harness attempts per seed.
 const MAX_K: usize = 10;
@@ -339,8 +338,8 @@ fn guard_bounded_counter_at_limit_100_proves() {
 /// limit, under the default budget, certificate included.
 #[test]
 fn million_wide_ring_proves_under_the_default_budget() {
-    let sys = bench::counter_ring(4, 1_000_000);
-    let inv = bench::ring_token_mutex(4);
+    let sys = counter_ring(4, 1_000_000);
+    let inv = ring_token_mutex(4);
     let r = KindConfig::new(&sys).max_k(4).prove(&inv).unwrap();
     assert_eq!(r.verdict, Verdict::Proved { k: 0 });
     assert!(certify_step(&sys, &inv, 0, bip_core::sym::DEFAULT_ENUM_BUDGET).unwrap());
@@ -390,11 +389,7 @@ fn conservative_phil5_proof_solver_counts_are_pinned() {
 #[test]
 fn base_side_of_a_closed_proof_is_bmc_at_the_closing_depth() {
     let workloads = [
-        (
-            bench::counter_ring(4, 100),
-            bench::ring_token_mutex(4),
-            0usize,
-        ),
+        (counter_ring(4, 100), ring_token_mutex(4), 0usize),
         (dining_philosophers(5, false).unwrap(), adjacent_mutex(5), 3),
     ];
     for (sys, inv, closes_at) in &workloads {
@@ -416,5 +411,52 @@ fn base_side_of_a_closed_proof_is_bmc_at_the_closing_depth() {
             (last.vars, last.clauses, last.conflicts, last.decisions),
             "k = {closes_at}"
         );
+    }
+}
+
+/// Prove `inv` under a 500 000-conflict fail-fast ceiling (far above
+/// healthy need), require a completed `Proved { k }` whose step a fresh
+/// solver certifies, and return `k`.
+fn prove_and_certify(sys: &System, inv: &StatePred, ctx: &str) -> usize {
+    let r = KindConfig::new(sys)
+        .max_k(16)
+        .budget(Budget::unlimited().conflicts(500_000))
+        .prove(inv)
+        .unwrap();
+    let (Verdict::Proved { k }, StopReason::Completed) = (r.verdict.clone(), r.stop) else {
+        panic!("{ctx}: expected a completed proof, got {r:?}");
+    };
+    assert!(certify_step(sys, inv, k, 4096).unwrap(), "{ctx}: k = {k}");
+    k
+}
+
+/// "Safe, period" where the bounded engines can only bound (E17): token
+/// mutual exclusion on `counter_ring(4, 100)`, about 10⁸ reachable states.
+/// Explicit search exhausts a 50 000-state budget; BMC at depth 60 says
+/// only `NoViolationWithin(60)`; k-induction proves it, certified.
+#[test]
+fn ring_mutex_is_proved_where_bounded_engines_only_bound_it() {
+    let (sys, inv) = (counter_ring(4, 100), ring_token_mutex(4));
+    let explicit = check_invariant_with(&sys, &inv, &ReachConfig::bounded(50_000));
+    assert!(!explicit.complete && explicit.violation.is_none());
+    let bmc = BmcConfig::new(&sys)
+        .bound(60)
+        .budget(Budget::unlimited().conflicts(500_000))
+        .check_invariant(&inv)
+        .unwrap();
+    assert_eq!(bmc.stop, StopReason::Completed);
+    assert_eq!(bmc.outcome, BmcOutcome::NoViolationWithin(60));
+    prove_and_certify(&sys, &inv, "ring-4x100");
+}
+
+/// Adjacent-eater mutual exclusion on the conservative philosophers is true
+/// but not 1-inductive (a state with one philosopher eating says nothing
+/// about its neighbour's fork): a `k = 0` proof would mean the step
+/// encoding lost the counterexample to induction.
+#[test]
+fn adjacent_mutex_needs_induction_depth() {
+    for n in [3usize, 4] {
+        let sys = dining_philosophers(n, false).unwrap();
+        assert!(prove_and_certify(&sys, &adjacent_mutex(n), &format!("phil-{n}")) > 0);
     }
 }

@@ -14,7 +14,10 @@
 //!   bounded or not (differential codec testing);
 //! * a deliberately narrowed starting codec ([`CodecMode::Custom`]) forces
 //!   the repack-on-widen path mid-search and must change nothing about the
-//!   reports.
+//!   reports;
+//! * the adaptive codec stores at least 3× fewer bytes per state than the
+//!   full-width codec on var-heavy counter rings, and never more anywhere
+//!   (random systems and philosophers included).
 //!
 //! The two differential properties run in the default suite at a reduced
 //! completing bound; their full-size twins are `#[ignore]`d and run in
@@ -22,17 +25,14 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-// The verbatim PR-1 explorer, shared with the E11 bench so the reference
-// the proptests verify against is the one the bench measures against.
-use bench::pr1_explore as reference_explore;
-use bip_core::{dining_philosophers, State, StateCodec, StatePred};
+use bip_core::{dining_philosophers, State, StateCodec, StatePred, System};
 use bip_verify::reach::{
     check_invariant_with, explore_with, find_deadlock_with, CodecMode, ReachConfig, ReachReport,
 };
 use proptest::prelude::*;
 
 mod common;
-use common::random_system;
+use common::{counter_ring, pr1_explore as reference_explore, random_system};
 
 fn assert_reports_equal(a: &ReachReport, b: &ReachReport, ctx: &str) -> Result<(), String> {
     if a.states != b.states
@@ -273,7 +273,8 @@ const TIER1_BOUNDS: &[usize] = &[1_500, 31];
 const FULL_BOUNDS: &[usize] = &[6_000, 31];
 
 /// Every explorer agrees between the adaptive and the full-width codec on
-/// `random_system(seed)`, for 1 and 4 threads, at each bound.
+/// `random_system(seed)`, for 1 and 4 threads, at each bound, and the
+/// adaptive codec never stores more bytes.
 fn codecs_agree(seed: u64, bounds: &[usize]) -> Result<(), String> {
     let sys = random_system(seed);
     for &bound in bounds {
@@ -288,6 +289,10 @@ fn codecs_agree(seed: u64, bounds: &[usize]) -> Result<(), String> {
                 &full,
                 &format!("seed {seed} bound {bound} threads {threads}"),
             )?;
+            prop_assert!(
+                ad.stored_bytes <= full.stored_bytes,
+                "seed {seed} bound {bound}: the adaptive codec grew the footprint"
+            );
 
             let df = find_deadlock_with(&sys, &cfg.clone().full_width_codec());
             let da = find_deadlock_with(&sys, &cfg);
@@ -369,5 +374,56 @@ fn adaptive_and_full_width_codecs_agree_full_size() {
 fn forced_widen_preserves_reports_full_size() {
     for seed in 0u64..120 {
         widen_preserves_reports(seed, FULL_BOUNDS).unwrap();
+    }
+}
+
+/// One system under the reference explorer, the full-width codec and the
+/// adaptive codec at each thread count: reports agree (the reference's only
+/// where it completed; deadlocks as a set), adaptive runs agree across
+/// thread counts footprint included, and the adaptive codec stores at least
+/// `min_shrink` times fewer bytes per state than the full-width one.
+fn assert_codec_footprint(name: &str, sys: &System, threads: &[usize], min_shrink: f64) {
+    let cfg = ReachConfig::bounded(2_000_000);
+    let key = |r: &ReachReport| {
+        let deadlocks: HashSet<State> = r.deadlocks.iter().cloned().collect();
+        (r.states, r.transitions, r.complete, deadlocks)
+    };
+    let reference = reference_explore(sys, 2_000_000);
+    let full = explore_with(sys, &cfg.clone().full_width_codec());
+    assert!(!reference.complete || key(&reference) == key(&full));
+    let adaptive = explore_with(sys, &cfg);
+    assert_eq!(key(&adaptive), key(&full), "{name}: codecs");
+    for &th in threads {
+        let r = explore_with(sys, &cfg.clone().threads(th));
+        assert_eq!(key(&r), key(&adaptive), "{name}/{th}");
+        assert_eq!(r.stored_bytes, adaptive.stored_bytes, "{name}/{th}");
+    }
+    let (fb, ab) = (full.bytes_per_state(), adaptive.bytes_per_state());
+    assert!(ab * min_shrink <= fb + 1e-9, "{name}: {fb:.1} -> {ab:.1}");
+}
+
+/// Debug-cheap instances of the footprint contract (3× on the counter
+/// ring, never worse on philosophers).
+#[test]
+fn adaptive_codec_footprint_on_small_families() {
+    let threads = [1usize, 2];
+    let phil = dining_philosophers(6, true).unwrap();
+    assert_codec_footprint("phil-6", &phil, &threads, 1.0);
+    assert_codec_footprint("cring-6x2", &counter_ring(6, 2), &threads, 3.0);
+}
+
+/// The footprint contract at full size, at 1, 2 and 4 threads: never worse
+/// on two-phase philosophers 10, 12 and 13, 3× on two counter rings.
+#[test]
+#[ignore = "release: run with --ignored"]
+fn adaptive_codec_footprint_on_the_full_size_families() {
+    let threads = [1usize, 2, 4];
+    for n in [10usize, 12, 13] {
+        let sys = dining_philosophers(n, true).unwrap();
+        assert_codec_footprint(&format!("phil-{n}"), &sys, &threads, 1.0);
+    }
+    for (n, k) in [(6usize, 4i64), (7, 3)] {
+        let sys = counter_ring(n, k);
+        assert_codec_footprint(&format!("cring-{n}x{k}"), &sys, &threads, 3.0);
     }
 }

@@ -125,7 +125,7 @@ fn patch_encode_matches_full_encode_on_random_systems() {
 
 #[test]
 fn patch_encode_matches_full_encode_on_interned_ring() {
-    let sys = bench::unbounded_ring(4);
+    let sys = common::unbounded_ring(4);
     let codec = sys.adaptive_codec();
     assert!(codec.intern_table().is_some(), "the ring's counters intern");
     let (checked, _) =

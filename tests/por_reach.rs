@@ -15,10 +15,13 @@
 //!   report (states, transitions, deadlock order, completeness) is
 //!   identical at 1, 2, and 8 workers, like every other engine mode;
 //! * **no ignoring**: an invisible cycle that the ample sets could spin on
-//!   forever must not hide a visible step elsewhere (the cycle proviso).
+//!   forever must not hide a visible step elsewhere (the cycle proviso),
+//!   on a hand-built system and on random systems with a spinner added;
+//! * **the reduction pays**: ≥ 3× fewer states on two-phase philosophers.
 
 use bip_core::{
-    AtomBuilder, ConnectorBuilder, Expr, State, StatePred, Step, System, SystemBuilder,
+    dining_philosophers, AtomBuilder, ConnectorBuilder, Expr, State, StatePred, Step, System,
+    SystemBuilder,
 };
 use bip_verify::reach::{
     check_invariant_with, explore_with, find_deadlock_with, ReachConfig, Reduction,
@@ -27,7 +30,7 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 
 mod common;
-use common::random_system;
+use common::{counter_ring, random_system, random_system_with_spinner};
 
 /// Replay a step trace from the initial state; returns the final state.
 fn replay(sys: &System, trace: &[Step]) -> State {
@@ -230,4 +233,87 @@ fn persistent_invariant_does_not_ignore_a_visible_step() {
         assert_eq!(&replay(&sys, trace), st, "the witness replays");
         assert!(!inv.eval(&sys, st), "the witness violates the invariant");
     }
+}
+
+/// Random systems with an independent spinner: every state has an
+/// invisible cycle, so without the cycle proviso the reduced search can
+/// spin and never fire a visible step. Wherever both searches complete, the
+/// reduced invariant verdict must equal the exhaustive one.
+#[test]
+fn persistent_invariant_does_not_ignore_on_random_systems_with_a_spinner() {
+    for seed in 0u64..200 {
+        let sys = random_system_with_spinner(seed);
+        let inv = StatePred::at(&sys, 0, "l0");
+        let cfg = ReachConfig::bounded(4_000);
+        let full = check_invariant_with(&sys, &inv, &cfg);
+        let red = check_invariant_with(&sys, &inv, &cfg.reduction(Reduction::Persistent));
+        if full.complete && red.complete {
+            assert_eq!(full.holds(), red.holds(), "seed {seed}: verdict");
+        }
+    }
+}
+
+/// One family under both modes: an explicit `Reduction::None` changes
+/// nothing; the reduced search keeps the deadlock set, completeness and the
+/// deadlock-search and invariant verdicts; both modes are bit-identical
+/// across `threads`; and the reduction stores at least `min_shrink` times
+/// fewer states.
+fn assert_reduction_pays(name: &str, sys: &System, threads: &[usize], min_shrink: f64) {
+    let cfg = ReachConfig::bounded(4_000_000);
+    let por = cfg.clone().reduction(Reduction::Persistent);
+    let key = |cfg: &ReachConfig| {
+        let r = explore_with(sys, cfg);
+        (
+            r.states,
+            r.transitions,
+            r.complete,
+            r.deadlocks,
+            r.stored_bytes,
+        )
+    };
+    let (full, red) = (key(&cfg), key(&por));
+    assert_eq!(key(&cfg.clone().reduction(Reduction::None)), full, "{name}");
+    for &th in threads {
+        let par = |c: &ReachConfig| key(&c.clone().threads(th).min_parallel_level(1));
+        assert!(par(&cfg) == full && par(&por) == red, "{name}/{th}");
+    }
+    let set = |d: &[State]| d.iter().cloned().collect::<HashSet<State>>();
+    assert!(
+        full.2 == red.2 && set(&full.3) == set(&red.3),
+        "{name}: deadlocks"
+    );
+    let (df, dr) = (find_deadlock_with(sys, &cfg), find_deadlock_with(sys, &por));
+    assert!(df.found() == dr.found() && df.deadlock_free() == dr.deadlock_free());
+    let inv = StatePred::at(sys, 0, sys.atom_type(0).locations()[0].as_str());
+    let (fi, ri) = (
+        check_invariant_with(sys, &inv, &cfg),
+        check_invariant_with(sys, &inv, &por),
+    );
+    assert!(fi.holds() == ri.holds() && fi.violation.is_some() == ri.violation.is_some());
+    let (f, r) = (full.0 as f64, red.0 as f64);
+    assert!(r * min_shrink <= f, "{name}: {f} -> {r} states");
+}
+
+/// On two-phase philosophers the reduction stores 3× fewer states already
+/// at 10 (and ~30× at 16, below).
+#[test]
+fn reduction_pays_on_philosophers() {
+    let sys = dining_philosophers(10, true).unwrap();
+    assert_reduction_pays("phil-10", &sys, &[1, 2], 3.0);
+}
+
+/// The full-size families at 1, 2 and 4 threads: two-phase philosophers 12
+/// and 16 (≥ 3× fewer states at 16), the deadlock-free conservative
+/// philosophers 10 and the var-heavy counter ring 5×3 (never more states).
+#[test]
+#[ignore = "release: run with --ignored"]
+fn reduction_pays_on_the_full_size_families() {
+    let threads = [1usize, 2, 4];
+    for (n, floor) in [(12usize, 1.0), (16, 3.0)] {
+        let sys = dining_philosophers(n, true).unwrap();
+        assert_reduction_pays(&format!("phil-{n}"), &sys, &threads, floor);
+    }
+    let sys = dining_philosophers(10, false).unwrap();
+    assert_reduction_pays("cphil-10", &sys, &threads, 1.0);
+    assert_reduction_pays("cring-5x3", &counter_ring(5, 3), &threads, 1.0);
 }
