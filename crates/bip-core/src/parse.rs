@@ -291,7 +291,8 @@ fn parse_expr(toks: &[Tok], vars: &HashMap<String, u32>) -> Result<Expr, String>
 ///
 /// Returns [`ParseError`] with the offending line: the block's header line
 /// for a [`ModelError`] raised when the block is built and for an
-/// unterminated block, the last line when there is no `system` block.
+/// unterminated block, the last line (1 for empty input) when there is no
+/// `system` block.
 pub fn parse_system(src: &str) -> Result<System, ParseError> {
     let mut atoms: HashMap<String, AtomType> = HashMap::new();
     let mut lines = src.lines().enumerate().peekable();
@@ -328,7 +329,7 @@ pub fn parse_system(src: &str) -> Result<System, ParseError> {
         }
     }
     system.ok_or(ParseError {
-        line: src.lines().count(),
+        line: src.lines().count().max(1),
         message: "no system block".to_string(),
     })
 }
@@ -726,6 +727,9 @@ system {
     fn missing_system_rejected() {
         let e = parse_system("atom A {\n location l init\n}\n").unwrap_err();
         assert_eq!(e.line, 3, "the end of the input: {e}");
+        for empty in ["", "\n", "   "] {
+            assert_eq!(parse_system(empty).unwrap_err().line, 1, "{empty:?}");
+        }
     }
 
     /// A `when` guard of `depth` nested `open`s around `x > 0`.

@@ -38,7 +38,11 @@
 //!   [`System::for_each_successor`] before being reported;
 //! * [`Verdict::Proved`] can be re-derived from scratch by [`certify_step`]
 //!   plus any bounded engine covering the base — the differential harness
-//!   does exactly that;
+//!   does exactly that. The certificate runs in a fresh solver of its own
+//!   but on the step side's schedule (one incremental query per depth
+//!   `0..=k`, each learning for the next), so it costs about what the
+//!   proof's step side cost; its last query is the one-shot step formula
+//!   plus retired activation clauses, and only that answer counts;
 //! * every verdict is derived from SAT/UNSAT answers only, which are
 //!   semantic and hence identical across restart policies. The
 //!   failed-assumption core of the final UNSAT step query is recorded as a
@@ -236,9 +240,10 @@ impl<'a> KindConfig<'a> {
 pub enum Verdict {
     /// The invariant holds on **every** reachable state — an unbounded
     /// proof, discharged at induction depth `k`. Independently re-checkable:
-    /// [`certify_step`] re-derives the inductive step in a fresh solver, and
-    /// any bounded engine (BMC at depth `k`, explicit search) re-derives the
-    /// base.
+    /// [`certify_step`] re-derives the inductive step in a fresh solver (on
+    /// the step side's incremental schedule, answering for the depth-`k`
+    /// query alone), and any bounded engine (BMC at depth `k`, explicit
+    /// search) re-derives the base.
     Proved {
         /// The induction depth the proof closed at.
         k: usize,
@@ -353,11 +358,22 @@ impl ProofReport {
 }
 
 /// Re-derive the inductive step of a [`Verdict::Proved`]`{ k }` verdict in a
-/// **fresh** solver sharing no state with the prover: unroll `k + 2`
-/// pairwise-distinct frames, assert the invariant on frames `0..=k` and its
-/// negation at `k + 1`, and return whether the formula is unsatisfiable.
-/// Together with an independent base check (BMC `NoViolationWithin(k)` or
-/// explicit search to depth `k`) this is a complete proof certificate check.
+/// **fresh** solver sharing no state with the prover, and return whether no
+/// path of `k + 2` pairwise-distinct states carries the invariant on frames
+/// `0..=k` into a violation at `k + 1`.
+///
+/// The check replays the prover's step-side schedule with its own loop: for
+/// each depth `j` in `0..=k` it addresses frame `j + 1`, adds a guarded
+/// hypothesis on frame `j`, queries under every hypothesis plus a guarded
+/// violation at `j + 1`, and retires that goal. Each query learns for the
+/// next, so the check costs about what the proof's step side cost instead of
+/// one cold solve. Only the answer at `j == k` counts: its formula is the
+/// one-shot one (hypotheses on `0..=k`, violation at `k + 1`) plus the
+/// retired goals, whose activation literals nothing else mentions, so they
+/// exclude no model of it: a certificate means exactly that the one-shot
+/// formula is unsatisfiable. Together with an
+/// independent base check (BMC `NoViolationWithin(k)` or explicit search to
+/// depth `k`) this is a complete proof certificate check.
 ///
 /// # Errors
 ///
@@ -379,14 +395,27 @@ pub fn certify_step(
         RestartPolicy::default(),
     )
     .simple_path();
-    // Every frame before any predicate: the sequence this check has always
-    // fed its solver (on-demand `pred` alone would interleave them).
-    u.extend_to(k + 1)?;
-    for i in 0..=k + 1 {
-        let holds = u.pred(i, inv)?;
-        u.assert_lit(if i <= k { holds } else { !holds });
+    // Deliberately not `KindConfig::induct`: a bug in the prover's loop must
+    // not be able to certify itself. Frame j + 1 is addressed before the
+    // hypothesis on frame j, as on the prover's step side.
+    let mut hyps: Vec<Lit> = Vec::with_capacity(k + 2);
+    let mut answer = Answer::Sat;
+    for j in 0..=k {
+        u.extend_to(j + 1)?;
+        let holds = u.pred(j, inv)?;
+        hyps.push(u.guarded(holds));
+        let next = u.pred(j + 1, inv)?;
+        let act = u.guarded(!next);
+        hyps.push(act);
+        // An UNSAT before `k` does not end the loop: only the last answer
+        // is the certificate.
+        answer = u.query(&hyps, 0);
+        hyps.pop();
+        u.assert_lit(!act);
     }
-    Ok(matches!(u.query(&[], 0), Answer::Unsat { .. }))
+    // With no budget and a token nobody cancels, `Unknown` cannot happen;
+    // if it ever did, it certifies nothing.
+    Ok(matches!(answer, Answer::Unsat { .. }))
 }
 
 #[cfg(test)]

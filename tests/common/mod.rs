@@ -778,6 +778,36 @@ pub fn crash_recovery_philosophers(n: usize, budget: Option<u32>, recover: Recov
     bip_core::fault::inject(&base, &spec).unwrap()
 }
 
+/// The one-shot inductive-step formula at depth `k`, rebuilt from the public
+/// `StepEncoder` and `CnfBuilder` API alone: `k + 2` pairwise-distinct
+/// frames chained by the step relation, `inv` asserted on frames `0..=k`,
+/// its negation on frame `k + 1`, one cold solve. Returns whether it is
+/// unsatisfiable — the answer `bip_verify::kind::certify_step` must give.
+/// Panics if the system does not encode under the default enumeration
+/// budget; call it only where `certify_step` encoded.
+pub fn one_shot_step(sys: &System, inv: &StatePred, k: usize) -> bool {
+    let mut enc = bip_core::sym::StepEncoder::new(sys).expect("the system encodes");
+    let mut b = satkit::CnfBuilder::new();
+    let mut frames = vec![enc.new_frame(&mut b)];
+    for _ in 0..=k {
+        let next = enc.new_frame(&mut b);
+        let prev = frames.last_mut().expect("frame 0 exists");
+        enc.encode_step(&mut b, prev, &next)
+            .expect("the step encodes");
+        for earlier in &frames {
+            enc.assert_frames_distinct(&mut b, earlier, &next);
+        }
+        frames.push(next);
+    }
+    for (i, frame) in frames.iter_mut().enumerate() {
+        let holds = enc
+            .encode_pred(&mut b, frame, inv)
+            .expect("the invariant encodes");
+        b.assert_lit(if i <= k { holds } else { !holds });
+    }
+    b.solver_mut().solve().is_unsat()
+}
+
 /// The ring families' topology: one token passed between neighbouring
 /// `put`/`get` ports, and a `work` self-loop incrementing the holder's
 /// counter while `work_guard` holds.

@@ -7,14 +7,22 @@
 //!
 //! * `Proved { k }` — exhaustive BFS must agree the invariant holds; the
 //!   inductive step is re-derived by [`certify_step`] in a **fresh** solver
-//!   sharing no state with the prover; and BMC at bound `k` must confirm the
-//!   base case (`NoViolationWithin(k)`).
+//!   sharing no state with the prover, and must be *rejected* at `k - 1`
+//!   (the prover's step query there was SAT); and BMC at bound `k` must
+//!   confirm the base case (`NoViolationWithin(k)`).
 //! * `Violated { trace, states }` — exhaustive BFS must also find a
 //!   violation at the same shortest depth; the trace is **re-replayed here**
 //!   step-by-step through `System::successors` (not trusting the prover's
 //!   own replay); and BMC at the trace depth must find an equal-length
 //!   counterexample.
 //! * `Unknown` — always tolerated (bounded resources), never wrong.
+//!
+//! The certificate itself has an oracle. [`certify_step`] replays the
+//! prover's step-side schedule (one incremental query per depth, only the
+//! last answer counting) in its own solver; `common::one_shot_step` rebuilds
+//! the single-solve step formula from the public encoder API. On every seed
+//! of the differential the two must give the same answer at every depth
+//! `0..=MAX_K`, SAT answers included.
 //!
 //! Determinism: verdicts derive from SAT/UNSAT answers only, so reports must
 //! be identical across restart policies (modulo `Wall`/stats), and repeated
@@ -30,7 +38,7 @@ use proptest::prelude::*;
 use satkit::RestartPolicy;
 
 mod common;
-use common::{adjacent_mutex, counter_ring, random_system, ring_token_mutex};
+use common::{adjacent_mutex, counter_ring, one_shot_step, random_system, ring_token_mutex};
 
 /// Induction depth the harness attempts per seed.
 const MAX_K: usize = 10;
@@ -79,6 +87,29 @@ fn independent_replay(
     Ok(())
 }
 
+/// The scheduled certificate against its one-shot oracle at every depth
+/// `0..=MAX_K`; returns `Err` for proptest.
+fn check_certificate_oracle(seed: u64) -> Result<(), String> {
+    let sys = random_system(seed);
+    let inv = pick_invariant(&sys, seed);
+    for k in 0..=MAX_K {
+        let scheduled = match certify_step(&sys, &inv, k, 4096) {
+            Ok(answer) => answer,
+            // Declined encodings are typed; the oracle would decline too.
+            Err(UnrollError::Encode(_)) => return Ok(()),
+            Err(other) => return Err(format!("seed {seed}: certificate errored: {other}")),
+        };
+        let one_shot = one_shot_step(&sys, &inv, k);
+        if scheduled != one_shot {
+            return Err(format!(
+                "seed {seed}, k = {k}: scheduled certificate says {scheduled}, \
+                 one-shot step formula says {one_shot}"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Core differential check for one random system; returns `Err` for
 /// proptest.
 fn check_agreement(seed: u64) -> Result<(), String> {
@@ -120,6 +151,14 @@ fn check_agreement(seed: u64) -> Result<(), String> {
                     ))
                 }
                 Err(e) => return Err(format!("seed {seed}: certificate errored: {e}")),
+            }
+            // …which must reject one depth earlier, where the prover's step
+            // query was SAT…
+            if *k > 0 && certify_step(&sys, &inv, k - 1, 4096) != Ok(false) {
+                return Err(format!(
+                    "seed {seed}: fresh-solver certificate does not reject the k={} step",
+                    k - 1
+                ));
             }
             // …and the base case re-derived by BMC.
             let base = BmcConfig::new(&sys)
@@ -173,9 +212,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random systems: every definitive k-induction verdict must survive
-    /// its adversary (exhaustive BFS + fresh-solver certificate + BMC).
+    /// its adversary (exhaustive BFS + fresh-solver certificate + BMC), and
+    /// the certificate must agree with its one-shot oracle at every depth.
     #[test]
     fn kind_agrees_with_explicit_search_and_bmc(seed in 0u64..192) {
+        if let Err(msg) = check_certificate_oracle(seed) {
+            prop_assert!(false, "{}", msg);
+        }
         if let Err(msg) = check_agreement(seed) {
             prop_assert!(false, "{}", msg);
         }
@@ -416,7 +459,7 @@ fn base_side_of_a_closed_proof_is_bmc_at_the_closing_depth() {
 
 /// Prove `inv` under a 500 000-conflict fail-fast ceiling (far above
 /// healthy need), require a completed `Proved { k }` whose step a fresh
-/// solver certifies, and return `k`.
+/// solver certifies at `k` and rejects at `k - 1`, and return `k`.
 fn prove_and_certify(sys: &System, inv: &StatePred, ctx: &str) -> usize {
     let r = KindConfig::new(sys)
         .max_k(16)
@@ -427,6 +470,13 @@ fn prove_and_certify(sys: &System, inv: &StatePred, ctx: &str) -> usize {
         panic!("{ctx}: expected a completed proof, got {r:?}");
     };
     assert!(certify_step(sys, inv, k, 4096).unwrap(), "{ctx}: k = {k}");
+    if k > 0 {
+        assert!(
+            !certify_step(sys, inv, k - 1, 4096).unwrap(),
+            "{ctx}: k - 1 = {}",
+            k - 1
+        );
+    }
     k
 }
 
@@ -459,4 +509,19 @@ fn adjacent_mutex_needs_induction_depth() {
         let sys = dining_philosophers(n, false).unwrap();
         assert!(prove_and_certify(&sys, &adjacent_mutex(n), &format!("phil-{n}")) > 0);
     }
+}
+
+/// A certificate must be able to say no. "Philosopher 0 never eats" holds
+/// initially and fails one step later, so a fresh step query at `k = 0`
+/// has a model (the eating step out of an arbitrary thinking state) and the
+/// certificate rejects it.
+#[test]
+fn violated_invariant_is_rejected_at_k_zero() {
+    let sys = dining_philosophers(3, false).unwrap();
+    let inv = StatePred::at_loc(0, 1).not();
+    assert!(inv.eval(&sys, &sys.initial_state()));
+    let r = KindConfig::new(&sys).max_k(MAX_K).prove(&inv).unwrap();
+    assert_eq!(r.violation().map(|(trace, _)| trace.len()), Some(1));
+    assert!(!certify_step(&sys, &inv, 0, 4096).unwrap());
+    assert!(!one_shot_step(&sys, &inv, 0));
 }
