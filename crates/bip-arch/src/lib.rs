@@ -372,6 +372,9 @@ pub fn compose(base: &System, a1: &Architecture, a2: &Architecture) -> Result<Sy
 /// The lattice order on *applied* architectures (same observable
 /// alphabet): `a` is at most as permissive as `b` if every observable
 /// trace of `a` is a trace of `b`. Stronger architectures sit lower.
+///
+/// `true` only when established on complete state spaces: if either
+/// system outgrows `max_states`, the answer is `false`.
 pub fn at_most_as_permissive(a: &System, b: &System, max_states: usize) -> bool {
     let report = bip_verify::refines(b, a, |l: &str| Some(l.to_string()), max_states);
     report.trace_included
@@ -486,6 +489,9 @@ mod tests {
             !at_most_as_permissive(&mutex, &ring, 100_000),
             "mutex allows re-entry, the ring does not"
         );
+        // A bound that cuts either state space establishes nothing.
+        assert!(!at_most_as_permissive(&mutex, &ring, 1));
+        assert!(!at_most_as_permissive(&ring, &ring, 2));
     }
 
     #[test]

@@ -93,7 +93,6 @@ mod data;
 mod dot;
 mod error;
 pub mod exec;
-pub mod expressiveness;
 pub mod fault;
 pub mod glue;
 pub mod hash;

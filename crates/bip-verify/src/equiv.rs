@@ -13,6 +13,11 @@
 //! ways. These are the certificates used by `bip-distributed` and the
 //! architecture layer to establish *vertical correctness*.
 //!
+//! Both observable LTSs are read off [`crate::reach::explore_edges`], with
+//! its bound, budget, codec and deadlock list. A side cut short never
+//! certifies, and a mismatch counts as a counterexample only where the
+//! right-hand side was fully expanded along the whole trace.
+//!
 //! The observable-LTS extraction here deliberately does **not** apply the
 //! partial-order reduction of [`crate::reach`]
 //! (`ReachConfig::reduction`): trace inclusion quantifies over the
@@ -24,15 +29,17 @@
 use std::collections::{BTreeSet, VecDeque};
 use std::time::{Duration, Instant};
 
-use bip_core::{FxHashMap, FxHashSet, PackedState, StateCodec, SuccStep, System};
+use bip_core::{FxHashSet, SuccStep, System};
 
 use crate::control::{Budget, CancelToken, StopReason};
+use crate::reach::{explore_edges, ReachConfig};
 
 /// Result of a refinement check.
 #[derive(Debug, Clone)]
 pub struct RefinementReport {
     /// Clause 1: observable traces of the concrete system are included in
-    /// those of the abstract one.
+    /// those of the abstract one. Established only by a finished check
+    /// (`stop == Completed`) that found no counterexample.
     pub trace_included: bool,
     /// A shortest observable trace of the concrete system that the abstract
     /// system cannot perform (when inclusion fails).
@@ -43,10 +50,11 @@ pub struct RefinementReport {
     pub concrete_deadlock_free: bool,
     /// Product states explored during the inclusion check.
     pub product_states: usize,
-    /// Why the check stopped: [`StopReason::Completed`] unless a budget,
-    /// deadline, or cancellation interrupted it — then every clause only
-    /// covers the explored region and [`Self::refines`] refuses to certify.
-    /// A found counterexample is still a real counterexample.
+    /// Why the check stopped: the first stage (abstract extraction,
+    /// concrete extraction, product search) that did not complete —
+    /// [`StopReason::BoundExhausted`] when `max_states` cut a side short.
+    /// Then every clause only covers the explored region and
+    /// [`Self::refines`] refuses to certify; a found counterexample is real.
     pub stop: StopReason,
     /// Wall-clock the whole check took (both LTS extractions plus the
     /// product search).
@@ -55,7 +63,7 @@ pub struct RefinementReport {
 
 impl RefinementReport {
     /// The paper's `≥`: trace inclusion and deadlock-freedom preservation.
-    /// An interrupted check (`stop != Completed`) never certifies.
+    /// A cut-off or interrupted check (`stop != Completed`) never certifies.
     pub fn refines(&self) -> bool {
         self.stop == StopReason::Completed
             && self.trace_included
@@ -70,20 +78,17 @@ struct ObsLts {
     tau: Vec<Vec<usize>>,
     /// obs[s] = (label, successor) pairs.
     obs: Vec<Vec<(String, usize)>>,
+    /// closed[s]: `s` was expanded and the bound dropped none of its edges.
+    closed: Vec<bool>,
     has_deadlock: bool,
     complete: bool,
-    /// `Completed` unless the budget/token cut the extraction short.
+    /// `Completed` unless the bound, budget or token cut the extraction.
     stop: StopReason,
 }
 
-/// Extract the observable LTS of `sys`. Each step's label comes from
-/// [`System::step_label`] passed through `rename`; `None` results are τ.
-///
-/// States are interned through the adaptive narrow-width [`StateCodec`], so
-/// the index keys are a word or two each instead of full heap-backed
-/// states; a value overflowing its inferred width widens the codec and
-/// rebuilds the LTS from scratch (rare, and the construction is
-/// deterministic, so the result is identical to a never-widened run).
+/// Extract the observable LTS of `sys` from [`explore_edges`]: an observable
+/// connector's name passed through `rename` labels its interactions; `None`
+/// results and internal steps are τ.
 fn obs_lts<F>(
     sys: &System,
     rename: &F,
@@ -94,103 +99,63 @@ fn obs_lts<F>(
 where
     F: Fn(&str) -> Option<String>,
 {
-    let mut codec = StateCodec::adaptive(sys);
-    'retry: loop {
-        let mut index: FxHashMap<PackedState, usize> = FxHashMap::default();
-        let mut queue: VecDeque<PackedState> = VecDeque::new();
-        let mut tau: Vec<Vec<usize>> = Vec::new();
-        let mut obs: Vec<Vec<(String, usize)>> = Vec::new();
-        let mut has_deadlock = false;
-        let mut complete = true;
-        let mut stop = StopReason::Completed;
-        let mut st = sys.initial_state();
-        let mut es = sys.new_enabled_set();
-        let mut scratch = sys.new_succ_scratch();
-        let pinit = match codec.try_encode(&st) {
-            Ok(p) => p,
-            Err(r) => {
-                codec = codec.widen(sys, r);
-                continue 'retry;
+    let cfg = ReachConfig::bounded(max_states)
+        .budget(*budget)
+        .cancel(cancel);
+    let mut edges = Vec::new();
+    let report = explore_edges(sys, &cfg, |src, step, dst| {
+        let label = match step {
+            SuccStep::Interaction { iref, .. } => {
+                let c = sys.connector(iref.connector);
+                c.observable.then_some(c.name.as_str()).and_then(rename)
             }
+            SuccStep::Internal { .. } => None,
         };
-        index.insert(pinit.clone(), 0);
-        tau.push(Vec::new());
-        obs.push(Vec::new());
-        queue.push_back(pinit);
-        while let Some(packed) = queue.pop_front() {
-            // Budget trip: the extraction is a plain BFS with no
-            // checkpointing, so a trip just truncates it — the caller's
-            // report carries the reason and refuses to certify.
-            let trip = budget
-                .interrupted(cancel)
-                .or_else(|| budget.exceeded(index.len(), 0));
-            if let Some(reason) = trip {
-                complete = false;
-                stop = reason;
-                break;
-            }
-            let src = index[&packed];
-            codec.decode_into(&packed, &mut st);
-            es.invalidate_all();
-            let mut any = false;
-            // A successor overflowing the codec's widths: widen and
-            // restart once the enumeration returns.
-            let mut overflow = None;
-            sys.for_each_successor(&st, &mut es, &mut scratch, |step, next| {
-                any = true;
-                if overflow.is_some() {
-                    return;
-                }
-                let pnext = match codec.try_encode(next) {
-                    Ok(p) => p,
-                    Err(r) => {
-                        overflow = Some(r);
-                        return;
-                    }
-                };
-                let dst = match index.get(&pnext) {
-                    Some(&d) => d,
-                    None => {
-                        if index.len() >= max_states {
-                            complete = false;
-                            return;
-                        }
-                        let d = index.len();
-                        index.insert(pnext.clone(), d);
-                        tau.push(Vec::new());
-                        obs.push(Vec::new());
-                        queue.push_back(pnext);
-                        d
-                    }
-                };
-                let label = match step {
-                    SuccStep::Interaction { iref, .. } => {
-                        let c = sys.connector(iref.connector);
-                        c.observable.then_some(c.name.as_str()).and_then(rename)
-                    }
-                    SuccStep::Internal { .. } => None,
-                };
-                match label {
-                    Some(label) => obs[src].push((label, dst)),
-                    None => tau[src].push(dst),
-                }
-            });
-            if let Some(r) = overflow {
-                codec = codec.widen(sys, r);
-                continue 'retry;
-            }
-            if !any {
-                has_deadlock = true;
-            }
+        edges.push((src, label, dst));
+    });
+    let n = report.states;
+    // An interrupted run leaves its last frontier unexpanded: there, only
+    // the states seen as a source count as expanded.
+    let mut closed = vec![!report.stop.is_interrupted(); n];
+    let (mut tau, mut obs, mut dropped) = (vec![Vec::new(); n], vec![Vec::new(); n], Vec::new());
+    for (src, label, dst) in edges {
+        closed[src] = true;
+        match (label, dst) {
+            (_, None) => dropped.push(src),
+            (Some(label), Some(dst)) => obs[src].push((label, dst)),
+            (None, Some(dst)) => tau[src].push(dst),
         }
-        return ObsLts {
-            tau,
-            obs,
-            has_deadlock,
-            complete,
-            stop,
-        };
     }
+    dropped.into_iter().for_each(|s| closed[s] = false);
+    ObsLts {
+        tau,
+        obs,
+        closed,
+        has_deadlock: !report.deadlocks.is_empty(),
+        complete: report.complete,
+        stop: report.stop,
+    }
+}
+
+/// The observable LTSs of a refinement question, `[abstract, concrete]`:
+/// the abstract side labelled by its own connector names, the concrete
+/// side through `rename_concrete`.
+fn extract_pair<F>(
+    abstract_sys: &System,
+    concrete_sys: &System,
+    rename_concrete: &F,
+    max_states: usize,
+    budget: &Budget,
+    cancel: &CancelToken,
+) -> [ObsLts; 2]
+where
+    F: Fn(&str) -> Option<String>,
+{
+    let ident = |l: &str| Some(l.to_string());
+    [
+        obs_lts(abstract_sys, &ident, max_states, budget, cancel),
+        obs_lts(concrete_sys, rename_concrete, max_states, budget, cancel),
+    ]
 }
 
 /// τ-closure of a state set.
@@ -239,9 +204,10 @@ fn obs_labels(lts: &ObsLts, set: &BTreeSet<usize>) -> Vec<String> {
 /// * abstract labels are the abstract system's own observable connector
 ///   names (identity).
 ///
-/// `max_states` bounds both reachable sets; incomplete exploration is
-/// reported as non-refinement only if a counterexample was actually found
-/// (the deadlock clauses use the explored region).
+/// `max_states` bounds both reachable sets. A side it cuts short sets
+/// `stop` to [`StopReason::BoundExhausted`]: the check then neither
+/// certifies nor establishes `trace_included`, but a counterexample it
+/// finds is still real.
 pub fn refines<F>(
     abstract_sys: &System,
     concrete_sys: &System,
@@ -281,14 +247,14 @@ where
     F: Fn(&str) -> Option<String>,
 {
     let start = Instant::now();
-    let a = obs_lts(
+    let [a, c] = extract_pair(
         abstract_sys,
-        &|l: &str| Some(l.to_string()),
+        concrete_sys,
+        &rename_concrete,
         max_states,
         budget,
         cancel,
     );
-    let c = obs_lts(concrete_sys, &rename_concrete, max_states, budget, cancel);
     let incl = inclusion(&c, &a, budget, cancel);
     // First interrupted stage wins: extraction order (abstract, concrete)
     // then the product search — the earliest truncation is the one that
@@ -298,7 +264,7 @@ where
         .find(|s| *s != StopReason::Completed)
         .unwrap_or(StopReason::Completed);
     RefinementReport {
-        trace_included: incl.counterexample.is_none(),
+        trace_included: stop == StopReason::Completed && incl.counterexample.is_none(),
         counterexample: incl.counterexample,
         abstract_deadlock_free: a.complete && !a.has_deadlock,
         concrete_deadlock_free: c.complete && !c.has_deadlock,
@@ -310,6 +276,7 @@ where
 
 /// Weak trace equivalence: inclusion in both directions under the given
 /// renaming of the concrete side (the abstract side uses identity labels).
+/// `false` unless both state spaces fit `max_states`.
 pub fn weak_trace_equivalent<F>(
     abstract_sys: &System,
     concrete_sys: &System,
@@ -320,14 +287,14 @@ where
     F: Fn(&str) -> Option<String> + Copy,
 {
     let (unlimited, run) = (Budget::unlimited(), CancelToken::new());
-    let a = obs_lts(
+    let [a, c] = extract_pair(
         abstract_sys,
-        &|l: &str| Some(l.to_string()),
+        concrete_sys,
+        &rename_concrete,
         max_states,
         &unlimited,
         &run,
     );
-    let c = obs_lts(concrete_sys, &rename_concrete, max_states, &unlimited, &run);
     // Concrete traces are abstract traces, and abstract traces are
     // realizable by the concrete system.
     let included = |left, right| {
@@ -335,7 +302,7 @@ where
             .counterexample
             .is_none()
     };
-    included(&c, &a) && included(&a, &c)
+    a.complete && c.complete && included(&c, &a) && included(&a, &c)
 }
 
 /// What a trace-inclusion search found.
@@ -352,6 +319,12 @@ struct Inclusion {
 /// Weak trace inclusion `left ⊆ right` by determinized simulation: explore
 /// pairs (left subset, right subset) breadth first; inclusion fails at the
 /// first label the left side offers that the right side cannot match.
+///
+/// A right-hand subset holding a state that is not closed (unexpanded, or
+/// with a successor the bound dropped) may lack moves the right system
+/// has, so the search goes no further from it: every mismatch it reports
+/// comes from a path of closed right-hand subsets and is a real
+/// counterexample. Left-hand edges are always real edges.
 fn inclusion(left: &ObsLts, right: &ObsLts, budget: &Budget, cancel: &CancelToken) -> Inclusion {
     let l0 = closure(left, &BTreeSet::from([0usize]));
     let r0 = closure(right, &BTreeSet::from([0usize]));
@@ -367,6 +340,9 @@ fn inclusion(left: &ObsLts, right: &ObsLts, budget: &Budget, cancel: &CancelToke
         if let Some(reason) = trip {
             stop = reason;
             break;
+        }
+        if !rs.iter().all(|&s| right.closed[s]) {
+            continue;
         }
         for label in obs_labels(left, &ls) {
             let rn = obs_step(right, &rs, &label);
@@ -392,7 +368,7 @@ fn inclusion(left: &ObsLts, right: &ObsLts, budget: &Budget, cancel: &CancelToke
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bip_core::{AtomBuilder, ConnectorBuilder, SystemBuilder};
+    use bip_core::{AtomBuilder, ConnectorBuilder, StateCodec, SystemBuilder};
 
     /// System that alternates a.b forever, observable as connectors "a","b".
     fn alternator() -> System {
@@ -452,8 +428,88 @@ mod tests {
         sb.build().unwrap()
     }
 
+    /// An unbounded counter stepping on connector "a": `a` forever, a new
+    /// state per step.
+    fn counter_a() -> System {
+        bip_core::parse_system(
+            "atom C {\n port tick\n var x = 0\n location l init\n \
+             on tick from l to l do x := x + 1\n}\n\
+             system {\n instance c : C\n connector a = c.tick\n}\n",
+        )
+        .unwrap()
+    }
+
     fn ident(l: &str) -> Option<String> {
         Some(l.to_string())
+    }
+
+    #[test]
+    fn cut_off_concrete_side_never_certifies() {
+        // Two states of the counter show only the trace "a", which the
+        // one-shot system performs; the third state would show "a a".
+        let abs = a_then_stop();
+        let conc = counter_a();
+        let r = refines(&abs, &conc, ident, 2);
+        assert_eq!(r.stop, StopReason::BoundExhausted);
+        assert!(!r.trace_included, "inclusion was not established");
+        assert!(!r.refines(), "a cut-off check must not certify");
+        assert!(!weak_trace_equivalent(&abs, &conc, ident, 2));
+        let full = refines(&abs, &conc, ident, 1000);
+        assert_eq!(
+            full.counterexample,
+            Some(vec!["a".to_string(), "a".to_string()])
+        );
+        // Equal systems are not certified equivalent from a cut either.
+        assert!(!weak_trace_equivalent(&conc, &conc, ident, 10));
+        assert!(!refines(&conc, &conc, ident, 10).refines());
+    }
+
+    #[test]
+    fn cut_off_abstract_side_gives_no_spurious_counterexample() {
+        // The abstract counter performs every aⁿ; a bound that cuts it must
+        // not turn the concrete aⁿ into a counterexample.
+        let abs = counter_a();
+        let conc = alternator();
+        for bound in [2, 100] {
+            let r = refines(&abs, &conc, |_| Some("a".to_string()), bound);
+            assert_eq!(r.counterexample, None, "bound {bound}");
+            assert_eq!(r.stop, StopReason::BoundExhausted, "bound {bound}");
+            assert!(!r.trace_included && !r.refines(), "bound {bound}");
+        }
+        // Likewise when a budget stops the abstract side before it expands
+        // its last frontier: a τ step leads to the `a` the loop matches.
+        let t = AtomBuilder::new("t")
+            .port("pa")
+            .port("sync")
+            .location("A")
+            .location("Amid")
+            .location("B")
+            .initial("A")
+            .transition("A", "sync", "Amid")
+            .transition("Amid", "pa", "B")
+            .build()
+            .unwrap();
+        let mut sb = SystemBuilder::new();
+        let x = sb.add_instance("x", &t);
+        sb.add_connector(ConnectorBuilder::singleton("a", x, "pa"));
+        sb.add_connector(ConnectorBuilder::singleton("s", x, "sync").silent());
+        let tau_then_a = sb.build().unwrap();
+        let aloop = bip_core::parse_system(
+            "atom L {\n port tick\n location l init\n on tick from l to l\n}\n\
+             system {\n instance c : L\n connector a = c.tick\n}\n",
+        )
+        .unwrap();
+        let budget = Budget::unlimited().states(2);
+        let r = refines_with(
+            &tau_then_a,
+            &aloop,
+            ident,
+            100,
+            &budget,
+            &CancelToken::new(),
+        );
+        assert_eq!(r.counterexample, None);
+        assert_eq!(r.stop, StopReason::StateBudget);
     }
 
     #[test]

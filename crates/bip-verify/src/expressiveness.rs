@@ -11,14 +11,15 @@
 //! on small components: an LTS extractor with *structural* labels (the set
 //! of `(component, port)` pairs of each interaction), a strong-bisimulation
 //! checker, and an enumerator of all interaction-only glues over given
-//! interfaces. The experiment E3 (see DESIGN.md) runs the refutation.
+//! interfaces. The experiment E3 (`tests/expressiveness.rs`) runs the
+//! refutation. The LTS is read off [`crate::reach::explore_edges`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
-use crate::atom::AtomType;
-use crate::connector::ConnectorBuilder;
-use crate::glue::Glue;
-use crate::system::{State, Step, System};
+use bip_core::glue::Glue;
+use bip_core::{AtomBuilder, AtomType, ConnId, ConnectorBuilder, Priority, SuccStep, System};
+
+use crate::reach::{explore_edges, ReachConfig};
 
 /// A structural interaction label: sorted `(component, port-index)` pairs.
 /// Internal steps are labelled `None` by [`extract_lts`].
@@ -35,57 +36,33 @@ pub struct Lts {
 
 /// Extract the reachable LTS of `sys`, up to `max_states` states.
 ///
-/// Returns `None` if the bound is exceeded (callers choose systems small
-/// enough that this should not happen in the expressiveness experiments).
+/// Returns `None` unless the whole reachable set fits the bound (callers
+/// choose systems small enough that this should not happen in the
+/// expressiveness experiments).
 pub fn extract_lts(sys: &System, max_states: usize) -> Option<Lts> {
-    let mut index: HashMap<State, usize> = HashMap::new();
-    let mut queue = VecDeque::new();
     let mut transitions = Vec::new();
-    let init = sys.initial_state();
-    index.insert(init.clone(), 0);
-    queue.push_back(init);
-    while let Some(st) = queue.pop_front() {
-        let src = index[&st];
-        for (step, next) in sys.successors(&st) {
-            let label = step_structural_label(sys, &step);
-            let dst = match index.get(&next) {
-                Some(&d) => d,
-                None => {
-                    let d = index.len();
-                    if d >= max_states {
-                        return None;
-                    }
-                    index.insert(next.clone(), d);
-                    queue.push_back(next);
-                    d
-                }
-            };
-            transitions.push((src, label, dst));
-        }
-    }
-    Some(Lts {
-        num_states: index.len(),
+    let report = explore_edges(sys, &ReachConfig::bounded(max_states), |src, step, dst| {
+        let label = match step {
+            SuccStep::Interaction { iref, .. } => {
+                let eps = sys.connector_endpoints(iref.connector);
+                let mut l: Label = iref
+                    .endpoints(eps.len())
+                    .map(|i| {
+                        let (c, p) = eps[i];
+                        (c, p.0)
+                    })
+                    .collect();
+                l.sort_unstable();
+                Some(l)
+            }
+            SuccStep::Internal { .. } => None,
+        };
+        transitions.extend(dst.map(|dst| (src, label, dst)));
+    });
+    report.complete.then_some(Lts {
+        num_states: report.states,
         transitions,
     })
-}
-
-fn step_structural_label(sys: &System, step: &Step) -> Option<Label> {
-    match step {
-        Step::Interaction { interaction, .. } => {
-            let eps = sys.connector_endpoints(interaction.connector);
-            let mut l: Label = interaction
-                .endpoints
-                .iter()
-                .map(|&i| {
-                    let (c, p) = eps[i];
-                    (c, p.0)
-                })
-                .collect();
-            l.sort_unstable();
-            Some(l)
-        }
-        Step::Internal { .. } => None,
-    }
 }
 
 /// Check strong bisimilarity of two finite LTSs (initial states related).
@@ -222,7 +199,6 @@ pub struct BroadcastRefutation {
 /// * component 1 — receiver with port `p0` (ready only in its initial
 ///   location; consuming it moves to a sink).
 pub fn broadcast_components() -> Vec<AtomType> {
-    use crate::atom::AtomBuilder;
     let sender = AtomBuilder::new("sender")
         .port("p0")
         .location("l")
@@ -251,7 +227,7 @@ pub fn broadcast_reference() -> System {
             (0, "p0"),
             [(1usize, "p0")],
         ))
-        .with_priority(crate::priority::Priority::maximal_progress());
+        .with_priority(Priority::maximal_progress());
     g.apply(&[("s", &atoms[0]), ("r", &atoms[1])])
         .expect("reference system")
 }
@@ -296,8 +272,8 @@ pub fn priorities_express_broadcast() -> bool {
             [(0usize, "p0"), (1usize, "p0")],
         ))
         .with_connector(ConnectorBuilder::singleton("alone", 0, "p0"));
-    let mut p = crate::priority::Priority::none();
-    p.add_rule(crate::connector::ConnId(1), crate::connector::ConnId(0));
+    let mut p = Priority::none();
+    p.add_rule(ConnId(1), ConnId(0));
     g = g.with_priority(p);
     let sys = g
         .apply(&[("s", &atoms[0]), ("r", &atoms[1])])

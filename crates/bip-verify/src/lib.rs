@@ -35,7 +35,9 @@
 //! * [`equiv`] — **refinement/equivalence checking** modulo an observation
 //!   criterion: weak trace inclusion plus deadlock-freedom preservation,
 //!   exactly the `≥` relation of §5.5.3 used to certify source-to-source
-//!   transformations.
+//!   transformations. Its LTSs, and those of the glue-expressiveness
+//!   experiment in [`expressiveness`], are read off
+//!   [`reach::explore_edges`].
 //!
 //! Every family also doubles as a **resilience checker**: because
 //! [`bip_core::fault::inject`] derives crash/recover/lossy variants as plain
@@ -76,6 +78,7 @@ pub mod bmc;
 pub mod control;
 pub mod dfinder;
 pub mod equiv;
+pub mod expressiveness;
 pub mod incremental;
 pub mod kind;
 pub mod reach;
@@ -91,9 +94,9 @@ pub use kind::{certify_step, KindConfig, KindStats, ProofReport};
 // re-exported under an unambiguous alias (or use `kind::Verdict` directly).
 pub use kind::Verdict as ProofVerdict;
 pub use reach::{
-    check_invariant, check_invariant_resume, check_invariant_with, explore, explore_resume,
-    explore_with, find_deadlock, find_deadlock_resume, find_deadlock_with, CodecMode,
-    DeadlockReport, InvariantReport, ReachCheckpoint, ReachConfig, ReachReport, Reduction,
-    ResumeError, SearchMode,
+    check_invariant, check_invariant_resume, check_invariant_with, explore, explore_edges,
+    explore_resume, explore_with, find_deadlock, find_deadlock_resume, find_deadlock_with,
+    CodecMode, DeadlockReport, InvariantReport, ReachCheckpoint, ReachConfig, ReachReport,
+    Reduction, ResumeError, SearchMode,
 };
 pub use unroll::UnrollError;

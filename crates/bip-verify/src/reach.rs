@@ -52,6 +52,12 @@
 //! stored, otherwise through the same admission in stream order. Every run
 //! ends in one exit, which builds the report.
 //!
+//! [`explore_edges`] is the engine's edge entry: after a level commits, it
+//! re-expands the level's frontier against the read-only seen set and
+//! hands each edge to a visitor. Every explicit LTS in the stack — the
+//! refinement checks of [`crate::equiv`], the bisimulation experiment of
+//! [`crate::expressiveness`] — is read off it.
+//!
 //! # Partial-order reduction
 //!
 //! [`ReachConfig::reduction`] selects between exhaustive interleaving
@@ -148,8 +154,8 @@ use crate::control::{Budget, CancelToken, StopReason};
 use bip_core::hash::FxHasher;
 use bip_core::indep::IndepInfo;
 use bip_core::{
-    AmpleScratch, CodecSnapshot, CompId, EnabledSet, PackedState, PlaceSet, State, StateCodec,
-    StatePred, Step, SuccScratch, SuccStep, System, WidenReq,
+    AmpleScratch, CodecSnapshot, CompId, EnabledSet, FxHashMap, PackedState, PlaceSet, State,
+    StateCodec, StatePred, Step, SuccScratch, SuccStep, System, WidenReq,
 };
 use std::hash::Hasher;
 
@@ -559,6 +565,8 @@ impl Expander {
 
 /// One successor handed to an expansion's visitor.
 struct Succ<'a> {
+    /// The step that produced it.
+    step: SuccStep<'a>,
     next: &'a State,
     packed: &'a PackedState,
     /// Owning shard (canonical hash).
@@ -697,6 +705,7 @@ impl Worker {
             live = visit(
                 store,
                 Succ {
+                    step,
                     next,
                     packed: enc,
                     shard,
@@ -935,12 +944,6 @@ impl Shard {
         }
     }
 
-    /// Membership probe.
-    #[inline]
-    fn contains(&self, words: &[u64], hash: u64) -> bool {
-        self.find(words, hash).is_some()
-    }
-
     /// Insert if absent, with its trace node in the tracing modes; returns
     /// the new state's index, or `None` when the state was already stored.
     /// The table only grows on an actual insert (never on a duplicate
@@ -1168,7 +1171,7 @@ impl Seen {
         let shard = &mut self.shards[si];
         let idx = if self.stored < self.max_states {
             shard.insert(words, hash, self.tracing.then_some(node))
-        } else if shard.contains(words, hash) {
+        } else if shard.find(words, hash).is_some() {
             None
         } else {
             self.complete = false;
@@ -1228,6 +1231,9 @@ type Level = Result<Option<End>, WidenReq>;
 /// A witness state with a shortest trace from the initial state.
 type Witness = (State, Vec<Step>);
 
+/// `run`'s edge visitor: `(source, step, target)` state references.
+type EdgeVisitor<'a> = &'a mut dyn FnMut(u64, SuccStep<'_>, Option<u64>);
+
 /// A successor produced by phase A, waiting to be merged.
 struct Candidate {
     packed: PackedState,
@@ -1269,7 +1275,7 @@ fn expand_chunk(
     let mut out = ChunkOut::default();
     for &sref in refs {
         let any = w.expand(cx, codec, &mut shards, entry, sref, |shards, s| {
-            if shards[s.shard].contains(s.packed.words(), s.hash) {
+            if shards[s.shard].find(s.packed.words(), s.hash).is_some() {
                 out.dup_transitions += 1;
             } else {
                 out.cands.push(Candidate {
@@ -1449,19 +1455,21 @@ fn resume_run(
             resumed: cfg.reduction,
         });
     }
-    Ok(run(sys, cfg, mode, Some(ck)))
+    Ok(run(sys, cfg, mode, Some(ck), None))
 }
 
 /// The level-synchronous sharded BFS all public explorers run on. With
 /// `resume`, the engine restarts from a captured level boundary instead of
 /// the initial state (the checkpoint's codec overrides `cfg.codec`; its
-/// mode and reduction were checked by [`resume_run`]). Every run ends in
-/// one exit: the explore report, plus the witness of the searching modes.
+/// mode and reduction were checked by [`resume_run`]). `edges` gets every
+/// committed level's edges (see [`explore_edges`]). Every run ends in one
+/// exit: the explore report, plus the witness of the searching modes.
 fn run(
     sys: &System,
     cfg: &ReachConfig,
     mode: Mode<'_>,
     resume: Option<ReachCheckpoint>,
+    mut edges: Option<EdgeVisitor<'_>>,
 ) -> (ReachReport, Option<Witness>) {
     let start = Instant::now();
     // Partial-order reduction context. Deadlock search and plain
@@ -1570,6 +1578,20 @@ fn run(
             };
             match level {
                 Ok(None) => {
+                    // The level committed (a widen rolls back before this):
+                    // replay its frontier against the read-only shards.
+                    if let Some(visit) = edges.as_deref_mut() {
+                        let mut shards = &seen.shards[..];
+                        for &src in &frontier {
+                            let w = &mut workers[0];
+                            w.expand(&cx, &codec, &mut shards, &entry.lens, src, |shards, s| {
+                                let dst = shards[s.shard].find(s.packed.words(), s.hash);
+                                visit(src, s.step, dst.map(|idx| node_ref(s.shard, idx)));
+                                true
+                            })
+                            .expect("a committed level encoded every successor");
+                        }
+                    }
                     frontier.clear();
                     for b in &mut seen.buckets {
                         frontier.append(b);
@@ -1651,7 +1673,27 @@ pub fn explore(sys: &System, max_states: usize) -> ReachReport {
 /// only the visited region. The report is identical for every
 /// `cfg.threads` value and every `cfg.codec` choice.
 pub fn explore_with(sys: &System, cfg: &ReachConfig) -> ReachReport {
-    run(sys, cfg, Mode::Explore, None).0
+    run(sys, cfg, Mode::Explore, None, None).0
+}
+
+/// [`explore_with`], handing every explored edge to `visit` as `(source,
+/// step, target)`: states numbered densely in order of first appearance
+/// (the initial state `0`), `target` `None` when the bound kept it out.
+/// An interrupted run shows no edge out of its checkpoint frontier. The
+/// stream is identical for every thread count and codec.
+pub fn explore_edges(
+    sys: &System,
+    cfg: &ReachConfig,
+    mut visit: impl FnMut(usize, SuccStep<'_>, Option<usize>),
+) -> ReachReport {
+    let mut ids: FxHashMap<u64, usize> = FxHashMap::default();
+    let mut id = |sref: u64| {
+        let fresh = ids.len();
+        *ids.entry(sref).or_insert(fresh)
+    };
+    let mut edge =
+        |src, step: SuccStep<'_>, dst: Option<u64>| visit(id(src), step, dst.map(&mut id));
+    run(sys, cfg, Mode::Explore, None, Some(&mut edge)).0
 }
 
 /// Resume an interrupted [`explore_with`] run from its checkpoint.
@@ -1690,7 +1732,7 @@ pub fn check_invariant(sys: &System, inv: &StatePred, max_states: usize) -> Inva
 /// even if the bound was hit; `holds()` additionally requires the sweep to
 /// have been complete.
 pub fn check_invariant_with(sys: &System, inv: &StatePred, cfg: &ReachConfig) -> InvariantReport {
-    invariant_report(run(sys, cfg, Mode::Invariant(inv), None))
+    invariant_report(run(sys, cfg, Mode::Invariant(inv), None, None))
 }
 
 /// Resume an interrupted [`check_invariant_with`] run from its checkpoint.
@@ -1739,7 +1781,7 @@ pub fn find_deadlock(sys: &System, max_states: usize) -> DeadlockReport {
 /// Find a deadlock state (if any) with a shortest witness trace, under
 /// `cfg`.
 pub fn find_deadlock_with(sys: &System, cfg: &ReachConfig) -> DeadlockReport {
-    deadlock_report(run(sys, cfg, Mode::Deadlock, None))
+    deadlock_report(run(sys, cfg, Mode::Deadlock, None, None))
 }
 
 /// Resume an interrupted [`find_deadlock_with`] run from its checkpoint.

@@ -33,7 +33,14 @@ enum VarStyle {
 /// hand-written model covers. Variables are a mix of drifting values and
 /// guard-bounded counters (see [`VarStyle`]).
 pub fn random_system(seed: u64) -> System {
-    random_system_inner(seed, false)
+    random_system_inner(seed, false, false)
+}
+
+/// [`random_system`] with every drift update guarded (`v < 4` before a +0
+/// or +1 step, `-4 < v` before a -1 step), so every variable has a finite
+/// inferred range and the SAT engines' step encoder accepts the system.
+pub fn random_bounded_system(seed: u64) -> System {
+    random_system_inner(seed, false, true)
 }
 
 /// [`random_system`] plus an independent two-location spinner (the last
@@ -41,10 +48,10 @@ pub fn random_system(seed: u64) -> System {
 /// cycle, on which a reduced search without a cycle proviso can spin and
 /// ignore every visible step.
 pub fn random_system_with_spinner(seed: u64) -> System {
-    random_system_inner(seed, true)
+    random_system_inner(seed, true, false)
 }
 
-fn random_system_inner(seed: u64, spinner: bool) -> System {
+fn random_system_inner(seed: u64, spinner: bool, bounded_drift: bool) -> System {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(seed);
@@ -108,7 +115,15 @@ fn random_system_inner(seed: u64, spinner: bool) -> System {
                             }
                         }
                         VarStyle::Drift => {
-                            Expr::var(v as u32).add(Expr::int(rng.gen_range(-1i64..2)))
+                            let d = rng.gen_range(-1i64..2);
+                            if bounded_drift {
+                                forced_guard = Some(if d < 0 {
+                                    Expr::int(-4).lt(Expr::var(v as u32))
+                                } else {
+                                    Expr::var(v as u32).lt(Expr::int(4))
+                                });
+                            }
+                            Expr::var(v as u32).add(Expr::int(d))
                         }
                     };
                     vec![(format!("v{v}"), e)]

@@ -1,6 +1,8 @@
 //! Integration tests for experiment E3: glue expressiveness (§5.3.2, [5]).
 
-use bip_core::expressiveness::{priorities_express_broadcast, refute_broadcast_with_interactions};
+use bip_verify::expressiveness::{
+    priorities_express_broadcast, refute_broadcast_with_interactions,
+};
 
 /// E3's table: all seven interaction-only glues over the broadcast's ports
 /// are checked against its two-state reference LTS, and none is bisimilar.

@@ -38,7 +38,10 @@ use proptest::prelude::*;
 use satkit::RestartPolicy;
 
 mod common;
-use common::{adjacent_mutex, counter_ring, one_shot_step, random_system, ring_token_mutex};
+use common::{
+    adjacent_mutex, counter_ring, one_shot_step, random_bounded_system, random_system,
+    ring_token_mutex,
+};
 
 /// Induction depth the harness attempts per seed.
 const MAX_K: usize = 10;
@@ -89,17 +92,16 @@ fn independent_replay(
 
 /// The scheduled certificate against its one-shot oracle at every depth
 /// `0..=MAX_K`; returns `Err` for proptest.
-fn check_certificate_oracle(seed: u64) -> Result<(), String> {
-    let sys = random_system(seed);
-    let inv = pick_invariant(&sys, seed);
+fn check_certificate_oracle(sys: &System, seed: u64) -> Result<(), String> {
+    let inv = pick_invariant(sys, seed);
     for k in 0..=MAX_K {
-        let scheduled = match certify_step(&sys, &inv, k, 4096) {
+        let scheduled = match certify_step(sys, &inv, k, 4096) {
             Ok(answer) => answer,
             // Declined encodings are typed; the oracle would decline too.
             Err(UnrollError::Encode(_)) => return Ok(()),
             Err(other) => return Err(format!("seed {seed}: certificate errored: {other}")),
         };
-        let one_shot = one_shot_step(&sys, &inv, k);
+        let one_shot = one_shot_step(sys, &inv, k);
         if scheduled != one_shot {
             return Err(format!(
                 "seed {seed}, k = {k}: scheduled certificate says {scheduled}, \
@@ -111,17 +113,16 @@ fn check_certificate_oracle(seed: u64) -> Result<(), String> {
 }
 
 /// Core differential check for one random system; returns `Err` for
-/// proptest.
-fn check_agreement(seed: u64) -> Result<(), String> {
-    let sys = random_system(seed);
-    let inv = pick_invariant(&sys, seed);
+/// proptest, and whether the case reached the prover.
+fn check_agreement(sys: &System, seed: u64) -> Result<bool, String> {
+    let inv = pick_invariant(sys, seed);
 
-    let bfs = check_invariant_with(&sys, &inv, &ReachConfig::bounded(100_000));
+    let bfs = check_invariant_with(sys, &inv, &ReachConfig::bounded(100_000));
     if !bfs.complete {
-        return Ok(()); // state space outgrew the budget; nothing exact to compare
+        return Ok(false); // state space outgrew the budget; nothing exact to compare
     }
 
-    let report = match KindConfig::new(&sys)
+    let report = match KindConfig::new(sys)
         .max_k(MAX_K)
         .budget(Budget::unlimited().conflicts(CONFLICT_CAP))
         .prove(&inv)
@@ -129,7 +130,7 @@ fn check_agreement(seed: u64) -> Result<(), String> {
         Ok(r) => r,
         // The encoder may decline (unbounded variable / support too large);
         // that must be a typed decline, and then there is nothing to compare.
-        Err(UnrollError::Encode(_)) => return Ok(()),
+        Err(UnrollError::Encode(_)) => return Ok(false),
         Err(other) => return Err(format!("seed {seed}: unexpected kind error {other}")),
     };
 
@@ -143,7 +144,7 @@ fn check_agreement(seed: u64) -> Result<(), String> {
                 ));
             }
             // Certificate: the inductive step re-derived in a fresh solver…
-            match certify_step(&sys, &inv, *k, 4096) {
+            match certify_step(sys, &inv, *k, 4096) {
                 Ok(true) => {}
                 Ok(false) => {
                     return Err(format!(
@@ -154,14 +155,14 @@ fn check_agreement(seed: u64) -> Result<(), String> {
             }
             // …which must reject one depth earlier, where the prover's step
             // query was SAT…
-            if *k > 0 && certify_step(&sys, &inv, k - 1, 4096) != Ok(false) {
+            if *k > 0 && certify_step(sys, &inv, k - 1, 4096) != Ok(false) {
                 return Err(format!(
                     "seed {seed}: fresh-solver certificate does not reject the k={} step",
                     k - 1
                 ));
             }
             // …and the base case re-derived by BMC.
-            let base = BmcConfig::new(&sys)
+            let base = BmcConfig::new(sys)
                 .bound(*k)
                 .check_invariant(&inv)
                 .map_err(|e| format!("seed {seed}: BMC base re-check errored: {e}"))?;
@@ -186,9 +187,9 @@ fn check_agreement(seed: u64) -> Result<(), String> {
                     bfs_trace.len()
                 ));
             }
-            independent_replay(&sys, &inv, trace, states)
+            independent_replay(sys, &inv, trace, states)
                 .map_err(|e| format!("seed {seed}: independent replay failed: {e}"))?;
-            let bmc = BmcConfig::new(&sys)
+            let bmc = BmcConfig::new(sys)
                 .bound(trace.len())
                 .check_invariant(&inv)
                 .map_err(|e| format!("seed {seed}: BMC re-check errored: {e}"))?;
@@ -205,7 +206,7 @@ fn check_agreement(seed: u64) -> Result<(), String> {
         }
         Verdict::Unknown(_) => {} // bounded resources; never wrong
     }
-    Ok(())
+    Ok(true)
 }
 
 proptest! {
@@ -216,13 +217,32 @@ proptest! {
     /// the certificate must agree with its one-shot oracle at every depth.
     #[test]
     fn kind_agrees_with_explicit_search_and_bmc(seed in 0u64..192) {
-        if let Err(msg) = check_certificate_oracle(seed) {
+        let sys = random_system(seed);
+        if let Err(msg) = check_certificate_oracle(&sys, seed) {
             prop_assert!(false, "{}", msg);
         }
-        if let Err(msg) = check_agreement(seed) {
+        if let Err(msg) = check_agreement(&sys, seed) {
             prop_assert!(false, "{}", msg);
         }
     }
+}
+
+/// The same checks on guard-bounded random systems, which the step encoder
+/// accepts: at least 90 % of the seeds must reach the prover, so a
+/// generator change cannot quietly hollow the differential out.
+#[test]
+fn kind_agrees_on_guard_bounded_random_systems() {
+    const SEEDS: u64 = 32;
+    let mut reached = 0;
+    for seed in 0..SEEDS {
+        let sys = random_bounded_system(seed);
+        check_certificate_oracle(&sys, seed).unwrap_or_else(|msg| panic!("{msg}"));
+        reached += u64::from(check_agreement(&sys, seed).unwrap_or_else(|msg| panic!("{msg}")));
+    }
+    assert!(
+        reached * 10 >= SEEDS * 9,
+        "only {reached} of {SEEDS} guard-bounded seeds reached the prover"
+    );
 }
 
 /// Verdicts derive from SAT/UNSAT answers only — semantic, hence identical

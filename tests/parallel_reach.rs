@@ -17,7 +17,10 @@
 //!   reports;
 //! * the adaptive codec stores at least 3× fewer bytes per state than the
 //!   full-width codec on var-heavy counter rings, and never more anywhere
-//!   (random systems and philosophers included).
+//!   (random systems and philosophers included);
+//! * the edge stream of `explore_edges` is identical for every thread count
+//!   and codec, lists exactly each state's successors on complete runs, and
+//!   shows no edge out of an interrupted run's checkpoint frontier.
 //!
 //! The two differential properties run in the default suite at a reduced
 //! completing bound; their full-size twins are `#[ignore]`d and run in
@@ -25,14 +28,19 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use bip_core::{dining_philosophers, State, StateCodec, StatePred, System};
+use bip_core::{dining_philosophers, State, StateCodec, StatePred, Step, System};
+use bip_verify::control::Budget;
 use bip_verify::reach::{
-    check_invariant_with, explore_with, find_deadlock_with, CodecMode, ReachConfig, ReachReport,
+    check_invariant_with, explore_edges, explore_with, find_deadlock_with, CodecMode, ReachConfig,
+    ReachReport,
 };
 use proptest::prelude::*;
 
 mod common;
-use common::{counter_ring, pr1_explore as reference_explore, random_system};
+use bip_verify::StopReason;
+use common::{
+    counter_ring, pr1_explore as reference_explore, random_bounded_system, random_system,
+};
 
 fn assert_reports_equal(a: &ReachReport, b: &ReachReport, ctx: &str) -> Result<(), String> {
     if a.states != b.states
@@ -426,4 +434,127 @@ fn adaptive_codec_footprint_on_the_full_size_families() {
         let sys = counter_ring(n, k);
         assert_codec_footprint(&format!("cring-{n}x{k}"), &sys, &threads, 3.0);
     }
+}
+
+/// One streamed edge over decoded states: `(source, step, target)`.
+type Edge = (State, Step, Option<State>);
+
+/// `explore_edges`' stream over decoded states, plus the states by id.
+/// Each target is rebuilt by firing the step on its source with
+/// `System::successors`, which also checks that ids are dense, in order of
+/// first appearance, and stable.
+fn edge_stream(sys: &System, cfg: &ReachConfig) -> (ReachReport, Vec<State>, Vec<Edge>) {
+    let mut states = vec![sys.initial_state()];
+    let mut succs = (usize::MAX, Vec::new());
+    let mut edges = Vec::new();
+    let report = explore_edges(sys, cfg, |src, step, dst| {
+        if succs.0 != src {
+            succs = (src, sys.successors(&states[src]));
+        }
+        let step = step.to_step(sys);
+        let (_, next) = succs
+            .1
+            .iter()
+            .find(|(s, _)| *s == step)
+            .expect("a successor step");
+        if let Some(d) = dst {
+            assert!(
+                d <= states.len(),
+                "ids are dense in order of first appearance"
+            );
+            if d == states.len() {
+                states.push(next.clone());
+            }
+            assert_eq!(&states[d], next, "a state keeps its id");
+        }
+        edges.push((states[src].clone(), step, dst.map(|_| next.clone())));
+    });
+    assert_eq!(
+        states.len(),
+        report.states,
+        "every stored state is streamed"
+    );
+    (report, states, edges)
+}
+
+/// The edge stream is identical at 1 and 4 threads and under either codec;
+/// its report is `explore_with`'s, its stored-target edges are the
+/// report's transitions, and on a complete run each state's edges are its
+/// successors, as a multiset.
+#[test]
+fn edge_stream_is_invariant_and_lists_every_successor() {
+    for seed in 0..48u64 {
+        let sys = random_bounded_system(seed);
+        for bound in [1_000usize, 31] {
+            let cfg = ReachConfig::bounded(bound);
+            let ctx = format!("seed {seed} bound {bound}");
+            let (report, states, edges) = edge_stream(&sys, &cfg);
+            assert_reports_equal(&report, &explore_with(&sys, &cfg), &ctx).unwrap();
+            let stored = edges.iter().filter(|(_, _, to)| to.is_some()).count();
+            assert_eq!(stored, report.transitions, "{ctx}: transitions");
+            let parallel = cfg.clone().threads(4).min_parallel_level(1);
+            for variant in [parallel, cfg.clone().full_width_codec()] {
+                let (r, _, e) = edge_stream(&sys, &variant);
+                assert_reports_equal(&r, &report, &ctx).unwrap();
+                assert!(e == edges, "{ctx}: edge streams differ");
+            }
+            if !report.complete {
+                continue;
+            }
+            let mut by_source: HashMap<&State, HashMap<(&Step, &State), usize>> = HashMap::new();
+            for (from, step, to) in &edges {
+                let to = to.as_ref().expect("a complete run keeps every target");
+                *by_source
+                    .entry(from)
+                    .or_default()
+                    .entry((step, to))
+                    .or_default() += 1;
+            }
+            for st in &states {
+                let succs = sys.successors(st);
+                let mut want: HashMap<(&Step, &State), usize> = HashMap::new();
+                for (step, next) in &succs {
+                    *want.entry((step, next)).or_default() += 1;
+                }
+                let got = by_source.remove(st).unwrap_or_default();
+                assert_eq!(got, want, "{ctx}: edges of {st:?}");
+            }
+        }
+    }
+}
+
+/// A `Budget::states` stop streams the complete run's prefix up to its
+/// checkpoint frontier — the states of the deepest level — and no edge out
+/// of that frontier.
+#[test]
+fn budget_stop_shows_no_edge_out_of_its_frontier() {
+    let mut stopped = 0;
+    for seed in 0..48u64 {
+        let sys = random_bounded_system(seed);
+        let cfg = ReachConfig::bounded(1_000);
+        let (_, _, full) = edge_stream(&sys, &cfg);
+        let budget = cfg.budget(Budget::unlimited().states(20));
+        let (report, _, edges) = edge_stream(&sys, &budget);
+        let Some(ck) = &report.checkpoint else {
+            continue; // the whole space fits the budget
+        };
+        stopped += 1;
+        assert_eq!(report.stop, StopReason::StateBudget, "seed {seed}");
+        assert!(full.starts_with(&edges), "seed {seed}: not a prefix");
+        let mut depth = HashMap::from([(sys.initial_state(), 0usize)]);
+        for (from, _, to) in &edges {
+            let d = depth[from] + 1;
+            depth
+                .entry(to.clone().expect("below the bound"))
+                .or_insert(d);
+        }
+        let deepest = depth.values().copied().max().unwrap();
+        let frontier = depth.values().filter(|&&d| d == deepest).count();
+        assert_eq!(frontier, ck.frontier_len(), "seed {seed}: frontier");
+        assert!(
+            edges.iter().all(|(from, _, _)| depth[from] < deepest),
+            "seed {seed}: an edge out of the checkpoint frontier"
+        );
+    }
+    assert!(stopped > 0, "some seed must outgrow the budget");
 }
